@@ -1,11 +1,14 @@
 """Timing-accurate functional simulator and untimed golden executor.
 
-Three interchangeable execution engines live here: the optimized hot
-path (:mod:`.simulator`), the quasi-static schedule replay engine
-(:mod:`.replay`, opt-in via ``SimulationOptions(replay=True)``), and the
-frozen seed implementation (:mod:`.reference`).  The conformance and
-differential suites prove all three observably identical; the benchmark
-suite measures speedups against the reference.
+One discrete-event loop lives here (:mod:`.simulator`).  Quasi-static
+schedule replay (:mod:`.replay`, opt-in via
+``SimulationOptions(replay=True)``) is a recorder that loop reports to
+and a period executor it hands locked periods to — not a second loop —
+with batched kernel bodies in :mod:`.batch` and the op vocabulary the
+three share in :mod:`.plan`.  The frozen seed implementation
+(:mod:`.reference`) is the oracle: the conformance and differential
+suites prove replay-on, replay-off and the oracle observably identical;
+the benchmark suite measures speedups against it.
 """
 
 from .functional import FunctionalResult, run_functional

@@ -44,6 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .plan import OP_EXEC, OP_FIN, OP_IO, OP_SRC, X_ESIG, X_FIRING, X_REBUILD
+
 __all__ = ["FORWARD_OTHER", "BatchResult", "BatchPlan", "compile_batch_plan"]
 
 #: Sentinel passed to :meth:`Kernel.batch_accepts` in ``others`` when the
@@ -235,18 +237,16 @@ def _translate(ref, op_to_group):
 def compile_batch_plan(xplan) -> BatchPlan | None:
     """Symbolically execute ``xplan`` and group its batchable firings.
 
-    Returns ``None`` when nothing in the period batches.  Op layouts are
-    the replay engine's: EXEC ``(5, st, ps, firing, rebuild, ...costs...,
-    esig, nemit)``, FIN ``(1, st, rel)``, SRC ``(0, source, count, rel)``,
-    IO ``(6, st, entries)``.
+    Returns ``None`` when nothing in the period batches.  Op codes and
+    layouts are :mod:`.plan`'s.
     """
     # The completion carried across the period boundary is always the
     # kernel's *last* EXEC of the (periodic) plan, so its emission
     # signature names what a leading FINISH-without-EXEC delivers.
     last_esig: dict = {}
     for op in xplan:
-        if op[0] == 5:
-            last_esig[op[1]] = op[12]
+        if op[0] == OP_EXEC:
+            last_esig[op[1]] = op[X_ESIG]
 
     produced: dict[int, list] = {}   # channel id -> refs, in push order
     chan: dict[int, object] = {}
@@ -279,26 +279,27 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
 
     for oi, op in enumerate(xplan):
         code = op[0]
-        if code == 5:
+        if code == OP_EXEC:
             st = op[1]
-            firing = op[3]
+            firing = op[X_FIRING]
+            esig = op[X_ESIG]
             if firing is not None:
                 slots = record_pops(st, firing.consume_ports)
                 if slots is None:
                     cand.pop(st, None)
                     others.setdefault(st, set()).add("<unwired>")
                 else:
-                    cand.setdefault(st, []).append((oi, firing, op[12], slots))
-                pending[st] = (oi, op[12])
+                    cand.setdefault(st, []).append((oi, firing, esig, slots))
+                pending[st] = (oi, esig)
             else:
-                rebuild = op[4]
+                rebuild = op[X_REBUILD]
                 record_pops(st, rebuild[2])
                 if rebuild[0] == "token" and rebuild[1] is not None:
                     others.setdefault(st, set()).add(rebuild[1].name)
                 else:
                     others.setdefault(st, set()).add(FORWARD_OTHER)
-                pending[st] = (None, op[12])
-        elif code == 1:
+                pending[st] = (None, esig)
+        elif code == OP_FIN:
             st = op[1]
             if st in pending:
                 origin, esig = pending.pop(st)
@@ -318,14 +319,14 @@ def compile_batch_plan(xplan) -> BatchPlan | None:
                 else:
                     ref = ("x", origin, e >> 1)
                 push(st, esig[e], ref)
-        elif code == 0:
+        elif code == OP_SRC:
             src = op[1]
             base_k = src_count.get(src, 0)
             st = src.st
             for j in range(op[2]):
                 push(st, "out", ("s", src, base_k + j))
             src_count[src] = base_k + op[2]
-        elif code == 6:
+        elif code == OP_IO:
             st = op[1]
             for firing, rebuild, esig, _nemit, _nout in op[2]:
                 cports = (

@@ -41,6 +41,19 @@ less interpreter work per event:
 
 ``tests/test_sim_conformance.py`` holds this equivalence to golden
 fixtures recorded from the reference loop; see ``docs/performance.md``.
+
+One loop
+--------
+:meth:`Simulator._run_des` is the only interpreter outside the oracle.
+:meth:`Simulator._setup` builds the run state once (:class:`_Run`), one
+``push`` closure owns channel accounting for every deliver variant, and
+:meth:`Simulator._result` assembles the result.  Faults, telemetry, NoC
+timing and tracing are ``is not None`` checks on precomputed locals.
+Quasi-static replay (:mod:`.replay`) attaches through the same kind of
+seam: a ``record`` callable the loop reports each event to at its record
+points, and an ``enter`` callable — the period executor — it offers a
+pop to when ``record`` flagged a period boundary.  When the detector
+gives up, the loop drops the recorder and runs bare.
 """
 
 from __future__ import annotations
@@ -65,6 +78,17 @@ from ..tokens import ControlToken
 from ..transform.compile import CompiledApp
 from ..transform.multiplex import Mapping as KernelMapping
 from .functional import source_items
+from .plan import (
+    OP_EMPTY,
+    OP_EXEC,
+    OP_FIN,
+    OP_IO,
+    OP_PARK,
+    OP_RUN,
+    OP_SRC,
+    REC_ENTER,
+    REC_OFF,
+)
 from .runtime import (
     FORWARD_CYCLES,
     Channel,
@@ -495,7 +519,8 @@ class _KernelState:
 
     __slots__ = ("rk", "name", "proc", "running", "out", "wake",
                  "out_channels", "max_emissions", "is_output", "output_times",
-                 "ready", "execute", "attempts", "fault_since")
+                 "ready", "execute", "attempts", "fault_since",
+                 "finish_time", "finish_result")
 
     def __init__(self, rk: RuntimeKernel, proc: _ProcState | None) -> None:
         self.rk = rk
@@ -516,6 +541,52 @@ class _KernelState:
         self.max_emissions = rk.kernel.max_emissions_per_firing
         self.is_output = isinstance(rk.kernel, ApplicationOutput)
         self.output_times: list[float] = []
+        #: Where the period executor (:mod:`.replay`) parks this kernel's
+        #: in-flight completion while it bypasses the heap: one firing is
+        #: in flight per kernel at most (``running`` gates the next), so
+        #: a pair of slots stands in for the pending ``_FINISH`` entry.
+        self.finish_time: float | None = None
+        self.finish_result = None
+
+
+class _Source:
+    """One source cursor: ``head`` is the next undelivered ``(time, item)``.
+
+    The event loop keeps one ``_DELIVER`` event per cursor on the heap
+    and pulls from ``it``.  The rest belongs to the period executor: a
+    prefetched period (``buf``/``pos``), and what a demotion hands back
+    (``pushback``, which ``it`` then drains ahead of ``base``).
+    """
+
+    __slots__ = ("idx", "st", "base", "it", "head", "buf", "pos", "pushback")
+
+    def __init__(self, idx: int, st: _KernelState,
+                 it: Iterator[tuple[float, Item]]) -> None:
+        self.idx = idx
+        self.st = st
+        self.base = self.it = it
+        self.head = next(it, None)
+        self.buf: list | tuple = ()
+        self.pos = 0
+        self.pushback: Iterator = iter(())
+
+
+class _Run:
+    """What one simulation mutates, built once by :meth:`Simulator._setup`.
+
+    The event loop, the deliver closures and the period executor of
+    :mod:`.replay` all advance the run through this one record, so there
+    is one set-up and one result assembly whichever of them did the work.
+    """
+
+    __slots__ = ("runtimes", "channels", "states", "proc_states", "sources",
+                 "horizon", "events", "queued_polls", "next_seq", "violations",
+                 "budget_overruns", "trace", "injector", "fstats", "tele",
+                 "nstats", "push", "deliver", "land", "on_dead")
+
+    def __init__(self, **state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
 
 
 def _resync_shed(
@@ -609,18 +680,20 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        # The replay seam mirrors the faults/telemetry/NoC hook
-        # discipline: one precomputed check, and replay-off runs the
-        # byte-for-byte identical event loop below (the engine lives in
-        # its own module and is never imported on this path).
+        # Replay is a recorder attached to the one event loop below, not
+        # a second loop; :mod:`.replay` decides eligibility and is never
+        # imported when the option is off.
         if self.options.replay:
             from .replay import run_with_replay
 
             return run_with_replay(self)
         return self._run_des()
 
-    def _run_des(self) -> SimulationResult:
-        """The discrete-event loop proper (one heap pop per event)."""
+    # ------------------------------------------------------------------
+    def _setup(self) -> _Run:
+        """Build the run state: runtimes, channels, per-kernel/processor
+        records, the heap, the deliver closures, then the startup
+        emissions and one cursor per source."""
         runtimes, channels = build_runtime(self.graph)
         opts = self.options
 
@@ -705,24 +778,18 @@ class Simulator:
                 }
 
         violations: list[_Violation] = []
-        trace: list[TraceEvent] = []
-        trace_on = opts.trace
-        budget_overruns: list[BudgetOverrun] = []
 
         # Telemetry rides the same seam as the fault injector: one
         # precomputed local, `is not None` checks only — off means the
-        # hot path is byte-for-byte the seed-conformant loop.
+        # hot path is the seed-conformant loop.
         tele: TelemetryCollector | None = (
             TelemetryCollector(opts.telemetry)
             if opts.telemetry is not None else None
         )
 
         events: list = []
-        seq = itertools.count()
-        next_seq = seq.__next__
+        next_seq = itertools.count().__next__
         heappush = heapq.heappush
-        heappop = heapq.heappop
-        peak_heap = 0
 
         # Deliveries at a timestamp always process before polls at that
         # timestamp (event-kind ordering), so one queued poll per kernel
@@ -731,138 +798,68 @@ class Simulator:
 
         input_cap = opts.input_channel_capacity
 
-        def deliver(time: float, st_src: _KernelState, port: str, item) -> None:
-            nonlocal peak_heap
-            is_token = isinstance(item, ControlToken)
-            dup = False
-            for ch, dst, checked in st_src.out.get(port, ()):
-                if (ch_faulted is not None and not is_token
-                        and id(ch) in ch_faulted):
-                    # Interconnect faults strike per data transfer; control
-                    # tokens ride the reliable control plane.
-                    if injector.transfer_dropped():
-                        continue
-                    dup = injector.transfer_duplicated()
-                # Channel.push, inlined: stamp, count, track occupancy.
-                items = ch.items
-                items.append(item)
-                counter = ch.seq
-                counter.value = stamp = counter.value + 1
-                ch.seqs.append(stamp)
-                if is_token:
-                    ch.total_tokens += 1
-                else:
-                    ch.total_data += 1
-                occupancy = len(items)
-                if occupancy > ch.max_occupancy:
-                    ch.max_occupancy = occupancy
-                if checked and occupancy > input_cap:
-                    violations.append(
-                        _Violation(
-                            time=time,
-                            where=f"{ch.src}->{ch.dst}.{ch.dst_port}",
-                            detail="input overran its consumer",
-                        )
+        def push(time: float, ch: Channel, item, is_token: bool,
+                 checked: bool) -> None:
+            """Land one item on its channel: stamp, count, track occupancy,
+            flag an unstallable input overrunning its consumer.  The one
+            owner of channel accounting — every deliver variant below and
+            the period executor's go through it."""
+            items = ch.items
+            items.append(item)
+            counter = ch.seq
+            counter.value = stamp = counter.value + 1
+            ch.seqs.append(stamp)
+            if is_token:
+                ch.total_tokens += 1
+            else:
+                ch.total_data += 1
+            occupancy = len(items)
+            if occupancy > ch.max_occupancy:
+                ch.max_occupancy = occupancy
+            if checked and occupancy > input_cap:
+                violations.append(
+                    _Violation(
+                        time=time,
+                        where=f"{ch.src}->{ch.dst}.{ch.dst_port}",
+                        detail="input overran its consumer",
                     )
-                if dup:
-                    # Replayed transfer: the consumer sees the item twice,
-                    # with full stamp/occupancy/overrun accounting.
-                    dup = False
-                    items.append(item)
-                    counter.value = stamp = counter.value + 1
-                    ch.seqs.append(stamp)
-                    ch.total_data += 1
-                    occupancy = len(items)
-                    if occupancy > ch.max_occupancy:
-                        ch.max_occupancy = occupancy
-                    if checked and occupancy > input_cap:
-                        violations.append(
-                            _Violation(
-                                time=time,
-                                where=f"{ch.src}->{ch.dst}.{ch.dst_port}",
-                                detail="input overran its consumer",
-                            )
-                        )
+                )
+
+        def deliver(time: float, st_src: _KernelState, port: str,
+                    item) -> None:
+            """The unobserved deliver — the hottest code in the loop."""
+            is_token = isinstance(item, ControlToken)
+            for ch, dst, checked in st_src.out.get(port, ()):
+                push(time, ch, item, is_token, checked)
                 if queued_polls.get(dst) != time:
                     queued_polls[dst] = time
                     heappush(events, (time, _POLL, next_seq(), dst))
-                    if len(events) > peak_heap:
-                        peak_heap = len(events)
 
-        if tele is not None:
-            # Telemetry-on variant: identical observable behavior plus a
-            # span hook after every push.  A separate closure (rather
-            # than per-push `tele is not None` branches) keeps the
-            # telemetry-off deliver — the hottest code in the loop —
-            # byte-for-byte the seed-conformant version above; any edit
-            # there must be mirrored here.
-            def deliver(time: float, st_src: _KernelState, port: str,
-                        item) -> None:
-                nonlocal peak_heap
-                is_token = isinstance(item, ControlToken)
-                dup = False
-                for ch, dst, checked in st_src.out.get(port, ()):
-                    if (ch_faulted is not None and not is_token
-                            and id(ch) in ch_faulted):
-                        if injector.transfer_dropped():
-                            tele.transfer_dropped(time, ch)
-                            continue
-                        dup = injector.transfer_duplicated()
-                    items = ch.items
-                    items.append(item)
-                    counter = ch.seq
-                    counter.value = stamp = counter.value + 1
-                    ch.seqs.append(stamp)
-                    if is_token:
-                        ch.total_tokens += 1
-                    else:
-                        ch.total_data += 1
-                    occupancy = len(items)
-                    if occupancy > ch.max_occupancy:
-                        ch.max_occupancy = occupancy
-                    if checked and occupancy > input_cap:
-                        violations.append(
-                            _Violation(
-                                time=time,
-                                where=f"{ch.src}->{ch.dst}.{ch.dst_port}",
-                                detail="input overran its consumer",
-                            )
-                        )
+        def land(time: float, ch: Channel, dst: _KernelState, checked: bool,
+                 item, is_token: bool, meta=None) -> None:
+            """Observed landing: push, telemetry span, consumer poll.
+            ``meta`` is the route a NoC transfer took to get here."""
+            push(time, ch, item, is_token, checked)
+            if tele is not None:
+                if meta is None:
                     tele.transfer(time, ch, item, is_token)
-                    if dup:
-                        dup = False
-                        items.append(item)
-                        counter.value = stamp = counter.value + 1
-                        ch.seqs.append(stamp)
-                        ch.total_data += 1
-                        occupancy = len(items)
-                        if occupancy > ch.max_occupancy:
-                            ch.max_occupancy = occupancy
-                        if checked and occupancy > input_cap:
-                            violations.append(
-                                _Violation(
-                                    time=time,
-                                    where=f"{ch.src}->{ch.dst}.{ch.dst_port}",
-                                    detail="input overran its consumer",
-                                )
-                            )
-                        tele.transfer(time, ch, item, is_token)
-                    if queued_polls.get(dst) != time:
-                        queued_polls[dst] = time
-                        heappush(events, (time, _POLL, next_seq(), dst))
-                        if len(events) > peak_heap:
-                            peak_heap = len(events)
+                else:
+                    hops, wait, rstr, links = meta
+                    tele.transfer(time, ch, item, is_token, hops=hops,
+                                  link_wait_s=wait, route=rstr, links=links)
+            if queued_polls.get(dst) != time:
+                queued_polls[dst] = time
+                heappush(events, (time, _POLL, next_seq(), dst))
 
         # --- NoC timing model (inert and absent when opts.noc is None) ---
-        # The third deliver variant: inter-element data transfers are
-        # routed XY over the mesh with per-link contention and land as
-        # _ARRIVE events; local/off-chip transfers and control tokens
-        # keep the seed's instant-push semantics (tokens additionally
-        # never overtake data in flight on their channel).  A separate
-        # closure again keeps the NoC-off deliver byte-identical.
+        # Inter-element data transfers are routed XY over the mesh with
+        # per-link contention and land as _ARRIVE events; local/off-chip
+        # transfers and control tokens keep the seed's instant-push
+        # semantics (tokens additionally never overtake data in flight
+        # on their channel).
         noc = opts.noc
         nstats = NocStats()
-        noc_push = None
+        clock = self.processor.clock_hz
         if noc is not None:
             placed_tiles = noc.placement.tiles
             need = set(proc_states) | set(getattr(self.mapping, "spares", ()))
@@ -873,8 +870,7 @@ class Simulator:
                     f"{unplaced}; it covers {sorted(placed_tiles)}"
                 )
             nstats.cols = noc.chip.cols
-            clock_for_noc = self.processor.clock_hz
-            hop_s = noc.per_hop_cycles / clock_for_noc
+            hop_s = noc.per_hop_cycles / clock
             ser_cpe = noc.serialization_cycles_per_element
             link_busy: dict[int, float] = {}
             link_busy_s = nstats.link_busy_s
@@ -884,178 +880,94 @@ class Simulator:
             #: id(channel) -> latest scheduled arrival (FIFO fence).
             ch_last: dict[int, float] = {}
 
-            def noc_push(time: float, ch, dst, checked: bool, item,
-                         is_token: bool, meta) -> None:
-                """Land one item on its channel (shared by the local path
-                and the _ARRIVE handler); mirrors the seed's inlined
-                Channel.push exactly."""
-                nonlocal peak_heap
-                items = ch.items
-                items.append(item)
-                counter = ch.seq
-                counter.value = stamp = counter.value + 1
-                ch.seqs.append(stamp)
+            def noc_send(time: float, st_src: _KernelState, ch: Channel,
+                         dst: _KernelState, checked: bool, item,
+                         is_token: bool) -> bool:
+                """Put one transfer on the mesh as a future _ARRIVE event.
+                False when it is local (one element, or an off-chip end)
+                and so lands at once."""
+                sp = st_src.proc
+                dp = dst.proc
+                route = ()
+                if sp is not None and dp is not None and sp is not dp:
+                    key = (sp.index, dp.index)
+                    route = route_cache.get(key)
+                    if route is None:
+                        route = route_cache[key] = noc.route(*key)
+                if not route:
+                    if not is_token:
+                        nstats.transfers_local += 1
+                    return False
+                chid = id(ch)
+                last = ch_last.get(chid, 0.0)
+                meta = None
                 if is_token:
-                    ch.total_tokens += 1
+                    # Control plane: free, but FIFO per channel.
+                    arrival = time if time > last else last
+                    nstats.control_transfers += 1
                 else:
-                    ch.total_data += 1
-                occupancy = len(items)
-                if occupancy > ch.max_occupancy:
-                    ch.max_occupancy = occupancy
-                if checked and occupancy > input_cap:
-                    violations.append(
-                        _Violation(
-                            time=time,
-                            where=f"{ch.src}->{ch.dst}.{ch.dst_port}",
-                            detail="input overran its consumer",
-                        )
-                    )
-                if tele is not None:
-                    if meta is None:
-                        tele.transfer(time, ch, item, is_token)
-                    else:
-                        hops, wait, rstr, links = meta
-                        tele.transfer(time, ch, item, is_token, hops=hops,
-                                      link_wait_s=wait, route=rstr,
-                                      links=links)
-                if queued_polls.get(dst) != time:
-                    queued_polls[dst] = time
-                    heappush(events, (time, _POLL, next_seq(), dst))
-                    if len(events) > peak_heap:
-                        peak_heap = len(events)
+                    ser_s = item.size * ser_cpe / clock
+                    t = time
+                    wait = 0.0
+                    links_meta = []
+                    for link in route:
+                        busy = link_busy.get(link, 0.0)
+                        start = busy if busy > t else t
+                        wait += start - t
+                        end = start + ser_s
+                        link_busy[link] = end
+                        link_busy_s[link] = link_busy_s.get(link, 0.0) + ser_s
+                        if tele is not None:
+                            label = link_labels.get(link)
+                            if label is None:
+                                label = link_labels[link] = \
+                                    link_name(link, nstats.cols)
+                            links_meta.append((label, start, end))
+                        t = start + hop_s
+                    arrival = t + ser_s
+                    if arrival < last:
+                        arrival = last
+                    nstats.transfers_routed += 1
+                    nstats.total_hops += len(route)
+                    nstats.link_wait_s += wait
+                    if tele is not None:
+                        rstr = route_strs.get(key)
+                        if rstr is None:
+                            rstr = route_strs[key] = \
+                                route_path(route, nstats.cols)
+                        meta = (len(route), wait, rstr, tuple(links_meta))
+                ch_last[chid] = arrival
+                heappush(events, (arrival, _ARRIVE, next_seq(),
+                                  (ch, dst, checked, item, is_token, meta)))
+                return True
 
+        if tele is not None or ch_faulted is not None or noc is not None:
+            # The observed deliver: channel faults, telemetry spans and
+            # NoC routing share one closure, so `deliver` above stays
+            # free of their checks.
             def deliver(time: float, st_src: _KernelState, port: str,
                         item) -> None:
-                nonlocal peak_heap
                 is_token = isinstance(item, ControlToken)
-                ser_s = 0.0 if is_token else item.size * ser_cpe / clock_for_noc
-                dup = False
                 for ch, dst, checked in st_src.out.get(port, ()):
+                    copies = 1
                     if (ch_faulted is not None and not is_token
                             and id(ch) in ch_faulted):
-                        # Interconnect faults strike at injection, before
-                        # the transfer occupies any link.
+                        # Interconnect faults strike per data transfer, at
+                        # injection (before it occupies any link); control
+                        # tokens ride the reliable control plane.
                         if injector.transfer_dropped():
                             if tele is not None:
                                 tele.transfer_dropped(time, ch)
                             continue
-                        dup = injector.transfer_duplicated()
-                    sp = st_src.proc
-                    dp = dst.proc
-                    if sp is None or dp is None or sp is dp:
-                        route = ()
-                    else:
-                        key = (sp.index, dp.index)
-                        route = route_cache.get(key)
-                        if route is None:
-                            route = route_cache[key] = noc.route(*key)
-                    copies = 2 if dup else 1
-                    dup = False
+                        if injector.transfer_duplicated():
+                            # The consumer sees the item twice, with full
+                            # stamp/occupancy/overrun accounting.
+                            copies = 2
                     for _ in range(copies):
-                        if not route:
-                            if not is_token:
-                                nstats.transfers_local += 1
-                            noc_push(time, ch, dst, checked, item,
-                                     is_token, None)
-                            continue
-                        chid = id(ch)
-                        last = ch_last.get(chid, 0.0)
-                        links_meta = ()
-                        if is_token:
-                            # Control plane: free, but FIFO per channel.
-                            arrival = time if time > last else last
-                            wait = 0.0
-                            nstats.control_transfers += 1
-                        else:
-                            t = time
-                            wait = 0.0
-                            track = tele is not None
-                            if track:
-                                links_meta = []
-                            for link in route:
-                                busy = link_busy.get(link, 0.0)
-                                start = busy if busy > t else t
-                                wait += start - t
-                                end = start + ser_s
-                                link_busy[link] = end
-                                link_busy_s[link] = (
-                                    link_busy_s.get(link, 0.0) + ser_s
-                                )
-                                if track:
-                                    label = link_labels.get(link)
-                                    if label is None:
-                                        label = link_labels[link] = \
-                                            link_name(link, nstats.cols)
-                                    links_meta.append((label, start, end))
-                                t = start + hop_s
-                            arrival = t + ser_s
-                            if arrival < last:
-                                arrival = last
-                            nstats.transfers_routed += 1
-                            nstats.total_hops += len(route)
-                            nstats.link_wait_s += wait
-                        ch_last[chid] = arrival
-                        meta = None
-                        if tele is not None and not is_token:
-                            rstr = route_strs.get(key)
-                            if rstr is None:
-                                rstr = route_strs[key] = \
-                                    route_path(route, nstats.cols)
-                            meta = (len(route), wait, rstr,
-                                    tuple(links_meta))
-                        heappush(events, (arrival, _ARRIVE, next_seq(),
-                                          (ch, dst, checked, item,
-                                           is_token, meta)))
-                        if len(events) > peak_heap:
-                            peak_heap = len(events)
-
-        # --- startup: init methods, then lazy source cursors -------------
-        for name, rk in runtimes.items():
-            for result in rk.run_init():
-                st = states[name]
-                for port, item in result.emissions:
-                    deliver(0.0, st, port, item)
-
-        # One cursor per source, ordered constant-sources-then-inputs so
-        # t=0 coefficient/bin loads beat the first data element (the same
-        # ordering the functional executor and the seed loop guarantee).
-        # The cursor's heap tie-breaker is its source index, which equals
-        # the seed's pre-push sequence ordering at every shared timestamp.
-        horizon = 0.0
-        source_states: list[_KernelState] = []
-        source_iters: list[Iterator[tuple[float, Item]]] = []
-        for name, rk in runtimes.items():
-            if isinstance(rk.kernel, ConstantSource):
-                source_states.append(states[name])
-                source_iters.append(
-                    iter(((0.0, rk.kernel.values.copy()),))
-                )
-        for name, rk in runtimes.items():
-            kernel = rk.kernel
-            if isinstance(kernel, ApplicationInput):
-                source_states.append(states[name])
-                source_iters.append(_timed_source_items(kernel, opts.frames))
-                horizon = max(horizon, opts.frames / kernel.rate_hz)
-        source_heads: list[tuple[float, Item] | None] = []
-        for idx, it in enumerate(source_iters):
-            head = next(it, None)
-            source_heads.append(head)
-            if head is not None:
-                heappush(events, (head[0], _DELIVER, idx, idx))
-        if len(events) > peak_heap:
-            peak_heap = len(events)
-
-        # --- main loop ---------------------------------------------------
-        makespan = 0.0
-        processed = 0
-        max_events = opts.max_events
-        bounded = (
-            opts.channel_capacity is not None
-            or bool(opts.channel_capacity_overrides)
-        )
-        clock = self.processor.clock_hz
-        rcpe = self.processor.read_cycles_per_element
-        wcpe = self.processor.write_cycles_per_element
+                        if noc is None or not noc_send(
+                            time, st_src, ch, dst, checked, item, is_token
+                        ):
+                            land(time, ch, dst, checked, item, is_token)
 
         def on_dead(ps: _ProcState, time: float) -> None:
             """Observe (lazily, at a poll) that ``ps`` is past its death time.
@@ -1068,7 +980,6 @@ class Simulator:
             inherit the scenario's slow/death schedule, so a doomed spare
             chains into the next migration.
             """
-            nonlocal peak_heap
             if ps.dead:
                 return
             ps.dead = True
@@ -1103,8 +1014,6 @@ class Simulator:
                     if queued_polls.get(kst) != ready_at:
                         queued_polls[kst] = ready_at
                         heappush(events, (ready_at, _POLL, next_seq(), kst))
-                if len(events) > peak_heap:
-                    peak_heap = len(events)
                 ps.moved_to = new
             else:
                 # No spare (or no migration policy): the group stalls
@@ -1112,29 +1021,169 @@ class Simulator:
                 fstats.unrecovered += 1
                 ps.moved_to = None
 
+        # --- startup: init methods, then lazy source cursors -------------
+        for name, rk in runtimes.items():
+            for result in rk.run_init():
+                st = states[name]
+                for port, item in result.emissions:
+                    deliver(0.0, st, port, item)
+
+        # One cursor per source, ordered constant-sources-then-inputs so
+        # t=0 coefficient/bin loads beat the first data element (the same
+        # ordering the functional executor and the seed loop guarantee).
+        # The cursor's heap tie-breaker is its source index, which equals
+        # the seed's pre-push sequence ordering at every shared timestamp.
+        horizon = 0.0
+        sources: list[_Source] = []
+        for name, rk in runtimes.items():
+            if isinstance(rk.kernel, ConstantSource):
+                sources.append(_Source(
+                    len(sources), states[name],
+                    iter(((0.0, rk.kernel.values.copy()),)),
+                ))
+        for name, rk in runtimes.items():
+            kernel = rk.kernel
+            if isinstance(kernel, ApplicationInput):
+                sources.append(_Source(
+                    len(sources), states[name],
+                    _timed_source_items(kernel, opts.frames),
+                ))
+                horizon = max(horizon, opts.frames / kernel.rate_hz)
+        for src in sources:
+            if src.head is not None:
+                heappush(events, (src.head[0], _DELIVER, src.idx, src.idx))
+
+        return _Run(
+            runtimes=runtimes, channels=channels, states=states,
+            proc_states=proc_states, sources=sources, horizon=horizon,
+            events=events, queued_polls=queued_polls, next_seq=next_seq,
+            violations=violations, budget_overruns=[], trace=[],
+            injector=injector, fstats=fstats, tele=tele,
+            nstats=nstats if noc is not None else None,
+            push=push, deliver=deliver, land=land, on_dead=on_dead,
+        )
+
+    def _result(self, run: _Run, makespan: float, processed: int,
+                peak_heap: int) -> SimulationResult:
+        """Turn a finished run into the observable result."""
+        outputs = {
+            name: rk for name, rk in run.runtimes.items()
+            if isinstance(rk.kernel, ApplicationOutput)
+        }
+        return SimulationResult(
+            app=self.graph,
+            options=self.options,
+            makespan_s=makespan,
+            utilization=UtilizationSummary(
+                duration_s=max(makespan, run.horizon),
+                processors={
+                    proc: ps.to_stats()
+                    for proc, ps in run.proc_states.items()
+                },
+            ),
+            output_times={
+                name: run.states[name].output_times for name in outputs
+            },
+            outputs={
+                name: list(rk.kernel.received) for name, rk in outputs.items()
+            },
+            violations=run.violations,
+            channels=run.channels,
+            firings={name: rk.firings for name, rk in run.runtimes.items()},
+            trace=run.trace,
+            budget_overruns=run.budget_overruns,
+            events_processed=processed,
+            peak_heap=peak_heap,
+            fault_stats=run.fstats,
+            telemetry=(run.tele.finalize(makespan)
+                       if run.tele is not None else None),
+            noc_stats=run.nstats,
+        )
+
+    def _run_des(self, attach=None) -> SimulationResult:
+        """The discrete-event loop proper (one heap pop per event).
+
+        ``attach``, when given, is called with the run state and returns
+        the replay seam ``(record, enter)``: the loop reports every event
+        to ``record`` at its record points (an op code from
+        :mod:`.plan`, the time relation to the previous event, the event
+        count, and who/what fired), and offers the pop ``record``
+        flagged as a period boundary to ``enter``, which executes whole
+        periods against the same run state and hands back
+        ``(time, events processed)`` — or None to keep interpreting.
+        """
+        run = self._setup()
+        opts = self.options
+        events, queued_polls, next_seq = (
+            run.events, run.queued_polls, run.next_seq)
+        deliver, land, on_dead = run.deliver, run.land, run.on_dead
+        sources, trace, budget_overruns = (
+            run.sources, run.trace, run.budget_overruns)
+        injector, fstats, tele = run.injector, run.fstats, run.tele
+        recovery = injector.spec.recovery if injector is not None else None
+        trace_on = opts.trace
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+
+        record = enter = None
+        if attach is not None:
+            record, enter = attach(run)
+        mode = rel = 0
+
+        # --- main loop ---------------------------------------------------
+        makespan = 0.0
+        processed = 0
+        peak_heap = 0
+        max_events = opts.max_events
+        bounded = (
+            opts.channel_capacity is not None
+            or bool(opts.channel_capacity_overrides)
+        )
+        clock = self.processor.clock_hz
+        rcpe = self.processor.read_cycles_per_element
+        wcpe = self.processor.write_cycles_per_element
+
         while events:
+            # Handlers only push, so the heap peaks right before a pop.
+            if len(events) > peak_heap:
+                peak_heap = len(events)
+            if processed >= max_events:
+                raise SimulationError(
+                    f"simulation exceeded {max_events} events; "
+                    "the application is likely livelocked"
+                )
             time, kind, _, payload = heappop(events)
+
+            if record is not None:
+                if mode == REC_OFF:
+                    # The detector gave up: interpret clean from here on.
+                    record = None
+                elif mode == REC_ENTER and time > makespan:
+                    mode = 0
+                    resumed = enter(time, kind, payload, makespan, processed)
+                    if resumed is not None:
+                        makespan, processed = resumed
+                        continue
+                rel = 1 if time > makespan else 0
             makespan = time  # heap pops are time-ordered: last pop wins
 
             if kind == _POLL:
                 processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events; "
-                        "the application is likely livelocked"
-                    )
                 st = payload
                 # The entry (when present) always equals this poll's time:
                 # polls are deduped per timestamp and future deliveries
                 # cannot precede this pop in heap order.
                 queued_polls.pop(st, None)
                 if st.running:
+                    if record is not None:
+                        mode = record(OP_RUN, rel, processed, st)
                     continue
                 ps = st.proc
                 if ps is None:
                     # Off-chip boundary kernel: executes instantly.
                     st_ready = st.ready
                     st_execute = st.execute
+                    fired = []
                     while True:
                         firing = st_ready()
                         if firing is None:
@@ -1156,6 +1205,10 @@ class Simulator:
                                 times_out.append(time)
                         for port, item in result.emissions:
                             deliver(time, st, port, item)
+                        if record is not None:
+                            fired.append((firing, result))
+                    if record is not None:
+                        mode = record(OP_IO, rel, processed, st, fired)
                 else:
                     if (injector is not None and ps.dead_at is not None
                             and time >= ps.dead_at):
@@ -1167,6 +1220,8 @@ class Simulator:
                         pending = ps.pending
                         if st not in pending:
                             pending.append(st)
+                        if record is not None:
+                            mode = record(OP_PARK, rel, processed, st)
                         continue
                     firing = st.ready()
                     if firing is None:
@@ -1176,6 +1231,8 @@ class Simulator:
                                 and _resync_shed(st, fstats, tele, time)):
                             firing = st.ready()
                         if firing is None:
+                            if record is not None:
+                                mode = record(OP_EMPTY, rel, processed, st)
                             continue
                     if bounded:
                         me = st.max_emissions
@@ -1233,8 +1290,6 @@ class Simulator:
                                 heappush(events,
                                          (ps.free_at, _FINISH, next_seq(),
                                           (st, None)))
-                                if len(events) > peak_heap:
-                                    peak_heap = len(events)
                                 continue
                             # Retries exhausted: the firing still runs (its
                             # inputs must drain for the stream to advance)
@@ -1319,16 +1374,12 @@ class Simulator:
                     heappush(events,
                              (time + duration, _FINISH, next_seq(),
                               (st, result)))
-                    if len(events) > peak_heap:
-                        peak_heap = len(events)
+                    if record is not None:
+                        mode = record(OP_EXEC, rel, processed, st, firing,
+                                      result)
 
             elif kind == _FINISH:
                 processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events; "
-                        "the application is likely livelocked"
-                    )
                 st, result = payload
                 st.running = False
                 if result is not None:
@@ -1348,77 +1399,35 @@ class Simulator:
                             queued_polls[other] = time
                             heappush(events, (time, _POLL, next_seq(), other))
                     pending.clear()
-                    if len(events) > peak_heap:
-                        peak_heap = len(events)
+                if record is not None:
+                    mode = record(OP_FIN, rel, processed, st)
 
             elif kind == _ARRIVE:
                 # NoC arrival: a routed transfer reaches its consumer.
                 # Exists only when a NoC model is active, so the three
                 # seed event kinds above dispatch exactly as before.
                 processed += 1
-                if processed > max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events; "
-                        "the application is likely livelocked"
-                    )
-                ch, dst, checked, item, is_token, meta = payload
-                noc_push(time, ch, dst, checked, item, is_token, meta)
+                land(time, *payload)
 
             else:  # _DELIVER: one source cursor; drain its timestamp batch
-                idx = payload
-                st = source_states[idx]
-                it = source_iters[idx]
-                head = source_heads[idx]
+                source = sources[payload]
+                st = source.st
+                it = source.it
+                head = source.head
+                batch = []
                 while head is not None and head[0] == time:
                     processed += 1
                     deliver(time, st, "out", head[1])
+                    if record is not None:
+                        batch.append(head[1])
                     head = next(it, None)
-                source_heads[idx] = head
+                source.head = head
                 if head is not None:
-                    heappush(events, (head[0], _DELIVER, idx, idx))
-                    if len(events) > peak_heap:
-                        peak_heap = len(events)
-                if processed > max_events:
-                    raise SimulationError(
-                        f"simulation exceeded {max_events} events; "
-                        "the application is likely livelocked"
-                    )
+                    heappush(events, (head[0], _DELIVER, payload, payload))
+                if record is not None:
+                    mode = record(OP_SRC, rel, processed, source, batch)
 
-        duration = max(makespan, horizon)
-        utilization = UtilizationSummary(
-            duration_s=duration,
-            processors={
-                proc: ps.to_stats() for proc, ps in proc_states.items()
-            },
-        )
-        output_times = {
-            name: states[name].output_times
-            for name, rk in runtimes.items()
-            if isinstance(rk.kernel, ApplicationOutput)
-        }
-        outputs = {
-            name: list(rk.kernel.received)
-            for name, rk in runtimes.items()
-            if isinstance(rk.kernel, ApplicationOutput)
-        }
-        return SimulationResult(
-            app=self.graph,
-            options=opts,
-            makespan_s=makespan,
-            utilization=utilization,
-            output_times=output_times,
-            outputs=outputs,
-            violations=violations,
-            channels=channels,
-            firings={name: rk.firings for name, rk in runtimes.items()},
-            trace=trace,
-            budget_overruns=budget_overruns,
-            events_processed=processed,
-            peak_heap=peak_heap,
-            fault_stats=fstats,
-            telemetry=tele.finalize(makespan) if tele is not None else None,
-            noc_stats=nstats if noc is not None else None,
-        )
+        return self._result(run, makespan, processed, peak_heap)
 
 
 def simulate(

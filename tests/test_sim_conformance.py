@@ -33,7 +33,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from repro.apps.suite import BENCHMARK_PROCESSOR, benchmark
+from repro.apps.suite import BENCHMARK_PROCESSOR, benchmark, benchmark_suite
 from repro.sim import (
     SimulationOptions,
     Simulator,
@@ -147,6 +147,45 @@ def test_replay_matches_golden_fixture(key):
         assert stats.engaged, f"app {key} no longer engages replay"
         assert stats.events_replayed > 0
         assert stats.periods_replayed > 0
+
+
+#: Root cause (see "Known divergence" in repro/sim/replay.py and
+#: docs/simulator.md): an ``order`` demotion at an OP_FIN the plan
+#: recorded as strictly later, whose live completion is *coincident* with
+#: the current time, is discovered only after the poll ops between the
+#: two completions have run — so a kernel both completions wake is
+#: polled twice where the heap would process both completions first and
+#: dedup to one poll.  ``BF`` is the only suite app with ``order``
+#: demotions; only ``events`` moves (+1 per frame).  strict: the fix must
+#: drop this mark (and bench/'s KNOWN_EVENTS_DELTA) in the same change.
+_BF_EXTRA_POLL = pytest.mark.xfail(
+    strict=True,
+    reason="replay double-polls at a coincident completion after an "
+           "'order' demotion: events +1 per frame on BF",
+)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [
+        pytest.param(b.key, marks=_BF_EXTRA_POLL) if b.key == "BF" else b.key
+        for b in benchmark_suite()
+    ],
+)
+def test_replay_matches_event_loop_on_whole_suite(key):
+    """Replay-on == replay-off on every suite app, not only the five
+    with fixtures (two frames: enough to cross a frame boundary)."""
+    _, compiled = compiled_app(key)
+    plain = simulate(compiled, SimulationOptions(frames=2))
+    replayed = simulate(compiled, SimulationOptions(frames=2, replay=True))
+    assert replayed.replay.eligible and replayed.replay.restarts == 0
+    got, want = replayed.as_dict(), plain.as_dict()
+    for field in want:
+        assert got[field] == want[field], (
+            f"app {key}: {field!r} diverged under replay "
+            f"({replayed.replay.as_dict()})"
+        )
+    assert set(got) == set(want)
 
 
 def test_replay_faulted_pins_demotion_ineligibility():

@@ -1,4 +1,4 @@
-"""Randomized differential testing: all four engines, one observable.
+"""Randomized differential testing: four ways through a run, one observable.
 
 The conformance suite pins the five Figure 13 applications; this harness
 complements it with *generated* programs.  A seed-deterministic fuzzer
@@ -7,9 +7,10 @@ builds random linear pipelines from the same kernel palette as
 
 * the frozen seed loop (``repro.sim.reference``),
 * the optimized event loop (``repro.sim.simulate``),
-* the quasi-static replay engine (``SimulationOptions(replay=True)``),
-  which batches period firings by default (``repro.sim.batch``), and
-* the same replay engine with batching disabled (``batch=False``),
+* that loop with the quasi-static replay recorder attached
+  (``SimulationOptions(replay=True)``), which batches period firings by
+  default (``repro.sim.batch``), and
+* the same with batching disabled (``batch=False``),
 
 then asserts the four ``SimulationResult.as_dict()`` canonical forms,
 makespans, and raw output buffers are identical.  Any divergence the

@@ -11,6 +11,7 @@ stats accounting and rendering, and the API seams other layers
 from __future__ import annotations
 
 import json
+import sys
 from functools import lru_cache
 
 import pytest
@@ -144,6 +145,60 @@ class TestStatsSurface:
     def test_eligible_unengaged_describe(self):
         stats = ReplayStats(eligible=True, events_interpreted=10)
         assert "no period locked" in stats.describe()
+
+
+class TestHardRestart:
+    """The last-resort safety net: an exception inside the period executor
+    restarts the whole run on the plain loop."""
+
+    def test_executor_error_restarts_on_the_plain_loop(self, monkeypatch):
+        bench, compiled = _compiled("1")
+        plain = simulate(compiled, SimulationOptions(frames=bench.frames))
+
+        # Luma opts out of batching, so its body runs per firing inside
+        # replayed periods: the place a kernel exception becomes a hard
+        # divergence.  The event loop lives in simulator.py, so the
+        # period executor (repro.sim.replay's ``enter``) on the stack
+        # above the body means a period is replaying.  Raise there
+        # exactly once.
+        kernel = compiled.graph.kernels["Luma"]
+        assert not kernel.batch_accepts("combine", frozenset())
+        body = kernel.combine
+        raised = []
+
+        def combine():
+            frame = sys._getframe(1)
+            while frame is not None and not raised:
+                if (frame.f_code.co_name == "enter" and
+                        frame.f_globals["__name__"] == "repro.sim.replay"):
+                    raised.append(True)
+                    raise RuntimeError("injected kernel failure")
+                frame = frame.f_back
+            body()
+
+        monkeypatch.setattr(kernel, "combine", combine)
+        result = simulate(
+            compiled, SimulationOptions(frames=bench.frames, replay=True)
+        )
+        assert raised, "the period executor never ran the kernel body"
+        assert result.as_dict() == plain.as_dict()
+
+        stats = result.replay
+        assert stats.eligible
+        assert stats.restarts == 1
+        assert stats.reason.startswith("hard divergence")
+        assert "injected kernel failure" in stats.reason
+        # Nothing of the aborted attempt may describe the returned run...
+        assert not stats.engaged
+        assert stats.periods_replayed == 0
+        assert stats.events_replayed == 0
+        assert stats.firings_batched == stats.firings_scalar == 0
+        assert stats.batched_kernels == [] and stats.demotions == {}
+        assert stats.events_interpreted == result.events_processed
+        # ...except that it happened, and what had been compiled by then.
+        assert stats.periods_compiled > 0
+        text = stats.describe()
+        assert "restarted" in text and "periods replayed" not in text
 
 
 class TestDetectorBounds:
