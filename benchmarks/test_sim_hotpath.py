@@ -111,8 +111,11 @@ BATCH_VS_NOBATCH_MAX = 0.95
 BATCH_MIN_COVERAGE = 0.50
 
 #: Telemetry-on wall time may cost at most this factor over telemetry-off
-#: (measured ~2.8x on the headline entry; the bound leaves CI headroom).
-TELEMETRY_MAX_OVERHEAD = 6.0
+#: (measured ~1.7x on the headline entry since the collector binds its
+#: metric handles once and records rows; 3.2x before).  The ceiling
+#: leaves CI headroom; ``scripts/bench_gate.py`` additionally fails a
+#: > 15% rise over the committed ``telemetry.overhead``.
+TELEMETRY_MAX_OVERHEAD = 2.5
 
 _entries: list[dict] = []
 _telemetry_entry: dict = {}
@@ -419,8 +422,9 @@ def test_telemetry_overhead(benchmark):
     and is held two ways: the headline 2x-vs-seed assertion above runs
     with telemetry off, and this test asserts the off-mode run matches
     the default-options run event for event.  On-mode is allowed to cost
-    real time (it materializes a span per observable) but the factor is
-    pinned so a hook that quietly grows stays visible in CI.
+    real time (it records a row per observable and updates the metrics)
+    but the factor is pinned so a hook that quietly grows stays visible
+    in CI.
     """
     bench, compiled = _compiled(*HEADLINE)
 

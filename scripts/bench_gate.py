@@ -11,10 +11,15 @@ baseline and fails (exit 1) when either:
 * any per-app entry's ``events_per_s`` regresses by more than
   ``--max-regression`` (default 15%) against the baseline entry with the
   same ``(app, chip)`` key, or
-* a headline block (``replay_headline``, ``batch_headline``) in the
-  fresh payload breaks one of its own published ``bars`` — the floors
-  live in the payload, written by the benchmark harness, so the gate
-  and the harness can never disagree about what the floor is.
+* a headline block (``replay_headline``, ``batch_headline``,
+  ``telemetry``) in the fresh payload breaks one of its own published
+  bars — the floors live in the payload, written by the benchmark
+  harness, so the gate and the harness can never disagree about what
+  the floor is, or
+* ``telemetry.overhead`` (telemetry-on wall over telemetry-off wall)
+  rises by more than ``--max-regression`` over the baseline's: a ratio
+  of two runs on one runner, so it is comparable across runner classes
+  and a creep under the ceiling still shows.
 
 A per-app delta table (GitHub-flavoured markdown) is always printed; it
 is additionally appended to ``--summary`` when given, or to the file
@@ -44,7 +49,8 @@ import sys
 
 #: Headline blocks gated against their own published bars:
 #: block key -> ((metric, bar, comparison), ...) where comparison
-#: "min" means metric must be >= bar and "max" means <= bar.
+#: "min" means metric must be >= bar and "max" means <= bar.  Bars sit
+#: under the block's ``bars`` key, or beside the metric when it has none.
 HEADLINE_BARS = {
     "replay_headline": (
         ("speedup", "min_speedup", "min"),
@@ -55,6 +61,9 @@ HEADLINE_BARS = {
         ("speedup", "min_speedup", "min"),
         ("vs_nobatch", "vs_nobatch_max", "max"),
         ("coverage", "min_coverage", "min"),
+    ),
+    "telemetry": (
+        ("overhead", "max_overhead", "max"),
     ),
 }
 
@@ -120,7 +129,7 @@ def gate(
                     f"the fresh run"
                 )
             continue
-        bars = head.get("bars", {})
+        bars = head.get("bars", head)
         for metric, bar_key, kind in checks:
             if bar_key not in bars:
                 continue
@@ -138,6 +147,22 @@ def gate(
                     f"{block}.{metric} = {value:.3f} violates the "
                     f"published bar ({metric} {rel} {bar:g})"
                 )
+
+    base_tele, new_tele = baseline.get("telemetry"), fresh.get("telemetry")
+    if base_tele is not None and new_tele is not None:
+        was, now = base_tele["overhead"], new_tele["overhead"]
+        rise = now / was - 1.0
+        ok = rise <= max_regression
+        status = "ok" if ok else f"**rose > {max_regression:.0%}**"
+        lines.append(
+            f"| telemetry | — | overhead {was:.3f} | {now:.3f} "
+            f"| {rise:+.1%} | {status} |"
+        )
+        if not ok:
+            failures.append(
+                f"telemetry.overhead {was:.3f} -> {now:.3f} ({rise:+.1%}, "
+                f"limit +{max_regression:.0%})"
+            )
 
     return lines, failures
 

@@ -34,9 +34,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .collect import Telemetry
-from .spans import FaultSpan, FiringSpan, WaitSpan
 
 __all__ = ["PathSegment", "CriticalPathReport", "analyze_critical_path"]
 
@@ -49,6 +49,13 @@ def _tight(a: float, b: float) -> bool:
     tolerance only absorbs repeated float summation along long chains.
     """
     return a == b or math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-15)
+
+
+#: Row slots the walk reads (layouts in :mod:`.spans`).  A firing row and
+#: a fault row agree on these, so a PE's occupants — its firings and the
+#: windows fault retries held it for — are walked as rows, unconverted.
+_SEQ, _START, _PROC = 1, 2, 5
+_BY_START = itemgetter(_START, _SEQ)
 
 
 @dataclass(frozen=True, slots=True)
@@ -187,7 +194,36 @@ class CriticalPathReport:
 def analyze_critical_path(telemetry: Telemetry) -> CriticalPathReport:
     """Reconstruct the critical path from one run's telemetry."""
     makespan = telemetry.makespan_s
-    firings = telemetry.firing_spans()
+    firings: list[tuple] = []
+    retries: list[tuple] = []
+    #: seq -> duration / end of every firing and retry window.
+    duration_of: dict[int, float] = {}
+    end_of: dict[int, float] = {}
+    #: Producer lookup: (kernel, finish time) -> latest such firing.
+    by_kernel_end: dict[tuple[str, float], tuple] = {}
+    #: consumer firing seq -> the wait rows of its inputs.
+    waits_by_consumer: dict[int, list[tuple]] = {}
+    #: (producer, arrival) -> seqs of the firings that consumed it.
+    consumers_of: dict[tuple[str, float], list[int]] = {}
+    for row in telemetry.rows:
+        kind = row[0]
+        if kind == "firing":
+            _, seq, start, kernel, _, _, read_s, run_s, write_s, _ = row
+            duration_of[seq] = duration = read_s + run_s + write_s
+            end_of[seq] = end = start + duration
+            firings.append(row)
+            by_kernel_end[kernel, end] = row  # rows come in seq order
+        elif kind == "wait":
+            _, _, consumer_seq, arrival, _, _, _, src = row
+            waits_by_consumer.setdefault(consumer_seq, []).append(row)
+            consumers_of.setdefault((src, arrival), []).append(consumer_seq)
+        elif kind == "fault":
+            _, seq, start, action, _, proc, _, duration, _ = row
+            if action == "retry" and proc is not None:
+                # detect + backoff: the window the PE was held for.
+                duration_of[seq] = duration
+                end_of[seq] = start + duration
+                retries.append(row)
     if not firings:
         return CriticalPathReport(
             makespan_s=makespan, segments=[], busy_by_kernel={},
@@ -195,77 +231,53 @@ def analyze_critical_path(telemetry: Telemetry) -> CriticalPathReport:
             hints=["no firings recorded: nothing to analyze"],
         )
 
-    waits_by_consumer: dict[int, list[WaitSpan]] = {}
-    waits_by_producer: dict[tuple[str, float], list[WaitSpan]] = {}
-    for span in telemetry.spans:
-        if isinstance(span, WaitSpan):
-            waits_by_consumer.setdefault(span.consumer_seq, []).append(span)
-            waits_by_producer.setdefault(
-                (span.src, span.start_s), []
-            ).append(span)
-
-    #: Producer lookup: (kernel, finish time) -> latest such firing.
-    by_kernel_end: dict[tuple[str, float], FiringSpan] = {}
-    for s in firings:
-        key = (s.kernel, s.end_s)
-        prev = by_kernel_end.get(key)
-        if prev is None or s.seq > prev.seq:
-            by_kernel_end[key] = s
-
     #: Per-PE occupancy (firings + retry windows), sorted by start.
-    occupancy: dict[int, list] = {}
-    for s in firings:
-        if s.processor is not None:
-            occupancy.setdefault(s.processor, []).append(s)
-    retry_spans = [
-        s for s in telemetry.spans
-        if isinstance(s, FaultSpan) and s.action == "retry"
-        and s.processor is not None
-    ]
-    for s in retry_spans:
-        occupancy.setdefault(s.processor, []).append(s)
+    occupancy: dict[int, list[tuple]] = {}
+    for row in firings:
+        if row[_PROC] is not None:
+            occupancy.setdefault(row[_PROC], []).append(row)
+    for row in retries:
+        occupancy.setdefault(row[_PROC], []).append(row)
     for items in occupancy.values():
-        items.sort(key=lambda s: (s.start_s, s.seq))
-
-    firing_by_seq = {s.seq: s for s in firings}
+        items.sort(key=_BY_START)
 
     # ---- backward walk over tight constraints ------------------------
-    sink = max(firings, key=lambda s: (s.end_s, s.seq))
-    chain: list[tuple[object, str]] = []  # (span, start-constraint)
-    cur: object = sink
+    sink = max(firings, key=lambda row: (end_of[row[_SEQ]], row[_SEQ]))
+    chain: list[tuple[tuple, str]] = []  # (row, start-constraint)
+    cur = sink
     terminal = "t0"
     input_src = ""
-    guard = len(firings) + len(retry_spans) + 8
+    guard = len(firings) + len(retries) + 8
     while guard > 0:
         guard -= 1
-        start = cur.start_s
+        start = cur[_START]
         if _tight(start, 0.0):
             chain.append((cur, "t0"))
             break
         # Processor constraint: who held the PE until exactly `start`?
         pe_pred = None
-        proc = cur.processor
+        proc = cur[_PROC]
         if proc is not None:
             for item in reversed(occupancy.get(proc, ())):
-                if item.seq >= cur.seq:
+                if item[_SEQ] >= cur[_SEQ]:
                     continue
-                if _tight(item.end_s, start):
+                end = end_of[item[_SEQ]]
+                if _tight(end, start):
                     pe_pred = item
                     break
-                if item.end_s < start:
+                if end < start:
                     break
-        # Data constraint: the last-arriving consumed input.
-        waits = waits_by_consumer.get(cur.seq, ())
-        binding = max(waits, key=lambda w: (w.start_s, w.seq),
-                      default=None)
-        data_tight = binding is not None and _tight(binding.start_s, start)
         if pe_pred is not None:
             chain.append((cur, "processor"))
             cur = pe_pred
             continue
-        if data_tight:
-            producer = by_kernel_end.get((binding.src, binding.start_s))
-            if producer is not None and producer.seq < cur.seq:
+        # Data constraint: the last-arriving consumed input.
+        binding = max(waits_by_consumer.get(cur[_SEQ], ()),
+                      key=lambda w: (w[3], w[_SEQ]), default=None)
+        if binding is not None and _tight(binding[3], start):
+            _, _, _, arrival, _, _, _, src = binding
+            producer = by_kernel_end.get((src, arrival))
+            if producer is not None and producer[_SEQ] < cur[_SEQ]:
                 chain.append((cur, "data"))
                 cur = producer
                 continue
@@ -273,7 +285,7 @@ def analyze_critical_path(telemetry: Telemetry) -> CriticalPathReport:
             # application input's injection schedule (or an init load).
             chain.append((cur, "source"))
             terminal = "source"
-            input_src = binding.src
+            input_src = src
             break
         # No tight predecessor (e.g. a retry backoff boundary whose
         # fault span fell off a capped stream): close with a gap.
@@ -283,8 +295,7 @@ def analyze_critical_path(telemetry: Telemetry) -> CriticalPathReport:
 
     # ---- assemble chronological segments -----------------------------
     segments: list[PathSegment] = []
-    first_span = chain[-1][0]
-    lead = first_span.start_s
+    lead = chain[-1][0][_START]
     if terminal in ("source", "gap") and lead > 0.0:
         segments.append(PathSegment(
             kind="input", kernel=input_src, method="",
@@ -294,26 +305,21 @@ def analyze_critical_path(telemetry: Telemetry) -> CriticalPathReport:
     busy_by_kernel: dict[str, float] = {}
     fault_s = 0.0
     contended_s = 0.0
-    for span, constraint in reversed(chain):
-        if isinstance(span, FaultSpan):
-            duration = span.duration_s  # detect + backoff: PE-held window
-            segments.append(PathSegment(
-                kind="fault", kernel=span.kernel, method=span.action,
-                processor=span.processor, start_s=span.start_s,
-                duration_s=duration, constraint=constraint,
-            ))
+    for row, constraint in reversed(chain):
+        kind = row[0]
+        duration = duration_of[row[_SEQ]]
+        if kind == "fault":
+            method, kernel = row[3:5]  # the action stands in as method
             fault_s += duration
         else:
-            segments.append(PathSegment(
-                kind="firing", kernel=span.kernel, method=span.method,
-                processor=span.processor, start_s=span.start_s,
-                duration_s=span.duration_s, constraint=constraint,
-            ))
-            busy_by_kernel[span.kernel] = (
-                busy_by_kernel.get(span.kernel, 0.0) + span.duration_s
-            )
+            kernel, method = row[3:5]
+            busy_by_kernel[kernel] = busy_by_kernel.get(kernel, 0.0) + duration
+        segments.append(PathSegment(
+            kind=kind, kernel=kernel, method=method, processor=row[_PROC],
+            start_s=row[_START], duration_s=duration, constraint=constraint,
+        ))
         if constraint == "processor":
-            contended_s += span.duration_s
+            contended_s += duration
     if segments and makespan - segments[-1].end_s > 1e-12 * max(1.0, makespan):
         # The run's last event (an unconsumed trailing delivery) landed
         # after the last firing: account the remainder explicitly so the
@@ -327,32 +333,31 @@ def analyze_critical_path(telemetry: Telemetry) -> CriticalPathReport:
     input_s = sum(s.duration_s for s in segments if s.kind == "input")
 
     # ---- slack: backward pass over the dependency DAG ----------------
-    #: next occupancy item per (processor, position).
-    pe_next: dict[int, object] = {}
+    #: seq -> the next occupant of the same processing element.
+    pe_next: dict[int, tuple] = {}
     for items in occupancy.values():
         for a, b in zip(items, items[1:]):
-            pe_next[a.seq] = b
+            pe_next[a[_SEQ]] = b
     latest_end: dict[int, float] = {}
     slack_by_kernel: dict[str, float] = {}
-    for s in sorted(firings, key=lambda s: -s.seq):
+    for row in reversed(firings):
+        seq, kernel = row[_SEQ], row[3]
+        end = end_of[seq]
         bound = makespan
-        nxt = pe_next.get(s.seq)
-        if nxt is not None and isinstance(nxt, FiringSpan):
-            bound = min(bound,
-                        latest_end.get(nxt.seq, makespan) - nxt.duration_s)
-        for w in waits_by_producer.get((s.kernel, s.end_s), ()):
-            consumer = firing_by_seq.get(w.consumer_seq)
-            if consumer is not None:
-                bound = min(
-                    bound,
-                    latest_end.get(consumer.seq, makespan)
-                    - consumer.duration_s,
-                )
-        latest_end[s.seq] = bound
-        slack = bound - s.end_s
-        prev = slack_by_kernel.get(s.kernel)
+        nxt = pe_next.get(seq)
+        if nxt is not None and nxt[0] == "firing":
+            bound = min(bound, latest_end.get(nxt[_SEQ], makespan)
+                        - duration_of[nxt[_SEQ]])
+        # A consumer missing from duration_of fell off a capped stream.
+        for consumer in consumers_of.get((kernel, end), ()):
+            if consumer in duration_of:
+                bound = min(bound, latest_end.get(consumer, makespan)
+                            - duration_of[consumer])
+        latest_end[seq] = bound
+        slack = bound - end
+        prev = slack_by_kernel.get(kernel)
         if prev is None or slack < prev:
-            slack_by_kernel[s.kernel] = slack
+            slack_by_kernel[kernel] = slack
 
     report = CriticalPathReport(
         makespan_s=makespan,

@@ -31,14 +31,7 @@ import json
 from typing import IO, Iterator
 
 from .collect import Telemetry
-from .spans import (
-    FaultSpan,
-    FiringSpan,
-    StallSpan,
-    TransferSpan,
-    WaitSpan,
-    span_as_dict,
-)
+from .spans import span_line
 
 __all__ = [
     "to_perfetto",
@@ -87,12 +80,15 @@ def to_perfetto(telemetry: Telemetry, *, app: str = "") -> dict:
             })
         return tid
 
-    for span in telemetry.spans:
-        if isinstance(span, FiringSpan):
-            if span.processor is None:
+    for row in telemetry.rows:
+        kind = row[0]
+        if kind == "firing":
+            (_, _, start_s, kernel, method, proc, read_s, run_s, write_s,
+             firing_index) = row
+            if proc is None:
                 tid = _TID_IO
             else:
-                tid = span.processor
+                tid = proc
                 if tid not in named_pes:
                     named_pes.add(tid)
                     events.append({
@@ -100,62 +96,71 @@ def to_perfetto(telemetry: Telemetry, *, app: str = "") -> dict:
                         "tid": tid, "args": {"name": f"PE{tid}"},
                     })
             events.append({
-                "name": f"{span.kernel}.{span.method}", "cat": "firing",
+                "name": f"{kernel}.{method}", "cat": "firing",
                 "ph": "X", "pid": _PID_SIM, "tid": tid,
-                "ts": _us(span.start_s), "dur": _us(span.duration_s),
-                "args": {"kernel": span.kernel, "method": span.method,
-                         "firing_index": span.firing_index},
+                "ts": _us(start_s), "dur": _us(read_s + run_s + write_s),
+                "args": {"kernel": kernel, "method": method,
+                         "firing_index": firing_index},
             })
-            for phase, start, dur in span.phases():
-                events.append({
-                    "name": phase, "cat": "phase", "ph": "X",
-                    "pid": _PID_SIM, "tid": tid,
-                    "ts": _us(start), "dur": _us(dur), "args": {},
-                })
-        elif isinstance(span, WaitSpan):
-            edge = f"{span.src}->{span.kernel}.{span.port}"
+            # Nested read/run/write slices, in machine-model order.
+            t = start_s
+            for phase, dur in (("read", read_s), ("run", run_s),
+                               ("write", write_s)):
+                if dur > 0.0:
+                    events.append({
+                        "name": phase, "cat": "phase", "ph": "X",
+                        "pid": _PID_SIM, "tid": tid,
+                        "ts": _us(t), "dur": _us(dur), "args": {},
+                    })
+                    t += dur
+        elif kind == "wait":
+            _, _, _, start_s, duration_s, kernel, port, src = row
+            edge = f"{src}->{kernel}.{port}"
             tid = edge_tid(edge)
             async_id += 1
             ident = str(async_id)
             events.append({
                 "name": edge, "cat": "transfer", "ph": "b", "id": ident,
-                "pid": _PID_CHANNELS, "tid": tid, "ts": _us(span.start_s),
-                "args": {"wait_s": span.duration_s},
+                "pid": _PID_CHANNELS, "tid": tid, "ts": _us(start_s),
+                "args": {"wait_s": duration_s},
             })
             events.append({
                 "name": edge, "cat": "transfer", "ph": "e", "id": ident,
-                "pid": _PID_CHANNELS, "tid": tid, "ts": _us(span.end_s),
-                "args": {},
+                "pid": _PID_CHANNELS, "tid": tid,
+                "ts": _us(start_s + duration_s), "args": {},
             })
-        elif isinstance(span, TransferSpan):
+        elif kind == "transfer":
+            (_, _, start_s, src, src_port, dst, dst_port, _, _, occupancy,
+             hops, link_wait_s, route) = row
+            edge = f"{src}.{src_port}->{dst}.{dst_port}"
             events.append({
-                "name": f"occupancy {span.edge}", "cat": "channel",
-                "ph": "C", "pid": _PID_CHANNELS, "ts": _us(span.start_s),
-                "args": {"items": span.occupancy},
+                "name": f"occupancy {edge}", "cat": "channel",
+                "ph": "C", "pid": _PID_CHANNELS, "ts": _us(start_s),
+                "args": {"items": occupancy},
             })
-            if span.route:
+            if route:
                 events.append({
-                    "name": f"route {span.edge}", "cat": "noc", "ph": "i",
-                    "pid": _PID_NOC, "ts": _us(span.start_s), "s": "p",
-                    "args": {"route": span.route, "hops": span.hops,
-                             "link_wait_s": span.link_wait_s},
+                    "name": f"route {edge}", "cat": "noc", "ph": "i",
+                    "pid": _PID_NOC, "ts": _us(start_s), "s": "p",
+                    "args": {"route": route, "hops": hops,
+                             "link_wait_s": link_wait_s},
                 })
-        elif isinstance(span, FaultSpan):
-            tid = span.processor if span.processor is not None else _TID_IO
+        elif kind == "fault":
+            _, _, start_s, action, kernel, proc, _, _, detail = row
             events.append({
-                "name": f"fault:{span.action}", "cat": "fault", "ph": "i",
-                "pid": _PID_SIM, "tid": tid, "ts": _us(span.start_s),
-                "s": "t",
-                "args": {"kernel": span.kernel, "detail": span.detail},
+                "name": f"fault:{action}", "cat": "fault", "ph": "i",
+                "pid": _PID_SIM, "tid": _TID_IO if proc is None else proc,
+                "ts": _us(start_s), "s": "t",
+                "args": {"kernel": kernel, "detail": detail},
             })
-        elif isinstance(span, StallSpan):
-            tid = span.processor if span.processor is not None else _TID_IO
+        elif kind == "stall":
+            _, _, start_s, kernel, proc, reason = row
             events.append({
-                "name": f"stall:{span.reason}", "cat": "stall", "ph": "i",
-                "pid": _PID_SIM, "tid": tid, "ts": _us(span.start_s),
-                "s": "t", "args": {"kernel": span.kernel},
+                "name": f"stall:{reason}", "cat": "stall", "ph": "i",
+                "pid": _PID_SIM, "tid": _TID_IO if proc is None else proc,
+                "ts": _us(start_s), "s": "t", "args": {"kernel": kernel},
             })
-        # IdleSpans are implicit in the timeline (gaps between slices).
+        # Idle rows are implicit in the timeline (gaps between slices).
     if telemetry.link_occupancy:
         events.append({
             "name": "process_name", "ph": "M", "pid": _PID_NOC,
@@ -235,8 +240,7 @@ def validate_perfetto(doc: object) -> dict[str, int]:
 
 def spans_jsonl(telemetry: Telemetry) -> Iterator[str]:
     """The span stream as JSON lines (one canonical dict per span)."""
-    for span in telemetry.spans:
-        yield json.dumps(span_as_dict(span), sort_keys=True)
+    return map(span_line, telemetry.rows)
 
 
 def write_spans_jsonl(telemetry: Telemetry, path_or_file: str | IO[str]) -> int:
@@ -251,6 +255,13 @@ def write_spans_jsonl(telemetry: Telemetry, path_or_file: str | IO[str]) -> int:
     return count
 
 
+def _pe_firings(telemetry: Telemetry) -> Iterator[tuple]:
+    """The on-chip firing rows, cut to seq..write_s (the Gantt's view)."""
+    for row in telemetry.rows:
+        if row[0] == "firing" and row[5] is not None:
+            yield row[1:9]
+
+
 def timeline_rows(telemetry: Telemetry) -> list[dict]:
     """Structured Gantt rows: one JSON-safe row per processing element.
 
@@ -263,14 +274,13 @@ def timeline_rows(telemetry: Telemetry) -> list[dict]:
     yields identical rows.
     """
     by_pe: dict[int, list[dict]] = {}
-    for span in telemetry.firing_spans():
-        if span.processor is None:
-            continue
-        by_pe.setdefault(span.processor, []).append({
-            "kernel": span.kernel,
-            "method": span.method,
-            "start_s": span.start_s,
-            "duration_s": span.duration_s,
+    for _, start_s, kernel, method, proc, read_s, run_s, write_s \
+            in _pe_firings(telemetry):
+        by_pe.setdefault(proc, []).append({
+            "kernel": kernel,
+            "method": method,
+            "start_s": start_s,
+            "duration_s": read_s + run_s + write_s,
         })
     return [
         {
@@ -296,10 +306,11 @@ def timeline(telemetry: Telemetry, *, width: int = 80,
     from ..sim.trace import TraceEvent, gantt
 
     firings = [
-        TraceEvent(start_s=s.start_s, processor=s.processor,
-                   kernel=s.kernel, method=s.method, read_s=s.read_s,
-                   run_s=s.run_s, write_s=s.write_s)
-        for s in telemetry.firing_spans() if s.processor is not None
+        TraceEvent(start_s=start_s, processor=proc, kernel=kernel,
+                   method=method, read_s=read_s, run_s=run_s,
+                   write_s=write_s)
+        for _, start_s, kernel, method, proc, read_s, run_s, write_s
+        in _pe_firings(telemetry)
     ]
     horizon = telemetry.makespan_s
     base = gantt(firings, width=width,
@@ -311,21 +322,25 @@ def timeline(telemetry: Telemetry, *, width: int = 80,
     # +1 at each delivery, -1 at each consumption.
     deltas: dict[str, list[tuple[float, int]]] = {}
     traffic: dict[str, float] = {}
-    for span in telemetry.spans:
-        if isinstance(span, TransferSpan):
-            deltas.setdefault(span.edge, []).append((span.start_s, +1))
-            traffic[span.edge] = traffic.get(span.edge, 0.0) + span.bytes
-        elif isinstance(span, WaitSpan):
+    for row in telemetry.rows:
+        kind = row[0]
+        if kind == "transfer":
+            _, _, start_s, src, src_port, dst, dst_port, nbytes = row[:8]
+            edge = f"{src}.{src_port}->{dst}.{dst_port}"
+            deltas.setdefault(edge, []).append((start_s, +1))
+            traffic[edge] = traffic.get(edge, 0.0) + nbytes
+        elif kind == "wait":
+            _, _, _, start_s, duration_s, kernel, port, src = row
             edge_key = None
-            # WaitSpan names (src, dst kernel, port); recover the edge key
-            # by suffix match so both views stay keyed consistently.
-            suffix = f"->{span.kernel}.{span.port}"
+            # A wait row names (src, dst kernel, port); recover the edge
+            # key by suffix match so both views stay keyed consistently.
+            suffix = f"->{kernel}.{port}"
             for key in deltas:
-                if key.endswith(suffix) and key.startswith(f"{span.src}."):
+                if key.endswith(suffix) and key.startswith(f"{src}."):
                     edge_key = key
                     break
             if edge_key is not None:
-                deltas[edge_key].append((span.end_s, -1))
+                deltas[edge_key].append((start_s + duration_s, -1))
     busiest = sorted(traffic, key=lambda e: (-traffic[e], e))[:edges]
     if not busiest:
         return base

@@ -22,14 +22,24 @@ Spans are frozen plain data.  ``seq`` is the collector's global emission
 counter: it orders spans exactly like the simulator's deterministic event
 loop, which is what lets the critical-path pass (:mod:`.critical_path`)
 reconstruct dependencies without re-simulating.
+
+The collector does not build these classes per event.  It records each
+span as a *row* — the flat tuple ``(kind, *fields)`` with the fields in
+the class's declared order — and every in-tree consumer (digest, JSONL,
+Perfetto, critical path, timeline) reads rows; :func:`span_from_row`
+builds the dataclass for whoever asks ``Telemetry.spans`` for objects.
+:func:`span_line` is the one canonical serialization of a row: the
+JSONL line and the unit the span digest hashes.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from typing import ClassVar, Sequence
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from operator import attrgetter
+from typing import ClassVar, Iterable, Sequence
 
 __all__ = [
     "FiringSpan",
@@ -39,6 +49,11 @@ __all__ = [
     "FaultSpan",
     "IdleSpan",
     "Span",
+    "SPAN_TYPES",
+    "span_from_row",
+    "span_row",
+    "span_line",
+    "rows_digest",
     "span_as_dict",
     "spans_digest",
     "firing_pattern_digest",
@@ -224,6 +239,27 @@ Span = (FiringSpan | TransferSpan | WaitSpan | StallSpan | FaultSpan
         | IdleSpan)
 
 
+#: kind -> span class; ``SPAN_TYPES[row[0]](*row[1:])`` is a row's span.
+SPAN_TYPES = {
+    cls.kind: cls
+    for cls in (FiringSpan, TransferSpan, WaitSpan, StallSpan, FaultSpan,
+                IdleSpan)
+}
+
+_ROW_OF = {
+    kind: attrgetter("kind", *(f.name for f in fields(cls)))
+    for kind, cls in SPAN_TYPES.items()
+}
+
+
+def span_from_row(row: tuple) -> Span:
+    return SPAN_TYPES[row[0]](*row[1:])
+
+
+def span_row(span: Span) -> tuple:
+    return _ROW_OF[span.kind](span)
+
+
 def span_as_dict(span: Span) -> dict:
     """Canonical JSON-safe form of one span (the JSONL line payload)."""
     d: dict = {"kind": span.kind, "seq": span.seq, "start_s": span.start_s}
@@ -277,6 +313,122 @@ def firing_pattern_digest(pattern: Sequence[tuple[str, str]]) -> str:
     return h.hexdigest()
 
 
+# -- the canonical row serializer --------------------------------------
+# ``span_line(row)`` equals ``json.dumps(span_as_dict(span),
+# sort_keys=True)`` byte for byte, without the dict or the encoder: one
+# template per kind with its keys already sorted.
+
+#: JSON string literal of a name; names repeat, so each is escaped once.
+_quote = lru_cache(maxsize=4096)(json.encoder.encode_basestring_ascii)
+
+_float_repr = float.__repr__
+_NONFINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _num(value: float) -> str:
+    """A float slot as ``json.dumps`` spells it."""
+    try:
+        text = _float_repr(value)
+    except TypeError:  # an int in a float slot (hand-built spans)
+        return json.dumps(value)
+    # A finite float's repr ends in a digit; "inf"/"nan" do not.
+    return text if text[-1] <= "9" else _NONFINITE[text]
+
+
+def _firing_line(row: tuple) -> str:
+    (_, seq, start_s, kernel, method, processor, read_s, run_s, write_s,
+     firing_index) = row
+    return (
+        f'{{"duration_s": {_num(read_s + run_s + write_s)}, '
+        f'"firing_index": {firing_index}, "kernel": {_quote(kernel)}, '
+        f'"kind": "firing", "method": {_quote(method)}, '
+        f'"processor": {"null" if processor is None else processor}, '
+        f'"read_s": {_num(read_s)}, "run_s": {_num(run_s)}, "seq": {seq}, '
+        f'"start_s": {_num(start_s)}, "write_s": {_num(write_s)}}}'
+    )
+
+
+def _transfer_line(row: tuple) -> str:
+    (_, seq, start_s, src, src_port, dst, dst_port, nbytes, token,
+     occupancy, hops, link_wait_s, route) = row
+    head = (f'{{"bytes": {nbytes}, "dst": {_quote(dst)}, '
+            f'"dst_port": {_quote(dst_port)}, ')
+    tail = (f'"seq": {seq}, "src": {_quote(src)}, '
+            f'"src_port": {_quote(src_port)}, "start_s": {_num(start_s)}, '
+            f'"token": {"true" if token else "false"}}}')
+    if route:
+        # NoC-routed transfers only: keeps NoC-off digests identical.
+        return (f'{head}"hops": {hops}, "kind": "transfer", '
+                f'"link_wait_s": {_num(link_wait_s)}, '
+                f'"occupancy": {occupancy}, "route": {_quote(route)}, {tail}')
+    return f'{head}"kind": "transfer", "occupancy": {occupancy}, {tail}'
+
+
+def _wait_line(row: tuple) -> str:
+    _, seq, consumer_seq, start_s, duration_s, kernel, port, src = row
+    return (
+        f'{{"consumer_seq": {consumer_seq}, '
+        f'"duration_s": {_num(duration_s)}, "kernel": {_quote(kernel)}, '
+        f'"kind": "wait", "port": {_quote(port)}, "seq": {seq}, '
+        f'"src": {_quote(src)}, "start_s": {_num(start_s)}}}'
+    )
+
+
+def _stall_line(row: tuple) -> str:
+    _, seq, start_s, kernel, processor, reason = row
+    return (
+        f'{{"kernel": {_quote(kernel)}, "kind": "stall", '
+        f'"processor": {"null" if processor is None else processor}, '
+        f'"reason": {_quote(reason)}, "seq": {seq}, '
+        f'"start_s": {_num(start_s)}}}'
+    )
+
+
+def _fault_line(row: tuple) -> str:
+    (_, seq, start_s, action, kernel, processor, busy_s, duration_s,
+     detail) = row
+    return (
+        f'{{"action": {_quote(action)}, "busy_s": {_num(busy_s)}, '
+        f'"detail": {_quote(detail)}, "duration_s": {_num(duration_s)}, '
+        f'"kernel": {_quote(kernel)}, "kind": "fault", '
+        f'"processor": {"null" if processor is None else processor}, '
+        f'"seq": {seq}, "start_s": {_num(start_s)}}}'
+    )
+
+
+def _idle_line(row: tuple) -> str:
+    _, seq, start_s, duration_s, processor = row
+    return (
+        f'{{"duration_s": {_num(duration_s)}, "kind": "idle", '
+        f'"processor": {processor}, "seq": {seq}, '
+        f'"start_s": {_num(start_s)}}}'
+    )
+
+
+_LINES = {
+    "firing": _firing_line,
+    "transfer": _transfer_line,
+    "wait": _wait_line,
+    "stall": _stall_line,
+    "fault": _fault_line,
+    "idle": _idle_line,
+}
+
+
+def span_line(row: tuple) -> str:
+    """Canonical JSON of one row: sorted keys, floats via ``repr``."""
+    return _LINES[row[0]](row)
+
+
+def rows_digest(rows: Iterable[tuple]) -> str:
+    """sha256 over the :func:`span_line` of every row, newline-ended."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update(span_line(row).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
 def spans_digest(spans: Sequence[Span]) -> str:
     """sha256 over the canonical serialization of a span stream.
 
@@ -284,8 +436,4 @@ def spans_digest(spans: Sequence[Span]) -> str:
     ``repr`` and keys sorted, so two runs share a digest iff every span
     matches bit for bit.
     """
-    h = hashlib.sha256()
-    for span in spans:
-        h.update(json.dumps(span_as_dict(span), sort_keys=True).encode())
-        h.update(b"\n")
-    return h.hexdigest()
+    return rows_digest(map(span_row, spans))

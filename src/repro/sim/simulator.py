@@ -838,15 +838,14 @@ class Simulator:
         def land(time: float, ch: Channel, dst: _KernelState, checked: bool,
                  item, is_token: bool, meta=None) -> None:
             """Observed landing: push, telemetry span, consumer poll.
-            ``meta`` is the route a NoC transfer took to get here."""
+            ``meta`` is the route a NoC transfer took to get here:
+            ``(hops, link_wait_s, route, links)``."""
             push(time, ch, item, is_token, checked)
             if tele is not None:
                 if meta is None:
                     tele.transfer(time, ch, item, is_token)
                 else:
-                    hops, wait, rstr, links = meta
-                    tele.transfer(time, ch, item, is_token, hops=hops,
-                                  link_wait_s=wait, route=rstr, links=links)
+                    tele.transfer(time, ch, item, is_token, *meta)
             if queued_polls.get(dst) != time:
                 queued_polls[dst] = time
                 heappush(events, (time, _POLL, next_seq(), dst))

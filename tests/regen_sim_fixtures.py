@@ -22,6 +22,16 @@ Three further fixture families pin the quasi-static replay engine:
   matches it exactly and reports itself ineligible (reason "faults").
 * ``app_2_noc.json`` — same shape for a NoC-timed run (reason "noc").
 
+A fourth family pins :mod:`repro.obs` telemetry, which the reference
+loop cannot produce: ``app_<key>_telemetry.json`` for the five apps plus
+``app_2_noc_telemetry.json`` and ``app_5_faulted_telemetry.json`` hold
+the span counts by kind, the span-stream ``sha256``, a canonical digest
+of ``metrics.as_dict()`` and ``dropped_spans`` of the optimized loop with
+``telemetry=True``.  Each is written only if that run reproduces its
+base golden (``app_<key>_replay.json``, ``app_2_noc.json``,
+``app_5_faulted.json``) on every non-telemetry key, so a collector that
+perturbs the simulation cannot be baked in.
+
 Only rerun this when the *observable* simulation semantics intentionally
 change (new cost model, new stat, ...) — never to paper over a divergence
 introduced by a hot-path optimization.  Review the fixture diff: every
@@ -42,9 +52,11 @@ not a batch divergence.  If the base fixtures *did* change, rerun with
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import pathlib
 import sys
+from functools import lru_cache
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
@@ -75,6 +87,7 @@ NOC_APP = "2"
 NOC_MESH = (8, 8)
 
 
+@lru_cache(maxsize=None)
 def _compiled(key: str):
     bench = benchmark(key)
     return bench, compile_application(
@@ -120,12 +133,26 @@ def build_replay_fixture(key: str) -> dict:
     }
 
 
+def faulted_options(batch: bool = True, **extra) -> SimulationOptions:
+    return SimulationOptions(
+        frames=benchmark(FAULTED_APP).frames, faults=FaultSpec(**FAULT_SPEC),
+        batch=batch, **extra
+    )
+
+
+def noc_options(batch: bool = True, **extra) -> SimulationOptions:
+    bench, compiled = _compiled(NOC_APP)
+    chip = ManyCoreChip(
+        cols=NOC_MESH[0], rows=NOC_MESH[1], processor=BENCHMARK_PROCESSOR
+    )
+    noc = NocModel(placement=row_major_placement(compiled.mapping, chip))
+    return SimulationOptions(frames=bench.frames, noc=noc, batch=batch,
+                             **extra)
+
+
 def build_faulted_fixture(batch: bool = True) -> dict:
     bench, compiled = _compiled(FAULTED_APP)
-    options = SimulationOptions(
-        frames=bench.frames, faults=FaultSpec(**FAULT_SPEC), batch=batch
-    )
-    result = simulate(compiled, options)
+    result = simulate(compiled, faulted_options(batch))
     return {
         "key": bench.key,
         "title": bench.title,
@@ -143,12 +170,7 @@ def build_faulted_fixture(batch: bool = True) -> dict:
 
 def build_noc_fixture(batch: bool = True) -> dict:
     bench, compiled = _compiled(NOC_APP)
-    chip = ManyCoreChip(
-        cols=NOC_MESH[0], rows=NOC_MESH[1], processor=BENCHMARK_PROCESSOR
-    )
-    noc = NocModel(placement=row_major_placement(compiled.mapping, chip))
-    options = SimulationOptions(frames=bench.frames, noc=noc, batch=batch)
-    result = simulate(compiled, options)
+    result = simulate(compiled, noc_options(batch))
     return {
         "key": bench.key,
         "title": bench.title,
@@ -160,6 +182,56 @@ def build_noc_fixture(batch: bool = True) -> dict:
             "noc": {"mesh": list(NOC_MESH), "placement": "row-major"},
         },
         "golden": result.as_dict(),
+    }
+
+
+#: Telemetry conformance scenarios: fixture stem -> (app key, the base
+#: fixture the telemetry-on run must reproduce on every other key, the
+#: options of that run given ``batch``).
+TELEMETRY_SCENARIOS = {
+    **{
+        key: (key, f"app_{key}_replay.json",
+              lambda batch, key=key: SimulationOptions(
+                  frames=benchmark(key).frames, telemetry=True))
+        for key in APP_KEYS
+    },
+    f"{NOC_APP}_noc": (
+        NOC_APP, f"app_{NOC_APP}_noc.json",
+        lambda batch: noc_options(batch, telemetry=True)),
+    f"{FAULTED_APP}_faulted": (
+        FAULTED_APP, f"app_{FAULTED_APP}_faulted.json",
+        lambda batch: faulted_options(batch, telemetry=True)),
+}
+
+
+def telemetry_golden(telemetry) -> dict:
+    """What a telemetry rewrite must reproduce, compactly."""
+    summary = telemetry.as_dict()
+    metrics = json.dumps(summary["metrics"], sort_keys=True)
+    return {
+        "spans": summary["spans"],
+        "sha256": summary["sha256"],
+        "metrics_sha256": hashlib.sha256(metrics.encode()).hexdigest(),
+        "dropped_spans": summary["dropped_spans"],
+    }
+
+
+def build_telemetry_fixture(scenario: str, base_golden: dict,
+                            batch: bool = True) -> dict | None:
+    """The scenario's telemetry pin, or None when collecting telemetry
+    moved the simulated result off ``base_golden``."""
+    key, _, options = TELEMETRY_SCENARIOS[scenario]
+    bench, compiled = _compiled(key)
+    result = simulate(compiled, options(batch))
+    observed = json.loads(json.dumps(result.as_dict()))
+    observed.pop("telemetry")
+    if observed != base_golden:
+        return None
+    return {
+        "key": bench.key,
+        "title": bench.title,
+        "scenario": scenario,
+        "golden": telemetry_golden(result.telemetry),
     }
 
 
@@ -243,6 +315,29 @@ def main(argv: list[str] | None = None) -> int:
     path.write_text(_serialize(fixture))
     print(f"app {NOC_APP} (noc): {fixture['golden']['events']} "
           f"events -> {path}")
+
+    # Telemetry pins last: each must reproduce the base golden written
+    # above before its own golden is accepted.
+    telemetry: dict[str, str] = {}
+    for scenario, (_, base_name, _) in TELEMETRY_SCENARIOS.items():
+        base_golden = json.loads((FIXTURE_DIR / base_name).read_text())
+        fixture = build_telemetry_fixture(
+            scenario, base_golden["golden"], batch=args.batch)
+        if fixture is None:
+            print(
+                f"refusing to write the telemetry goldens: scenario "
+                f"{scenario} with telemetry on does not reproduce "
+                f"{base_name} — collection must be observation-free",
+                file=sys.stderr,
+            )
+            return 1
+        telemetry[scenario] = _serialize(fixture)
+    for scenario, text in telemetry.items():
+        path = FIXTURE_DIR / f"app_{scenario}_telemetry.json"
+        path.write_text(text)
+        golden = json.loads(text)["golden"]
+        print(f"app {scenario} (telemetry): "
+              f"{sum(golden['spans'].values())} spans -> {path}")
     return 0
 
 

@@ -57,6 +57,10 @@ def _payload() -> dict:
                 "min_coverage": 0.50,
             },
         },
+        "telemetry": {
+            "overhead": 1.8,
+            "max_overhead": 2.5,
+        },
     }
 
 
@@ -99,6 +103,43 @@ def test_headline_ceiling_breach_fails():
     fresh["batch_headline"]["vs_nobatch"] = 1.10  # lost to no-batch
     _, failures = bench_gate.gate(base, fresh, 0.15)
     assert any("batch_headline.vs_nobatch" in f for f in failures)
+
+
+def test_telemetry_ceiling_breach_fails():
+    base = _payload()
+    fresh = copy.deepcopy(base)
+    fresh["telemetry"]["overhead"] = 2.6  # above its own 2.5 ceiling
+    _, failures = bench_gate.gate(base, fresh, 0.15)
+    assert any("telemetry.overhead" in f and "published bar" in f
+               for f in failures)
+
+
+def test_telemetry_rise_under_the_ceiling_fails():
+    base = _payload()
+    fresh = copy.deepcopy(base)
+    fresh["telemetry"]["overhead"] = 2.3  # +28%, still under 2.5
+    _, failures = bench_gate.gate(base, fresh, 0.15)
+    assert len(failures) == 1
+    assert "telemetry.overhead 1.800 -> 2.300" in failures[0]
+
+
+def test_telemetry_drift_and_improvement_stay_quiet():
+    base = _payload()
+    for overhead in (1.95, 1.2):  # +8% drift; a cheaper collector
+        fresh = copy.deepcopy(base)
+        fresh["telemetry"]["overhead"] = overhead
+        lines, failures = bench_gate.gate(base, fresh, 0.15)
+        assert failures == []
+        assert any(line.startswith("| telemetry | — | overhead 1.800")
+                   for line in lines)
+
+
+def test_missing_telemetry_block_fails():
+    base = _payload()
+    fresh = copy.deepcopy(base)
+    del fresh["telemetry"]
+    _, failures = bench_gate.gate(base, fresh, 0.15)
+    assert any("telemetry" in f and "missing" in f for f in failures)
 
 
 def test_missing_entry_fails_and_new_entry_does_not():

@@ -11,6 +11,10 @@ The load-bearing invariants pinned here:
   pipelines of :mod:`test_random_pipelines`);
 * span digests are deterministic across processes (hash randomization
   does not leak into the canonical serialization);
+* the collector's flat rows and the typed spans are one stream: the row
+  serializer is byte-identical to ``json.dumps(span_as_dict(span),
+  sort_keys=True)``, nothing in-tree builds a span object unless
+  ``Telemetry.spans`` is read, and metric handles are bound once;
 * the Perfetto export is structurally valid trace_event JSON;
 * the reconstructed critical path tiles the makespan exactly.
 """
@@ -33,8 +37,13 @@ from repro.apps.suite import BENCHMARK_PROCESSOR, benchmark as suite_benchmark
 from repro.errors import SimulationError
 from repro.machine import ProcessorSpec
 from repro.obs import (
+    FaultSpan,
     FiringSpan,
+    IdleSpan,
+    StallSpan,
     TelemetryConfig,
+    TransferSpan,
+    WaitSpan,
     analyze_critical_path,
     span_as_dict,
     spans_digest,
@@ -45,7 +54,11 @@ from repro.obs import (
     write_perfetto,
     write_spans_jsonl,
 )
+from repro.obs import collect as obs_collect
+from repro.obs import metrics as obs_metrics
+from repro.obs.collect import Telemetry
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.spans import SPAN_TYPES, span_from_row, span_line, span_row
 from repro.sim import SimulationOptions, simulate
 from repro.transform import CompileOptions, compile_application
 
@@ -256,6 +269,118 @@ class TestDigests:
         from repro.sim import trace_digest
 
         assert out[1] == trace_digest(traced.trace)
+
+
+#: One hand-built span per row shape, awkward values included: a routed
+#: and an unrouted transfer, names that need escaping, non-finite floats
+#: and an int where a float belongs.
+_HAND_BUILT = (
+    FiringSpan(seq=1, start_s=0.0, kernel='k"1', method="run",
+               processor=None, read_s=0.0, run_s=1e-07, write_s=2.5,
+               firing_index=3),
+    FiringSpan(seq=2, start_s=float("inf"), kernel="k", method="m",
+               processor=4, read_s=float("nan"), run_s=float("-inf"),
+               write_s=0, firing_index=0),
+    TransferSpan(seq=3, start_s=1.5, src="a", src_port="out", dst="b\\c",
+                 dst_port="in", bytes=64, token=False, occupancy=2),
+    TransferSpan(seq=4, start_s=1.5, src="a", src_port="out", dst="b",
+                 dst_port="in", bytes=0, token=True, occupancy=1, hops=3,
+                 link_wait_s=1e-09, route="(0,0)->(1,0)"),
+    WaitSpan(seq=5, consumer_seq=2, start_s=0.25, duration_s=0.0,
+             kernel="k\u00e9", port="in", src="a\n"),
+    StallSpan(seq=6, start_s=2.0, kernel="k", processor=None),
+    FaultSpan(seq=7, start_s=2.0, action="retry", kernel="k", processor=1,
+              busy_s=1e-06, duration_s=3e-06, detail="run"),
+    FaultSpan(seq=8, start_s=2.0, action="pe_death", processor=1),
+    IdleSpan(seq=9, start_s=0.0, duration_s=2.0, processor=1),
+)
+
+
+class TestRows:
+    def test_row_round_trip(self):
+        assert {type(s) for s in _HAND_BUILT} == set(SPAN_TYPES.values())
+        for span in _HAND_BUILT:
+            row = span_row(span)
+            assert row[0] == span.kind
+            again = span_from_row(row)
+            assert type(again) is type(span)
+            assert span_row(again) == row
+
+    def test_line_is_the_canonical_json(self):
+        for span in _HAND_BUILT:
+            assert span_line(span_row(span)) == json.dumps(
+                span_as_dict(span), sort_keys=True)
+
+    def test_collected_lines_are_the_canonical_json(self):
+        _, on = _small_pair()
+        tele = on.telemetry
+        lines = list(spans_jsonl(tele))
+        assert lines == [
+            json.dumps(span_as_dict(s), sort_keys=True) for s in tele.spans
+        ]
+        assert spans_digest(tele.spans) == tele.sha256
+
+    def test_telemetry_from_spans(self):
+        """Typed spans in, rows kept: the two constructors agree."""
+        _, on = _small_pair()
+        tele = on.telemetry
+        rebuilt = Telemetry(
+            config=tele.config, spans=tele.spans, metrics=tele.metrics,
+            makespan_s=tele.makespan_s,
+        )
+        assert rebuilt.rows == tele.rows
+        assert rebuilt.as_dict() == tele.as_dict()
+
+    def test_digest_hashed_once(self, monkeypatch):
+        _, on = _small_pair()
+        tele = Telemetry(config=on.telemetry.config, metrics=MetricsRegistry(),
+                         makespan_s=1.0, rows=on.telemetry.rows)
+        calls = []
+        real = obs_collect.rows_digest
+        monkeypatch.setattr(
+            obs_collect, "rows_digest",
+            lambda rows: calls.append(1) or real(rows))
+        assert tele.as_dict()["sha256"] == tele.as_dict()["sha256"]
+        assert len(calls) == 1
+
+    def test_no_span_objects_unless_asked(self, monkeypatch, tmp_path):
+        """Collection and every in-tree consumer read rows."""
+        def refuse(row):
+            raise AssertionError(f"built a span object for {row[0]!r}")
+
+        monkeypatch.setattr(obs_collect, "span_from_row", refuse)
+        compiled = compile_application(
+            build_image_pipeline(24, 16, 100.0), SMALL_PROC
+        )
+        result = simulate(compiled, SimulationOptions(
+            frames=2, telemetry=True, channel_capacity=4))
+        tele = result.telemetry
+        result.as_dict()
+        tele.busy_by_processor()
+        analyze_critical_path(tele)
+        validate_perfetto(to_perfetto(tele))
+        write_spans_jsonl(tele, str(tmp_path / "spans.jsonl"))
+        timeline(tele)
+        with pytest.raises(AssertionError):
+            tele.spans
+
+    def test_metric_handles_bound_once(self, monkeypatch):
+        """Label keys are built per distinct metric, not per event."""
+        calls = []
+        real = obs_metrics._key
+        monkeypatch.setattr(
+            obs_metrics, "_key",
+            lambda name, labels: calls.append(name) or real(name, labels))
+        compiled = compile_application(
+            build_image_pipeline(24, 16, 100.0), SMALL_PROC
+        )
+        tele = simulate(
+            compiled, SimulationOptions(frames=2, telemetry=True)
+        ).telemetry
+        dump = tele.metrics.as_dict()
+        distinct = sum(len(rows) for rows in dump.values())
+        assert distinct <= len(calls) <= 2 * distinct
+        assert len(tele.rows) > 20 * distinct
 
 
 class TestFigure13:

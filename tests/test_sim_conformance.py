@@ -43,6 +43,8 @@ from repro.sim import (
 )
 from repro.transform import CompileOptions, compile_application
 
+from regen_sim_fixtures import TELEMETRY_SCENARIOS, telemetry_golden
+
 APP_KEYS = ("1", "2", "3", "4", "5")
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent / "fixtures" / "sim_conformance"
@@ -245,6 +247,33 @@ def test_replay_noc_pins_demotion_ineligibility():
     assert not stats.eligible
     assert stats.reason == "noc"
     assert stats.events_replayed == 0
+
+
+# ----------------------------------------------------------------------
+# 2c. Telemetry conformance: the span stream and metrics, pinned
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("scenario", list(TELEMETRY_SCENARIOS))
+def test_telemetry_matches_golden_fixture(scenario):
+    """``repro.obs`` must keep emitting the same spans and metrics.
+
+    The goldens were recorded by the per-event dataclass collector; any
+    cheaper way of collecting has to reproduce its span counts, span
+    ``sha256`` and ``metrics.as_dict()`` exactly, and stay
+    observation-free against the scenario's base golden.
+    """
+    key, base_name, options = TELEMETRY_SCENARIOS[scenario]
+    fixture = json.loads(
+        (FIXTURE_DIR / f"app_{scenario}_telemetry.json").read_text())
+    base = json.loads((FIXTURE_DIR / base_name).read_text())["golden"]
+    _, compiled = compiled_app(key)
+
+    result = simulate(compiled, options(batch=True))
+    got = telemetry_golden(result.telemetry)
+    for field, want in fixture["golden"].items():
+        assert got[field] == want, f"{scenario}: telemetry {field!r} diverged"
+    observed = json.loads(canonical(result.as_dict()))
+    observed.pop("telemetry")
+    assert observed == base, f"{scenario}: telemetry moved the result"
 
 
 # ----------------------------------------------------------------------

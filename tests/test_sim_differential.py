@@ -30,6 +30,12 @@ corpus the differential proof would be vacuous (replay-on would just be
 the event loop twice), and if no corpus case ever batched a firing the
 batch axis would be vacuous too.
 
+A sample of the same corpus also runs under :mod:`repro.obs` telemetry
+(alone, with a NoC model, with seeded faults, and with a span cap):
+the collector records flat rows and builds typed spans only on demand,
+so the harness holds the two views to each other and to the simulator's
+own accounting on programs no fixture pins.
+
 See ``docs/performance.md`` ("Debugging a replay divergence") for how to
 use this harness to bisect a divergence to its first mismatched period.
 """
@@ -40,6 +46,7 @@ import json
 import random
 
 import numpy as np
+import pytest
 
 from hypothesis import given, settings
 
@@ -48,7 +55,10 @@ from test_random_pipelines import PALETTE, pipelines
 from repro.geometry import Size2D, Step2D, iteration_grid
 from repro.graph import ApplicationGraph
 from repro.kernels import ApplicationOutput
-from repro.machine import ProcessorSpec
+from repro.faults import FaultSpec
+from repro.machine import NocModel, ProcessorSpec, fit_chip, row_major_placement
+from repro.obs import span_as_dict, spans_digest
+from repro.obs.spans import span_line
 from repro.sim import SimulationOptions, reference_simulate, simulate
 from repro.transform import CompileOptions, compile_application
 
@@ -207,6 +217,96 @@ def test_batch_axis_is_observation_free(case):
     son, soff = on.replay, off.replay
     assert soff.firings_batched == 0
     assert son.firings_batched + son.firings_scalar == soff.firings_scalar
+
+
+#: Every ``TELEMETRY_STRIDE``-th corpus case also runs observed.
+TELEMETRY_STRIDE = 8
+TELEMETRY_CAP = 40
+
+_TELEMETRY_FAULTS = {
+    "seed": 11,
+    "transient": {"probability": 0.05},
+    "recovery": {"max_retries": 2, "backoff_cycles": 8, "shed": True},
+}
+
+
+def _check_rows_against_objects(tele, where) -> None:
+    """The row stream and the typed spans are one stream, two views."""
+    rows, spans = tele.rows, tele.spans
+    assert len(rows) == len(spans), where
+    for row, span in zip(rows, spans):
+        # Byte-equal to the dict-and-encoder form the digest used to hash.
+        assert span_line(row) == json.dumps(
+            span_as_dict(span), sort_keys=True), (where, row)
+    assert spans_digest(spans) == tele.sha256 == tele.as_dict()["sha256"], where
+
+
+def test_telemetry_rows_match_objects_and_stats():
+    checked = fault_spans = routed = 0
+    for case in range(0, N_CASES, TELEMETRY_STRIDE):
+        seed = _SEED0 + case
+        app, frames = _build_case(random.Random(seed))
+        compiled = compile_application(
+            app, _PROC, CompileOptions(mapping="greedy")
+        )
+        noc = NocModel(row_major_placement(
+            compiled.mapping,
+            fit_chip(compiled.processor_count, compiled.processor),
+        ))
+        variants = {
+            "telemetry": {},
+            "noc": {"noc": noc},
+            "faults": {"faults": FaultSpec.from_dict(_TELEMETRY_FAULTS)},
+        }
+        for variant, extra in variants.items():
+            where = f"case {case}, seed {seed:#x}, {variant}"
+            off = simulate(compiled, SimulationOptions(frames=frames, **extra))
+            on = simulate(compiled, SimulationOptions(
+                frames=frames, telemetry=True, **extra))
+            tele = on.telemetry
+
+            # Observation-free: every non-telemetry key is untouched.
+            observed = on.as_dict()
+            observed.pop("telemetry")
+            assert observed == off.as_dict(), where
+
+            # seq is the collector's emission counter: no gaps uncapped.
+            assert [row[1] for row in tele.rows] == list(
+                range(1, len(tele.rows) + 1)), where
+            assert tele.dropped_spans == 0, where
+            _check_rows_against_objects(tele, where)
+
+            # Busy time from rows equals the simulator's own accounting.
+            busy = tele.busy_by_processor()
+            stats = on.utilization.processors
+            assert set(busy) == set(stats), where
+            for proc, ps in stats.items():
+                assert busy[proc] == pytest.approx(ps.busy_s, rel=1e-12), where
+
+            counts = tele.span_counts()
+            fault_spans += counts.get("fault", 0)
+            routed += sum(1 for row in tele.rows
+                          if row[0] == "transfer" and row[-1])
+            checked += 1
+
+            if variant != "telemetry":
+                continue
+            # A span cap keeps a prefix of the event rows and counts the
+            # rest; the metrics still cover the whole run.
+            capped = simulate(compiled, SimulationOptions(
+                frames=frames, telemetry={"max_spans": TELEMETRY_CAP},
+            )).telemetry
+            events = [row for row in tele.rows if row[0] != "idle"]
+            assert capped.rows == events[:TELEMETRY_CAP], where
+            assert len(capped.rows) + capped.dropped_spans >= len(events), where
+            assert (capped.metrics.as_dict()["counters"]
+                    == tele.metrics.as_dict()["counters"]), where
+            _check_rows_against_objects(capped, where)
+
+    # Non-vacuity: the sample must reach the fault and NoC row shapes.
+    assert checked == 3 * len(range(0, N_CASES, TELEMETRY_STRIDE))
+    assert fault_spans > 0, "no sampled case recorded a fault span"
+    assert routed > 0, "no sampled case routed a transfer over the NoC"
 
 
 def test_differential_case_generator_is_deterministic():
