@@ -75,7 +75,7 @@ def _config(**overrides: Any) -> ServiceConfig:
     """Fast-feedback scheduler knobs; scenarios override per mode."""
     knobs: dict[str, Any] = dict(
         workers=2, retries=2, backoff_s=0.01, backoff_max_s=0.05,
-        poll_s=0.02, quarantine_after=0,
+        tick_s=0.02, quarantine_after=0,
     )
     knobs.update(overrides)
     return ServiceConfig(**knobs)

@@ -72,29 +72,12 @@ def _noc_model(args: argparse.Namespace, compiled):
                     "add --noc"
                 )
         return None
-    from .machine import (
-        NocModel,
-        anneal_placement,
-        fit_chip,
-        row_major_placement,
-    )
+    from .machine import build_noc_model
 
-    chip = fit_chip(
-        compiled.mapping.processor_count
-        + len(getattr(compiled.mapping, "spares", ())),
-        compiled.processor,
+    return build_noc_model(
+        compiled,
         mesh=getattr(args, "noc_mesh", None),
-    )
-    strategy = getattr(args, "placement", None) or "row-major"
-    if strategy == "row-major":
-        placement = row_major_placement(compiled.mapping, chip)
-    else:
-        placement = anneal_placement(
-            compiled.mapping, compiled.dataflow, chip,
-            seed=0, objective=strategy,
-        )
-    return NocModel(
-        placement=placement,
+        placement=getattr(args, "placement", None),
         per_hop_cycles=args.hop_cycles,
         serialization_cycles_per_element=args.ser_cycles,
     )
@@ -785,7 +768,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("spec", help="path to a sweep spec JSON file")
     p.add_argument("--workers", type=int, default=0,
                    help="worker processes (0 = serial in-process, "
-                        "-1 = one per CPU)")
+                        "-1 = one per CPU but one, which is left to "
+                        "the parent)")
     p.add_argument("--retries", type=int, default=2,
                    help="extra attempts for transient job failures")
     p.add_argument("--cache-dir", default=".explore-cache",

@@ -9,9 +9,19 @@ worker touches nothing else — no collateral blame, no requeue storms.
 method that costs milliseconds against jobs that compile and simulate
 for hundreds.)
 
-The executor holds at most ``workers`` jobs in flight, tracks a
-wall-clock deadline per job, and guarantees **exactly one terminal
-record per job**:
+Two things live here and nowhere else, and both front ends — this
+module's :func:`run_sweep` and :class:`repro.serve.SweepService` — go
+through them:
+
+* **one supervisor**, :class:`_Flight`: one attempt in a single-worker
+  pool with a wall-clock deadline and (opt-in) a heartbeat file, whose
+  ``poll()`` says what became of the worker;
+* **one policy**, :func:`settle`: what an attempt's payload means — a
+  :class:`Retry` or the terminal outcome — from which
+  :func:`terminal_record` and :func:`terminal_event` build the record
+  and its event.
+
+Together they guarantee **exactly one terminal record per job**:
 
 * a normal completion records a ``result``;
 * a Python exception in the worker is classified — deterministic compile
@@ -47,8 +57,9 @@ Supervision (opt-in, from :mod:`repro.chaos`):
 A :class:`~repro.chaos.ChaosInjector` passed as ``chaos`` injects
 worker crashes/hangs/slowdowns per ``(fingerprint, attempt)`` in the
 pooled path (the serial path has no worker process to break and runs
-clean).  All of this sits behind ``None``/``0`` defaults: a chaos-free
-sweep takes none of these branches.
+clean) and marks the records it executes ``"chaos": True``.  All of
+this sits behind ``None``/``0`` defaults: a chaos-free sweep takes none
+of these branches.
 """
 
 from __future__ import annotations
@@ -65,7 +76,6 @@ from concurrent.futures import (
     ProcessPoolExecutor,
     wait,
 )
-from concurrent.futures import TimeoutError as _FutureTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
@@ -121,7 +131,9 @@ class SweepOptions:
     backoff_max_s: float = 5.0
     #: Whether a timed-out job is retried (default: terminal).
     retry_timeouts: bool = False
-    #: Deadline-check granularity of the scheduler loop, seconds.
+    #: Poll granularity, seconds: how often the parent looks at its
+    #: flights (deadline, heartbeat) and — in ``repro serve`` — at a
+    #: job's cancel flag, in flight or backing off.
     tick_s: float = 0.05
     #: Watchdog heartbeat deadline, seconds; None disarms the watchdog.
     heartbeat_s: float | None = None
@@ -203,30 +215,13 @@ def _noc_model(job: Job, compiled) -> Any:
     """Build the job's :class:`~repro.machine.noc.NocModel`, or None."""
     if not job.noc:
         return None
-    from ..machine import (
-        NocModel,
-        anneal_placement,
-        fit_chip,
-        row_major_placement,
-    )
+    from ..machine import build_noc_model
 
     knobs = dict(job.noc)
-    chip = fit_chip(
-        compiled.mapping.processor_count
-        + len(getattr(compiled.mapping, "spares", ())),
-        compiled.processor,
+    return build_noc_model(
+        compiled,
         mesh=knobs.get("mesh"),
-    )
-    strategy = job.placement or "row-major"
-    if strategy == "row-major":
-        placement = row_major_placement(compiled.mapping, chip)
-    else:
-        placement = anneal_placement(
-            compiled.mapping, compiled.dataflow, chip,
-            seed=0, objective=strategy,
-        )
-    return NocModel(
-        placement=placement,
+        placement=job.placement,
         per_hop_cycles=knobs["per_hop_cycles"],
         serialization_cycles_per_element=(
             knobs["serialization_cycles_per_element"]
@@ -359,24 +354,7 @@ def _worker(job_dict: dict[str, Any],
 
 
 # ---------------------------------------------------------------------------
-# The scheduler
-
-
-@dataclass(slots=True)
-class _Attempt:
-    job: Job
-    index: int
-    attempt: int = 1
-    not_before: float = 0.0
-
-
-@dataclass(slots=True)
-class _Flight:
-    task: _Attempt
-    pool: ProcessPoolExecutor
-    started: float
-    deadline: float
-    heartbeat: str | None = None
+# The supervisor: one attempt of one job, in a worker process of its own
 
 
 def _mp_context():
@@ -410,21 +388,96 @@ def _worker_init() -> None:
             pass
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down even when workers are hung or dead.
+class _Flight:
+    """One attempt in flight: a single-worker pool, its future, its
+    wall-clock deadline and (watchdog armed) its heartbeat file.
 
-    ``shutdown`` alone never interrupts a busy worker, so the worker
-    processes are terminated explicitly; ``_processes`` is stdlib-private
-    but stable across supported versions, and the fallback is merely a
-    slower (blocking) shutdown.
+    The only supervisor of a worker process.  :func:`run_job_isolated`
+    flies one and adds a cancel check; :func:`run_sweep`'s pooled path
+    flies up to ``workers`` at once; both learn what happened to the
+    worker from :meth:`poll` and both must :meth:`close`.
     """
-    processes = list(getattr(pool, "_processes", {}).values())
-    pool.shutdown(wait=False, cancel_futures=True)
-    for proc in processes:
+
+    __slots__ = ("budget", "deadline", "future", "heartbeat",
+                 "heartbeat_s", "pool")
+
+    def __init__(self, job: Job, *, timeout_s: float | None = None,
+                 heartbeat_s: float | None = None,
+                 chaos_action: dict[str, Any] | None = None) -> None:
+        self.budget = job.timeout_s if timeout_s is None else timeout_s
+        self.heartbeat_s = heartbeat_s or 0.0  # None and 0 both disarm
+        self.heartbeat: str | None = None
+        self.pool = ProcessPoolExecutor(max_workers=1,
+                                        mp_context=_mp_context(),
+                                        initializer=_worker_init)
         try:
-            proc.terminate()
-        except (OSError, ValueError):  # pragma: no cover - already dead
-            pass
+            if self.heartbeat_s > 0.0:
+                fd, path = tempfile.mkstemp(prefix="repro-heartbeat-")
+                os.close(fd)
+                self.heartbeat = path
+            self.deadline = time.monotonic() + self.budget
+            # The worker beats every quarter-deadline.
+            self.future: Future = self.pool.submit(
+                _worker, job.to_dict(), chaos_action, self.heartbeat,
+                self.heartbeat_s / 4.0,
+            )
+        except BaseException:
+            self.close()
+            raise
+
+    def poll(self) -> dict[str, Any] | None:
+        """The attempt's payload once its fate is known, else None.
+
+        A payload is the worker's own (``{"ok": True, "stats": ...}`` or
+        a classified Python-level failure) or one of the three verdicts
+        only the parent can reach: ``crash`` when the worker died and
+        broke its pool (single-worker pools make the blame exact),
+        ``crash`` with ``"watchdog": True`` when its heartbeat went
+        stale, ``timeout`` past the deadline.  The worker is still alive
+        after the last two: the caller's :meth:`close` kills it.
+        """
+        if self.future.done():
+            error = self.future.exception()
+            if error is None:
+                return self.future.result()
+            if isinstance(error, BrokenProcessPool):
+                return {"ok": False, "kind": "crash",
+                        "message": "worker process died", "retryable": True}
+            return {"ok": False, "kind": "error",  # pragma: no cover
+                    "message": str(error), "retryable": True}
+        if (self.heartbeat is not None
+                and heartbeat_stale(self.heartbeat, self.heartbeat_s)):
+            return {"ok": False, "kind": "crash",
+                    "message": (f"watchdog: no heartbeat for "
+                                f"{self.heartbeat_s:g}s; worker killed"),
+                    "retryable": True, "watchdog": True}
+        if time.monotonic() >= self.deadline:
+            return {"ok": False, "kind": "timeout",
+                    "message": f"exceeded {self.budget:g}s wall clock",
+                    "retryable": False}
+        return None
+
+    def close(self) -> None:
+        """Tear the pool down even when the worker is hung or dead, and
+        remove the heartbeat file.
+
+        ``shutdown`` alone never interrupts a busy worker, so the worker
+        processes are terminated explicitly; ``_processes`` is
+        stdlib-private but stable across supported versions, and the
+        fallback is merely a slower (blocking) shutdown.
+        """
+        processes = list(getattr(self.pool, "_processes", {}).values())
+        self.pool.shutdown(wait=False, cancel_futures=True)
+        for proc in processes:
+            try:
+                proc.terminate()
+            except (OSError, ValueError):  # pragma: no cover - already dead
+                pass
+        if self.heartbeat is not None:
+            try:
+                os.unlink(self.heartbeat)
+            except OSError:  # pragma: no cover - already gone
+                pass
 
 
 def run_job_isolated(
@@ -439,74 +492,165 @@ def run_job_isolated(
     """One job attempt in its own single-worker pool, cancellable.
 
     This is the blocking execution primitive :mod:`repro.serve` drives
-    from worker threads: the same crash isolation and exact blame as
-    :func:`run_sweep`'s pooled path, but for a single attempt with a
-    cooperative ``cancel`` event.  Returns a payload shaped like the
-    pool ``_worker``'s — ``{"ok": True, "stats": ...}`` or ``{"ok":
-    False, "kind": ..., "message": ..., "retryable": ...}`` — with two
-    additional failure kinds the in-process worker cannot produce:
+    from worker threads: one :class:`_Flight` — the same crash
+    isolation, watchdog and deadline as :func:`run_sweep`'s pooled path
+    — plus a cooperative ``cancel`` event.  Returns a payload shaped
+    like the pool ``_worker``'s — ``{"ok": True, "stats": ...}`` or
+    ``{"ok": False, "kind": ..., "message": ..., "retryable": ...}`` —
+    with the failure kinds the in-process worker cannot produce:
 
+    * ``"crash"`` when the worker process died, or — ``heartbeat_s``
+      arms the watchdog — when its heartbeat file went stale past
+      ``heartbeat_s`` (the payload then carries ``"watchdog": True``),
+      long before the wall-clock budget would have noticed;
     * ``"timeout"`` once ``timeout_s`` (default: the job's own
       ``timeout_s``) of wall clock elapses;
     * ``"cancelled"`` as soon as ``cancel`` is observed set (checked
       every ``poll_s``); the worker process is terminated either way.
 
-    ``heartbeat_s`` arms the watchdog: the worker touches a heartbeat
-    file every quarter-deadline, and a file stale past ``heartbeat_s``
-    gets the worker killed and charged a retryable ``crash`` (the
-    payload carries ``"watchdog": True``) — long before the wall-clock
-    budget would have noticed.  ``chaos_action`` is a pre-drawn
+    ``chaos_action`` is a pre-drawn
     :meth:`~repro.chaos.ChaosInjector.worker_action` decision forwarded
     to the worker.
 
     The pool is always torn down before returning, so a crashed or hung
     worker never outlives its job.
     """
-    budget = job.timeout_s if timeout_s is None else timeout_s
     if cancel is not None and cancel.is_set():
         return {"ok": False, "kind": "cancelled",
                 "message": "cancelled before start", "retryable": False}
-    hb_path: str | None = None
-    hb_interval = 0.0
-    if heartbeat_s is not None and heartbeat_s > 0.0:
-        fd, hb_path = tempfile.mkstemp(prefix="repro-heartbeat-")
-        os.close(fd)
-        hb_interval = heartbeat_s / 4.0
-    pool = ProcessPoolExecutor(max_workers=1, mp_context=_mp_context(),
-                           initializer=_worker_init)
-    deadline = time.monotonic() + budget
+    flight = _Flight(job, timeout_s=timeout_s, heartbeat_s=heartbeat_s,
+                     chaos_action=chaos_action)
     try:
-        future = pool.submit(_worker, job.to_dict(), chaos_action,
-                             hb_path, hb_interval)
         while True:
-            try:
-                return future.result(timeout=poll_s)
-            except _FutureTimeout:
-                pass
-            except BrokenProcessPool:
-                return {"ok": False, "kind": "crash",
-                        "message": "worker process died", "retryable": True}
-            if cancel is not None and cancel.is_set():
+            wait([flight.future], timeout=poll_s)
+            if (cancel is not None and cancel.is_set()
+                    and not flight.future.done()):
                 return {"ok": False, "kind": "cancelled",
                         "message": "cancelled mid-flight",
                         "retryable": False}
-            if (hb_path is not None
-                    and heartbeat_stale(hb_path, heartbeat_s)):
-                return {"ok": False, "kind": "crash",
-                        "message": (f"watchdog: no heartbeat for "
-                                    f"{heartbeat_s:g}s; worker killed"),
-                        "retryable": True, "watchdog": True}
-            if time.monotonic() >= deadline:
-                return {"ok": False, "kind": "timeout",
-                        "message": f"exceeded {budget:g}s wall clock",
-                        "retryable": False}
+            payload = flight.poll()
+            if payload is not None:
+                return payload
     finally:
-        _terminate_pool(pool)
-        if hb_path is not None:
-            try:
-                os.unlink(hb_path)
-            except OSError:  # pragma: no cover - already gone
-                pass
+        flight.close()
+
+
+# ---------------------------------------------------------------------------
+# The policy: what an attempt's payload means
+
+
+@dataclass(frozen=True, slots=True)
+class Retry:
+    """:func:`settle`'s non-terminal answer: start the next attempt
+    after ``delay_s``; ``reason`` is the :class:`JobRetried` text."""
+
+    delay_s: float
+    reason: str
+
+
+def failure_outcome(kind: str, message: str,
+                    attempts: int) -> dict[str, Any]:
+    """The outcome fields of a terminal failure after ``attempts``
+    started attempts (0: the job never ran)."""
+    outcome: dict[str, Any] = {"kind": "failure", "attempts": attempts}
+    if kind == "quarantined":
+        outcome["quarantined"] = True
+    outcome["failure"] = {"kind": kind, "message": message}
+    return outcome
+
+
+def settle(job: Job, payload: Mapping[str, Any], attempt: int,
+           options: SweepOptions,
+           quarantine: QuarantineLedger) -> Retry | dict[str, Any]:
+    """Decide what attempt number ``attempt``'s payload means.
+
+    The one retry policy, shared by :func:`run_sweep` and
+    :class:`repro.serve.SweepService`.  Returns :class:`Retry`, or the
+    terminal outcome fields :func:`terminal_record` completes:
+
+    * ``ok`` — a ``result``; the fingerprint's crash strikes clear;
+    * ``crash`` — one strike on ``quarantine``; the strike that
+      exhausts its budget parks the fingerprint with a terminal
+      ``quarantined`` failure instead of spending what is left of the
+      retry budget (a ledger with limit 0 never parks);
+    * otherwise the attempt is retried when it is retryable and
+      ``attempt <= options.retries`` — after
+      :func:`~repro.chaos.backoff_delay`'s capped, fingerprint-jittered
+      delay — and is a terminal failure of the payload's kind when not.
+
+    An attempt is retryable when its payload says so, and a ``timeout``
+    also when ``options.retry_timeouts`` is set.  A payload that does
+    not say (every payload this module produces does) is **not**
+    retryable: unknown failures fail once instead of spending a budget
+    nobody granted them.  Apart from the ledger update the function is
+    pure — no clock, no I/O, equal inputs give equal decisions.
+    """
+    if payload.get("ok"):
+        quarantine.clear(job.fingerprint)
+        return {"kind": "result", "attempts": attempt,
+                "stats": payload["stats"]}
+    kind = payload.get("kind", "error")
+    message = payload.get("message", "unknown failure")
+    if kind == "crash":
+        parked = quarantine.record_crash(job.fingerprint, message)
+        if parked is not None:
+            return failure_outcome("quarantined", parked, attempt)
+    retryable = payload.get("retryable", False) or (
+        kind == "timeout" and options.retry_timeouts
+    )
+    if retryable and attempt <= options.retries:
+        return Retry(
+            backoff_delay(attempt, options.backoff_s, options.backoff_max_s,
+                          key=job.fingerprint),
+            f"{kind}: {message}",
+        )
+    return failure_outcome(kind, message, attempt)
+
+
+def terminal_record(job: Job, outcome: Mapping[str, Any],
+                    **extra: Any) -> dict[str, Any]:
+    """The terminal record of ``job``: identity, then ``extra`` (the
+    service's ``run``/``tenant``, the ``chaos`` mark), then the outcome
+    fields from :func:`settle` or :func:`failure_outcome`."""
+    return {
+        "result_schema": RESULT_SCHEMA,
+        "sweep": job.sweep,
+        **extra,
+        "kind": outcome["kind"],  # here, not last: stored key order
+        "label": job.label,
+        "fingerprint": job.fingerprint,
+        "job": job.to_dict(),
+        **outcome,
+    }
+
+
+def terminal_event(record: Mapping[str, Any]) -> JobFinished | JobFailed:
+    """The one terminal job event a (non-cache-hit) record implies."""
+    if record["kind"] == "result":
+        stats = record["stats"]
+        return JobFinished(
+            record["label"],
+            elapsed_s=stats.get("elapsed_s", 0.0),
+            meets=bool(stats.get("meets")),
+            processor_count=int(stats.get("processor_count", 0)),
+        )
+    failure = record["failure"]
+    return JobFailed(record["label"], kind=failure["kind"],
+                     message=failure["message"],
+                     attempts=record["attempts"])
+
+
+# ---------------------------------------------------------------------------
+# The sweep
+
+
+@dataclass(slots=True)
+class _Attempt:
+    job: Job
+    index: int
+    attempt: int = 1
+    not_before: float = 0.0
+    flight: _Flight | None = None
 
 
 def run_sweep(
@@ -529,7 +673,8 @@ def run_sweep(
     store) whose entries short-circuit exactly like cache hits — the
     sweep then completes only the un-cached remainder.  ``chaos``
     injects worker faults into the pooled path (see the module
-    docstring); ``None`` — the default — is observation-free.
+    docstring) and marks every record it executes ``"chaos": True``;
+    ``None`` — the default — is observation-free.
     """
     jobs = list(jobs)
     emit = on_event or (lambda event: None)
@@ -550,16 +695,6 @@ def run_sweep(
         if store is not None:
             store.append(record)
 
-    def base_record(job: Job) -> dict[str, Any]:
-        return {
-            "result_schema": RESULT_SCHEMA,
-            "sweep": job.sweep,
-            "kind": "",
-            "label": job.label,
-            "fingerprint": job.fingerprint,
-            "job": job.to_dict(),
-        }
-
     pending: list[_Attempt] = []
     for index, job in enumerate(jobs):
         cached = cache.get(job.fingerprint) if cache is not None else None
@@ -573,70 +708,32 @@ def run_sweep(
             pending.append(_Attempt(job=job, index=index))
 
     quarantine = QuarantineLedger(options.quarantine_after)
-
-    def succeed(task: _Attempt, stats: dict[str, Any]) -> None:
-        quarantine.clear(task.job.fingerprint)
-        record = base_record(task.job)
-        record.update(kind="result", attempts=task.attempt, stats=stats)
-        if cache is not None:
-            cache.put(task.job.fingerprint, record)
-        finish(task.index, record)
-        emit(JobFinished(
-            task.job.label,
-            elapsed_s=stats.get("elapsed_s", 0.0),
-            meets=bool(stats.get("meets")),
-            processor_count=int(stats.get("processor_count", 0)),
-        ))
-
-    def fail_or_retry(task: _Attempt, kind: str, message: str,
-                      retryable: bool) -> None:
-        if kind == "crash":
-            reason = quarantine.record_crash(task.job.fingerprint,
-                                             message)
-            if reason is not None:
-                # Crash loop: park the fingerprint instead of spending
-                # what is left of the retry budget on it.
-                record = base_record(task.job)
-                record.update(kind="failure", attempts=task.attempt,
-                              quarantined=True, failure={
-                                  "kind": "quarantined",
-                                  "message": reason,
-                              })
-                finish(task.index, record)
-                emit(JobFailed(task.job.label, kind="quarantined",
-                               message=reason, attempts=task.attempt))
-                return
-        if retryable and task.attempt <= options.retries:
-            delay = backoff_delay(task.attempt, options.backoff_s,
-                                  options.backoff_max_s,
-                                  key=task.job.fingerprint)
-            emit(JobRetried(task.job.label, attempt=task.attempt,
-                            reason=f"{kind}: {message}", delay_s=delay))
-            task.attempt += 1
-            task.not_before = time.monotonic() + delay
-            pending.append(task)
-            return
-        record = base_record(task.job)
-        record.update(kind="failure", attempts=task.attempt, failure={
-            "kind": kind, "message": message,
-        })
-        finish(task.index, record)
-        emit(JobFailed(task.job.label, kind=kind, message=message,
-                       attempts=task.attempt))
+    # Results produced under injected faults are marked so an analysis
+    # never mistakes a chaos run for a clean one.
+    mark = {"chaos": True} if chaos is not None else {}
 
     def handle_payload(task: _Attempt, payload: dict[str, Any]) -> None:
-        if payload.get("ok"):
-            succeed(task, payload["stats"])
-        else:
-            fail_or_retry(task, payload.get("kind", "error"),
-                          payload.get("message", "unknown failure"),
-                          bool(payload.get("retryable", True)))
+        outcome = settle(task.job, payload, task.attempt, options,
+                         quarantine)
+        if isinstance(outcome, Retry):
+            emit(JobRetried(task.job.label, attempt=task.attempt,
+                            reason=outcome.reason,
+                            delay_s=outcome.delay_s))
+            task.attempt += 1
+            task.not_before = time.monotonic() + outcome.delay_s
+            pending.append(task)
+            return
+        record = terminal_record(task.job, outcome, **mark)
+        if cache is not None and record["kind"] == "result":
+            cache.put(task.job.fingerprint, record)
+        finish(task.index, record)
+        emit(terminal_event(record))
 
     if workers == 0:
         _run_serial(pending, handle_payload, emit)
     else:
-        _run_pooled(pending, workers, options, handle_payload,
-                    fail_or_retry, emit, chaos=chaos)
+        _run_pooled(pending, workers, options, handle_payload, emit,
+                    chaos=chaos)
 
     records = [terminal[i] for i in sorted(terminal)]
     elapsed = time.monotonic() - started
@@ -659,23 +756,12 @@ def _run_serial(pending: list[_Attempt], handle_payload, emit) -> None:
         handle_payload(task, _worker(task.job.to_dict()))
 
 
-def _discard_heartbeat(path: str | None) -> None:
-    if path is None:
-        return
-    try:
-        os.unlink(path)
-    except OSError:  # pragma: no cover - already gone
-        pass
-
-
 def _run_pooled(pending: list[_Attempt], workers: int,
-                options: SweepOptions, handle_payload, fail_or_retry,
-                emit, chaos: ChaosInjector | None = None) -> None:
-    """At most ``workers`` jobs in flight, each in a single-worker pool
-    of its own so failure blame and termination are exact."""
-    ctx = _mp_context()
-    heartbeat_s = options.heartbeat_s
-    in_flight: dict[Future, _Flight] = {}
+                options: SweepOptions, handle_payload, emit,
+                chaos: ChaosInjector | None = None) -> None:
+    """At most ``workers`` flights in the air, each polled every
+    ``tick_s`` (sooner when one completes)."""
+    in_flight: list[_Attempt] = []
     try:
         while pending or in_flight:
             now = time.monotonic()
@@ -685,30 +771,16 @@ def _run_pooled(pending: list[_Attempt], workers: int,
                 task = ready.pop(0)
                 pending.remove(task)
                 emit(JobStarted(task.job.label, attempt=task.attempt))
-                pool = ProcessPoolExecutor(
-                    max_workers=1, mp_context=ctx,
-                    initializer=_worker_init,
-                )
                 action = None
                 if chaos is not None:
                     action = chaos.worker_action(
                         task.job.fingerprint, task.attempt,
                         task.job.label,
                     )
-                hb_path = None
-                hb_interval = 0.0
-                if heartbeat_s is not None and heartbeat_s > 0.0:
-                    fd, hb_path = tempfile.mkstemp(
-                        prefix="repro-heartbeat-")
-                    os.close(fd)
-                    hb_interval = heartbeat_s / 4.0
-                future = pool.submit(_worker, task.job.to_dict(),
-                                     action, hb_path, hb_interval)
-                in_flight[future] = _Flight(
-                    task=task, pool=pool, started=now,
-                    deadline=now + task.job.timeout_s,
-                    heartbeat=hb_path,
-                )
+                task.flight = _Flight(task.job,
+                                      heartbeat_s=options.heartbeat_s,
+                                      chaos_action=action)
+                in_flight.append(task)
             if not in_flight:
                 # Everything pending is backing off; sleep until the
                 # earliest becomes ready.
@@ -716,57 +788,17 @@ def _run_pooled(pending: list[_Attempt], workers: int,
                 time.sleep(max(options.tick_s, wake - time.monotonic()))
                 continue
 
-            done, _ = wait(set(in_flight), timeout=options.tick_s,
-                           return_when=FIRST_COMPLETED)
-            for future in done:
-                flight = in_flight.pop(future)
-                error = future.exception()
-                if error is None:
-                    handle_payload(flight.task, future.result())
-                elif isinstance(error, BrokenProcessPool):
-                    # This job's own worker died mid-job (hard crash);
-                    # single-worker pools make the attribution exact.
-                    fail_or_retry(flight.task, "crash",
-                                  "worker process died", True)
-                else:  # pragma: no cover - _worker never raises
-                    fail_or_retry(flight.task, "error", str(error), True)
-                _terminate_pool(flight.pool)
-                _discard_heartbeat(flight.heartbeat)
-
-            # Watchdog scan: a worker silent past the heartbeat
-            # deadline is reaped now, charged a retryable crash, and
-            # its pool slot freed — queued jobs keep flowing instead of
-            # waiting out the hung job's full wall-clock budget.
-            if heartbeat_s is not None and heartbeat_s > 0.0:
-                stale = [f for f, fl in in_flight.items()
-                         if fl.heartbeat is not None
-                         and heartbeat_stale(fl.heartbeat, heartbeat_s)]
-                for future in stale:
-                    flight = in_flight.pop(future)
-                    fail_or_retry(
-                        flight.task, "crash",
-                        (f"watchdog: no heartbeat for {heartbeat_s:g}s; "
-                         f"worker killed"),
-                        True,
-                    )
-                    _terminate_pool(flight.pool)
-                    _discard_heartbeat(flight.heartbeat)
-
-            # Deadline scan: a hung job gets a timeout record (terminal
-            # unless retry_timeouts) and only *its* worker is killed.
-            now = time.monotonic()
-            expired = [f for f, fl in in_flight.items()
-                       if fl.deadline <= now]
-            for future in expired:
-                flight = in_flight.pop(future)
-                fail_or_retry(
-                    flight.task, "timeout",
-                    f"exceeded {flight.task.job.timeout_s:g}s wall clock",
-                    options.retry_timeouts,
-                )
-                _terminate_pool(flight.pool)
-                _discard_heartbeat(flight.heartbeat)
+            wait([t.flight.future for t in in_flight],
+                 timeout=options.tick_s, return_when=FIRST_COMPLETED)
+            for task in list(in_flight):
+                payload = task.flight.poll()
+                if payload is not None:
+                    # A dead, silent or overdue worker costs only its
+                    # own slot: close() kills it and queued jobs keep
+                    # flowing.
+                    in_flight.remove(task)
+                    task.flight.close()
+                    handle_payload(task, payload)
     finally:
-        for flight in in_flight.values():  # pragma: no cover - unwind
-            _terminate_pool(flight.pool)
-            _discard_heartbeat(flight.heartbeat)
+        for task in in_flight:  # pragma: no cover - unwind
+            task.flight.close()

@@ -10,7 +10,12 @@ from .noc import (
     row_major_placement,
     xy_route,
 )
-from .placement import Placement, anneal_placement, traffic_matrix
+from .placement import (
+    Placement,
+    anneal_placement,
+    build_noc_model,
+    traffic_matrix,
+)
 from .processor import DEFAULT_PROCESSOR, ProcessorSpec
 
 __all__ = [
@@ -27,6 +32,7 @@ __all__ = [
     "xy_route",
     "Placement",
     "anneal_placement",
+    "build_noc_model",
     "traffic_matrix",
     "DEFAULT_PROCESSOR",
     "ProcessorSpec",

@@ -36,12 +36,13 @@ from typing import TYPE_CHECKING
 from ..analysis.dataflow import DataflowResult
 from ..errors import PlacementError
 from .chip import ManyCoreChip, Tile
-from .noc import xy_route
+from .noc import NocModel, fit_chip, row_major_placement, xy_route
 
 if TYPE_CHECKING:  # pragma: no cover - avoids a machine<->transform cycle
     from ..transform.multiplex import Mapping as KernelMapping
 
-__all__ = ["Placement", "traffic_matrix", "anneal_placement"]
+__all__ = ["Placement", "traffic_matrix", "anneal_placement",
+           "build_noc_model"]
 
 #: Annealing objectives; see the module docstring.
 PlacementObjective = Literal["energy", "makespan"]
@@ -297,4 +298,38 @@ def anneal_placement(
         energy=best_energy,
         initial_energy=initial_energy,
         objective=objective,
+    )
+
+
+def build_noc_model(
+    compiled,
+    *,
+    mesh: int | None,
+    placement: str | None,
+    per_hop_cycles: float,
+    serialization_cycles_per_element: float,
+) -> NocModel:
+    """The :class:`NocModel` of one compiled application.
+
+    The one recipe the CLI's ``--noc`` and a sweep job's ``noc`` knobs
+    share: the smallest mesh holding every processor and spare (or a
+    forced ``mesh`` side), then ``placement`` — ``"row-major"`` (also
+    what a falsy value means) or an annealing objective, annealed with
+    seed 0 so equal inputs give equal placements everywhere.
+    """
+    mapping = compiled.mapping
+    chip = fit_chip(
+        mapping.processor_count + len(getattr(mapping, "spares", ())),
+        compiled.processor,
+        mesh=mesh,
+    )
+    if (placement or "row-major") == "row-major":
+        placed = row_major_placement(mapping, chip)
+    else:
+        placed = anneal_placement(mapping, compiled.dataflow, chip,
+                                  seed=0, objective=placement)
+    return NocModel(
+        placement=placed,
+        per_hop_cycles=per_hop_cycles,
+        serialization_cycles_per_element=serialization_cycles_per_element,
     )

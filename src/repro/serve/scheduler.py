@@ -5,10 +5,14 @@ submission is compiled into an immutable :class:`~.protocol.SweepPlan`
 at admission, then driven through the guarded lifecycle machine while
 its jobs funnel — together with every other tenant's — into one shared
 priority queue.  Worker tasks pop jobs in ``(priority desc, admission
-order)`` and execute each through
-:func:`repro.explore.executor.run_job_isolated` in a thread: the same
-crash-isolated single-worker process pool, deadline, and retry
-classification as the one-shot path, plus a cooperative cancel flag.
+order)`` and fly each attempt through
+:func:`repro.explore.executor.run_job_isolated` in a thread — the
+one-shot path's supervisor plus a cooperative cancel flag — and hand
+every payload to the one-shot path's policy,
+:func:`~repro.explore.executor.settle`.  What this module adds is only
+what is its own: cancel outranking a failure it raced, in-flight dedup,
+a backoff slept in slices, ``run``/``tenant`` on records, and cache
+writes kept off the event loop.
 
 Deduplication happens at two levels, both keyed by the job fingerprint:
 
@@ -51,16 +55,17 @@ from dataclasses import dataclass
 from typing import Any, AsyncIterator, Mapping
 
 from ..chaos.inject import ChaosInjector
-from ..chaos.watchdog import QuarantineLedger, backoff_delay
-from ..explore.events import (
-    JobCacheHit,
-    JobFailed,
-    JobFinished,
-    JobRetried,
-    JobStarted,
-    SweepEvent,
+from ..chaos.watchdog import QuarantineLedger
+from ..explore.events import JobCacheHit, JobRetried, JobStarted, SweepEvent
+from ..explore.executor import (
+    Retry,
+    SweepOptions,
+    failure_outcome,
+    run_job_isolated,
+    settle,
+    terminal_event,
+    terminal_record,
 )
-from ..explore.executor import RESULT_SCHEMA, run_job_isolated
 from ..explore.spec import Job
 from .lifecycle import RunState, RunStateMachine
 from .protocol import (
@@ -77,27 +82,16 @@ __all__ = ["ServiceConfig", "RunHandle", "SweepService"]
 
 
 @dataclass(frozen=True, slots=True)
-class ServiceConfig:
-    """Execution knobs for the resident scheduler."""
+class ServiceConfig(SweepOptions):
+    """Execution knobs for the resident scheduler: the one-shot sweep's
+    :class:`~repro.explore.SweepOptions`, field for field, with the two
+    defaults a resident multi-tenant service wants different."""
 
     #: Concurrent jobs in flight across all runs (each in its own
     #: crash-isolated worker process).
     workers: int = 2
-    #: Extra attempts after the first failure of a retryable kind.
-    retries: int = 2
-    #: Base of the exponential retry backoff, seconds.
-    backoff_s: float = 0.1
-    #: Cap on the exponential backoff, seconds (jittered below it).
-    backoff_max_s: float = 5.0
-    #: Whether a timed-out job is retried (default: terminal).
-    retry_timeouts: bool = False
-    #: Cancellation/deadline poll granularity inside a job, seconds.
-    poll_s: float = 0.05
-    #: Watchdog heartbeat deadline, seconds; None disarms the watchdog.
-    heartbeat_s: float | None = None
-    #: Consecutive crashes before a fingerprint is quarantined.  A
-    #: resident multi-tenant service defaults this *on*: one poison
-    #: design point must not burn every run's retry budget forever.
+    #: On by default: one poison design point must not burn every run's
+    #: retry budget forever.
     quarantine_after: int = 3
 
     def resolved_workers(self) -> int:
@@ -347,8 +341,8 @@ class SweepService:
             flag.set()
         for index in range(handle.plan.total):
             if index not in handle.records and index not in handle.claimed:
-                self._finish_job_cancelled(handle, index,
-                                           "cancelled while queued")
+                self._fail_job(handle, index, "cancelled",
+                               "cancelled while queued", attempts=0)
         self._maybe_finish_run(handle)
         return handle
 
@@ -409,7 +403,7 @@ class SweepService:
                 # A scheduler bug must not wedge the service: charge the
                 # job a terminal failure and keep serving.
                 if index not in handle.records:
-                    self._finish_job_failed(
+                    self._fail_job(
                         handle, index, "error",
                         f"scheduler error: {type(exc).__name__}: {exc}",
                         attempts=1,
@@ -425,8 +419,8 @@ class SweepService:
                                         run_id=handle.plan.run_id,
                                         state=RunState.EXECUTING.value))
         if handle.cancel_requested:
-            self._finish_job_cancelled(handle, index,
-                                       "cancelled before start")
+            self._fail_job(handle, index, "cancelled",
+                           "cancelled before start", attempts=0)
             self._maybe_finish_run(handle)
             return
 
@@ -434,8 +428,8 @@ class SweepService:
         if cached is None:
             cached = await self._await_inflight(handle, fingerprint)
         if handle.cancel_requested and cached is None:
-            self._finish_job_cancelled(handle, index,
-                                       "cancelled before start")
+            self._fail_job(handle, index, "cancelled",
+                           "cancelled before start", attempts=0)
             self._maybe_finish_run(handle)
             return
         if cached is not None:
@@ -450,8 +444,8 @@ class SweepService:
             # A fingerprint that crash-looped past its budget in *any*
             # run is parked service-wide: terminal record, no execution,
             # no retry budget spent.
-            self._finish_job_quarantined(handle, index, parked,
-                                         attempts=0)
+            self._fail_job(handle, index, "quarantined", parked,
+                           attempts=0)
             self._maybe_finish_run(handle)
             return
 
@@ -476,16 +470,19 @@ class SweepService:
 
     async def _execute(self, handle: RunHandle, index: int, job: Job,
                        fingerprint: str) -> None:
-        loop = asyncio.get_running_loop()
+        """Fly attempts until :func:`~repro.explore.executor.settle`
+        (or a cancel, which outranks every failure) makes one terminal."""
+        config = self.config
         flag = threading.Event()
         if handle.cancel_requested:
             flag.set()
         handle.cancel_flags[index] = flag
-        future: asyncio.Future = loop.create_future()
+        future: asyncio.Future = asyncio.get_running_loop().create_future()
         self._inflight[fingerprint] = future
-        attempt = 1
+        attempt = 0
         try:
             while True:
+                attempt += 1
                 handle.emit(JobStarted(job.label, attempt=attempt))
                 chaos_action = None
                 if self.chaos is not None:
@@ -494,83 +491,57 @@ class SweepService:
                     )
                 payload = await asyncio.to_thread(
                     run_job_isolated, job, cancel=flag,
-                    poll_s=self.config.poll_s,
-                    heartbeat_s=self.config.heartbeat_s,
+                    poll_s=config.tick_s,
+                    heartbeat_s=config.heartbeat_s,
                     chaos_action=chaos_action,
                 )
-                if payload.get("ok"):
-                    self._quarantine.clear(fingerprint)
-                    record = self._base_record(handle, job, fingerprint)
-                    record.update(kind="result", attempts=attempt,
-                                  stats=payload["stats"])
-                    await asyncio.to_thread(
-                        self.storage.cache.put, fingerprint, record
-                    )
-                    self.storage.store.append(record)
-                    stats = payload["stats"]
-                    handle.finish_job(index, record)
-                    handle.emit(JobFinished(
-                        job.label,
-                        elapsed_s=stats.get("elapsed_s", 0.0),
-                        meets=bool(stats.get("meets")),
-                        processor_count=int(stats.get("processor_count", 0)),
-                    ))
-                    future.set_result(record)
-                    return
                 kind = payload.get("kind", "error")
                 message = payload.get("message", "unknown failure")
                 if kind == "cancelled":
-                    self._finish_job_cancelled(handle, index, message)
-                    return
-                if flag.is_set() or handle.cancel_requested:
+                    outcome = failure_outcome(kind, message, attempt)
+                elif not payload.get("ok") and (
+                        flag.is_set() or handle.cancel_requested):
                     # Cancel raced the failure — e.g. the watchdog
                     # killed the worker in the same poll window the
                     # cancel flag went up, so the payload reads
                     # "crash".  The user asked for cancellation:
                     # honouring the crash with a retry would resurrect
                     # a cancelled job (and its run) from the dead.
-                    self._finish_job_cancelled(
-                        handle, index,
+                    outcome = failure_outcome(
+                        "cancelled",
                         f"cancelled during attempt ({kind}: {message})",
+                        attempt,
                     )
-                    return
-                if kind == "crash":
-                    parked = self._quarantine.record_crash(fingerprint,
-                                                           message)
-                    if parked is not None:
-                        self._finish_job_quarantined(handle, index,
-                                                     parked,
-                                                     attempts=attempt)
-                        return
-                retryable = bool(payload.get("retryable", False)) or (
-                    kind == "timeout" and self.config.retry_timeouts
-                )
-                if retryable and attempt <= self.config.retries:
-                    delay = backoff_delay(attempt, self.config.backoff_s,
-                                          self.config.backoff_max_s,
-                                          key=fingerprint)
+                else:
+                    outcome = settle(job, payload, attempt, config,
+                                     self._quarantine)
+                if isinstance(outcome, Retry):
                     handle.emit(JobRetried(job.label, attempt=attempt,
-                                           reason=f"{kind}: {message}",
-                                           delay_s=delay))
-                    attempt += 1
-                    # Sleep in poll_s slices so a cancel arriving
+                                           reason=outcome.reason,
+                                           delay_s=outcome.delay_s))
+                    # Sleep in tick_s slices so a cancel arriving
                     # mid-backoff settles the job within one slice
                     # instead of after the full (possibly capped but
                     # multi-second) delay.
                     slept = 0.0
-                    while (slept < delay and not flag.is_set()
+                    while (slept < outcome.delay_s and not flag.is_set()
                             and not handle.cancel_requested):
-                        step = min(self.config.poll_s, delay - slept)
+                        step = min(config.tick_s, outcome.delay_s - slept)
                         await asyncio.sleep(step)
                         slept += step
-                    if flag.is_set() or handle.cancel_requested:
-                        self._finish_job_cancelled(
-                            handle, index, "cancelled during retry backoff"
-                        )
-                        return
-                    continue
-                self._finish_job_failed(handle, index, kind, message,
-                                        attempts=attempt)
+                    if not (flag.is_set() or handle.cancel_requested):
+                        continue
+                    outcome = failure_outcome(
+                        "cancelled", "cancelled during retry backoff",
+                        attempt,
+                    )
+                record = self._record(handle, index, outcome)
+                if record["kind"] == "result":
+                    await asyncio.to_thread(
+                        self.storage.cache.put, fingerprint, record
+                    )
+                    future.set_result(record)
+                self._publish(handle, index, record)
                 return
         finally:
             self._inflight.pop(fingerprint, None)
@@ -580,56 +551,30 @@ class SweepService:
 
     # -- terminal records ----------------------------------------------
 
-    def _base_record(self, handle: RunHandle, job: Job,
-                     fingerprint: str) -> dict[str, Any]:
-        record = {
-            "result_schema": RESULT_SCHEMA,
-            "sweep": job.sweep,
-            "run": handle.plan.run_id,
-            "tenant": handle.plan.tenant,
-            "kind": "",
-            "label": job.label,
-            "fingerprint": fingerprint,
-            "job": job.to_dict(),
-        }
+    def _record(self, handle: RunHandle, index: int,
+                outcome: Mapping[str, Any]) -> dict[str, Any]:
+        extra = {"run": handle.plan.run_id, "tenant": handle.plan.tenant}
         if self.chaos is not None:
             # Results produced under injected faults are marked so an
             # analysis never mistakes a chaos run for a clean one.
-            record["chaos"] = True
-        return record
+            extra["chaos"] = True
+        return terminal_record(handle.plan.jobs[index], outcome, **extra)
 
-    def _finish_job_failed(self, handle: RunHandle, index: int, kind: str,
-                           message: str, *, attempts: int) -> None:
-        job = handle.plan.jobs[index]
-        record = self._base_record(handle, job,
-                                   handle.plan.fingerprints[index])
-        record.update(kind="failure", attempts=attempts,
-                      failure={"kind": kind, "message": message})
+    def _publish(self, handle: RunHandle, index: int,
+                 record: dict[str, Any]) -> None:
+        """Store append, run accounting and the job's terminal event,
+        in one synchronous block."""
         self.storage.store.append(record)
         handle.finish_job(index, record)
-        handle.emit(JobFailed(job.label, kind=kind, message=message,
-                              attempts=attempts))
+        handle.emit(terminal_event(record))
 
-    def _finish_job_cancelled(self, handle: RunHandle, index: int,
-                              message: str) -> None:
-        self._finish_job_failed(handle, index, "cancelled", message,
-                                attempts=1)
-
-    def _finish_job_quarantined(self, handle: RunHandle, index: int,
-                                reason: str, *, attempts: int) -> None:
-        """Terminal ``quarantined`` record: the poison-job parking slot.
-
-        ``attempts=0`` means the fingerprint was already parked and this
-        job never executed at all."""
-        job = handle.plan.jobs[index]
-        record = self._base_record(handle, job,
-                                   handle.plan.fingerprints[index])
-        record.update(kind="failure", attempts=attempts, quarantined=True,
-                      failure={"kind": "quarantined", "message": reason})
-        self.storage.store.append(record)
-        handle.finish_job(index, record)
-        handle.emit(JobFailed(job.label, kind="quarantined",
-                              message=reason, attempts=attempts))
+    def _fail_job(self, handle: RunHandle, index: int, kind: str,
+                  message: str, *, attempts: int) -> None:
+        """A terminal failure the scheduler decides itself: cancelled,
+        already quarantined, or its own bug.  ``attempts`` counts the
+        attempts actually started — 0 when the job never ran."""
+        self._publish(handle, index, self._record(
+            handle, index, failure_outcome(kind, message, attempts)))
 
     def _maybe_finish_run(self, handle: RunHandle) -> None:
         if handle.machine.terminal or handle.done != handle.plan.total:

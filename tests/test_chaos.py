@@ -550,6 +550,11 @@ class TestWorkerChaosExecution:
         assert victim.get("quarantined") is True
         assert victim["attempts"] == 2  # parked at the budget, not retries
         assert survivor["kind"] == "result"
+        # Both front ends mark what ran under an injector, results and
+        # failures alike, so no analysis mistakes it for a clean run.
+        assert victim["chaos"] is True and survivor["chaos"] is True
+        stored = ResultStore(tmp_path / "r.jsonl").load()
+        assert stored and all(r["chaos"] is True for r in stored)
         failed = [e for e in events
                   if type(e).__name__ == "JobFailed"]
         assert any(e.kind == "quarantined" for e in failed)
@@ -562,7 +567,7 @@ class TestWorkerChaosExecution:
 class TestSchedulerCancelRaces:
     def _service(self, tmp_path, **knobs):
         knobs.setdefault("workers", 2)
-        knobs.setdefault("poll_s", 0.02)
+        knobs.setdefault("tick_s", 0.02)
         knobs.setdefault("backoff_s", 0.01)
         storage = ServiceStorage(tmp_path / "data")
         return SweepService(storage, ServiceConfig(**knobs))
@@ -610,6 +615,7 @@ class TestSchedulerCancelRaces:
         record = next(iter(handle.records.values()))
         assert record["failure"]["kind"] == "cancelled"
         assert "backoff" in record["failure"]["message"]
+        assert record["attempts"] == 1  # backing off after attempt 1
 
     def test_cancel_racing_a_crash_payload_stays_cancelled(self, tmp_path,
                                                            monkeypatch):
@@ -654,6 +660,55 @@ class TestSchedulerCancelRaces:
         record = next(iter(handle.records.values()))
         assert record["failure"]["kind"] == "cancelled"
         assert "crash" in record["failure"]["message"]
+        assert record["attempts"] == 1
+
+    def test_cancelled_records_count_the_attempts_started(self, tmp_path,
+                                                          monkeypatch):
+        # One worker, two jobs: the first fails twice, is cancelled
+        # inside its third attempt; the second never leaves the queue.
+        # Each record (and its JobFailed) says how many attempts were
+        # actually started — the number of JobStarted events it got.
+        jobs = [job_at(40.0), job_at(50.0)]
+        monkeypatch.setattr("repro.serve.scheduler.SweepPlan",
+                            _PlanStub(plan_of(jobs)))
+        calls = []
+
+        def third_time_hangs(job, *, cancel=None, **kwargs):
+            calls.append(job.fingerprint)
+            if len(calls) == 3:
+                while not cancel.is_set():
+                    time.sleep(0.01)
+            return {"ok": False, "kind": "error", "message": "injected",
+                    "retryable": True}
+
+        monkeypatch.setattr("repro.serve.scheduler.run_job_isolated",
+                            third_time_hangs)
+
+        async def scenario():
+            service = self._service(tmp_path, workers=1, retries=5,
+                                    backoff_max_s=0.02)
+            await service.start()
+            handle = await service.submit({})
+            deadline = time.monotonic() + 30.0
+            while len(calls) < 3 and time.monotonic() < deadline:
+                await asyncio.sleep(0.01)
+            service.cancel(handle.plan.run_id)
+            events = [e async for e in service.watch(handle.plan.run_id)]
+            await service.stop()
+            return handle, events
+
+        handle, events = run(scenario())
+        assert handle.machine.status == "cancelled"
+        assert calls == [jobs[0].fingerprint] * 3
+        assert [(r["failure"]["kind"], r["attempts"])
+                for r in (handle.records[0], handle.records[1])] == [
+            ("cancelled", 3), ("cancelled", 0)]
+        assert "queued" in handle.records[1]["failure"]["message"]
+        for job in jobs:
+            mine = [e for e in events if e.get("label") == job.label]
+            started = [e for e in mine if e["event"] == "JobStarted"]
+            (failed,) = [e for e in mine if e["event"] == "JobFailed"]
+            assert failed["attempts"] == len(started)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +720,7 @@ class _LiveService:
 
     def __init__(self, data_dir, *, chaos=None, **knobs):
         knobs.setdefault("workers", 2)
-        knobs.setdefault("poll_s", 0.02)
+        knobs.setdefault("tick_s", 0.02)
         knobs.setdefault("backoff_s", 0.01)
         self._urls: queue.Queue[str] = queue.Queue()
         self.chaos = ChaosInjector(chaos) if chaos is not None else None

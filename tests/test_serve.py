@@ -115,7 +115,7 @@ class _PlanStub:
 
 def service_at(tmp_path, **knobs):
     knobs.setdefault("workers", 2)
-    knobs.setdefault("poll_s", 0.02)
+    knobs.setdefault("tick_s", 0.02)
     knobs.setdefault("backoff_s", 0.01)
     storage = ServiceStorage(tmp_path / "data")
     return SweepService(storage, ServiceConfig(**knobs))
@@ -714,7 +714,7 @@ class _LiveService:
     def __init__(self, data_dir, **knobs):
         dashboard = knobs.pop("dashboard", False)
         knobs.setdefault("workers", 2)
-        knobs.setdefault("poll_s", 0.02)
+        knobs.setdefault("tick_s", 0.02)
         self._urls: queue.Queue[str] = queue.Queue()
         self.thread = threading.Thread(
             target=run_service,
