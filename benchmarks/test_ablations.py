@@ -33,7 +33,7 @@ def sweep_targets():
             build_image_pipeline(24, 16, RATE), proc=PROC,
             utilization_target=target,
         )
-        verdict = result.verdict("result", rate_hz=RATE, chunks_per_frame=1)
+        verdict = result.verdict(**compiled.contract())
         rows[target] = (compiled, verdict)
     return rows
 
@@ -105,8 +105,9 @@ def run_fusion_pair():
 def test_ablation_pipeline_fusion(benchmark):
     on_c, on_r, off_c, off_r = benchmark.pedantic(run_fusion_pair, rounds=1,
                                                   iterations=1)
-    for label, res in (("fused", on_r), ("unfused", off_r)):
-        v = res.verdict("Out", rate_hz=PIPE_RATE, chunks_per_frame=16 * 12)
+    for label, compiled, res in (("fused", on_c, on_r),
+                                 ("unfused", off_c, off_r)):
+        v = res.verdict(**compiled.contract())
         assert v.meets, f"{label}: {v.describe()}"
     # Both stages replicated to the same (dependency-tied) degree; fusion
     # removed the join/split pair between them.

@@ -25,7 +25,6 @@ from repro.transform import compile_application
 PROC = ProcessorSpec(clock_hz=20e6, memory_words=512)
 RATE = 200.0
 W, H = 16, 12
-CHUNKS = (W - 4) * (H - 4)
 
 
 def build(kernel, frame):
@@ -53,7 +52,7 @@ def run():
                                   bound_candidates=bound)
         compiled = compile_application(build(kernel, frame), PROC)
         res = simulate(compiled, SimulationOptions(frames=3))
-        verdict = res.verdict("Out", rate_hz=RATE, chunks_per_frame=CHUNKS)
+        verdict = res.verdict(**compiled.contract())
         rows[label] = (res, verdict)
     return rows
 

@@ -59,7 +59,7 @@ def test_ext_feedback_loop(benchmark):
     # The recurrence converges to 1 / (1 - alpha).
     assert abs(ys[-1] - 1.0 / (1.0 - ALPHA)) < 1e-3
 
-    verdict = result.verdict("Out", rate_hz=RATE, chunks_per_frame=WIDTH)
+    verdict = result.verdict(**compiled.contract())
     assert verdict.meets
 
     print()

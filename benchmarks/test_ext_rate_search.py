@@ -25,8 +25,7 @@ def run():
             processor_budget=budget, low_hz=50.0,
         )
         sim = simulate(res.compiled, SimulationOptions(frames=4))
-        verdict = sim.verdict("result", rate_hz=res.best_rate_hz,
-                              chunks_per_frame=1)
+        verdict = sim.verdict(**res.compiled.contract())
         rows.append((budget, res, verdict))
     return rows
 

@@ -23,10 +23,7 @@ def run():
                                        BENCHMARK_PROCESSOR)
         sched = build_static_schedule(compiled)
         result = simulate(compiled, SimulationOptions(frames=bench.frames))
-        verdict = result.verdict(
-            bench.output, rate_hz=bench.rate_hz,
-            chunks_per_frame=bench.chunks_per_frame, frames=bench.frames,
-        )
+        verdict = result.verdict(**compiled.contract(), frames=bench.frames)
         rows.append((bench.key, sched, verdict))
     # The deliberately overloaded ablation.
     compiled = compile_application(
@@ -35,7 +32,7 @@ def run():
     )
     sched = build_static_schedule(compiled)
     result = simulate(compiled, SimulationOptions(frames=5))
-    verdict = result.verdict("result", rate_hz=1000.0, chunks_per_frame=1)
+    verdict = result.verdict(**compiled.contract())
     rows.append(("overloaded", sched, verdict))
     return rows
 

@@ -46,7 +46,7 @@ def test_fig04_structure(benchmark):
     assert counts.get("ColumnSplit", 0) >= 1
     assert counts.get("CountedJoin", 0) >= 1
 
-    verdict = result.verdict("result", rate_hz=1000.0, chunks_per_frame=1)
+    verdict = result.verdict(**compiled.contract())
     assert verdict.meets
 
     print()

@@ -37,7 +37,7 @@ def compile_all():
         compiled, result = compile_and_simulate(
             build_image_pipeline(w, h, rate), proc=PROC
         )
-        verdict = result.verdict("result", rate_hz=rate, chunks_per_frame=1)
+        verdict = result.verdict(**compiled.contract())
         buffers = sum(
             1 for k in compiled.graph.iter_kernels()
             if isinstance(k, BufferKernel)
@@ -84,7 +84,7 @@ def test_fig11_ablation_no_parallelization(benchmark):
         )
 
     compiled, result = benchmark.pedantic(run, rounds=1, iterations=1)
-    verdict = result.verdict("result", rate_hz=1000.0, chunks_per_frame=1)
+    verdict = result.verdict(**compiled.contract())
     assert not verdict.meets
     assert verdict.worst_interval_s > 1.0 / 1000.0
     print()

@@ -41,8 +41,9 @@ def test_fig12_greedy_vs_one_to_one(benchmark):
     assert 1.2 <= improvement <= 3.0
 
     # Both mappings still meet the real-time constraint.
-    for label, res in (("1:1", one_r), ("greedy", gm_r)):
-        v = res.verdict("result", rate_hz=RATE, chunks_per_frame=1)
+    for label, compiled, res in (("1:1", one_c, one_r),
+                                 ("greedy", gm_c, gm_r)):
+        v = res.verdict(**compiled.contract())
         assert v.meets, f"{label}: {v.describe()}"
 
     # Initial input buffers are never multiplexed (Figure 12 caption).

@@ -30,10 +30,8 @@ def run_suite():
                 CompileOptions(mapping=mapping),
             )
             result = simulate(compiled, SimulationOptions(frames=bench.frames))
-            verdict = result.verdict(
-                bench.output, rate_hz=bench.rate_hz,
-                chunks_per_frame=bench.chunks_per_frame, frames=bench.frames,
-            )
+            verdict = result.verdict(**compiled.contract(),
+                                     frames=bench.frames)
             row[mapping] = {
                 "processors": compiled.processor_count,
                 "kernels": compiled.kernel_count(),

@@ -15,15 +15,11 @@ from repro.apps import build_bayer_app
 
 def main() -> None:
     proc = repro.ProcessorSpec(clock_hz=20e6, memory_words=512)
-    chunks_per_frame = (32 // 2) * (16 // 2)
-
     for label, rate in (("baseline", 200.0), ("fast", 5000.0)):
         app = build_bayer_app(32, 16, rate)
         compiled = repro.compile_application(app, proc)
         result = repro.simulate(compiled, repro.SimulationOptions(frames=4))
-        verdict = result.verdict(
-            "Video", rate_hz=rate, chunks_per_frame=chunks_per_frame
-        )
+        verdict = result.verdict(**compiled.contract())
         degree = compiled.parallelization.degrees.get("Demosaic", 1)
         print(
             f"{label:>8} ({rate:g} fps): demosaic x{degree}, "

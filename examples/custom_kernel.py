@@ -73,7 +73,7 @@ def main() -> None:
 
     # The same app under full timing.
     timed = repro.simulate(compiled, repro.SimulationOptions(frames=3))
-    verdict = timed.verdict("Out", rate_hz=50.0, chunks_per_frame=1)
+    verdict = timed.verdict(**compiled.contract())
     print(verdict.describe())
     assert verdict.meets
 

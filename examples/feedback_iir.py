@@ -59,7 +59,7 @@ def main() -> None:
     print("matches the y[n] = x[n] + %.2f*y[n-1] recurrence" % alpha)
 
     timed = repro.simulate(compiled, repro.SimulationOptions(frames=2))
-    verdict = timed.verdict("Out", rate_hz=100.0, chunks_per_frame=6)
+    verdict = timed.verdict(**compiled.contract())
     print(verdict.describe())
     assert verdict.meets
 

@@ -38,7 +38,7 @@ def main() -> None:
         app = build_image_pipeline(w, h, rate)
         compiled = repro.compile_application(app, proc)
         result = repro.simulate(compiled, repro.SimulationOptions(frames=4))
-        verdict = result.verdict("result", rate_hz=rate, chunks_per_frame=1)
+        verdict = result.verdict(**compiled.contract())
         degrees = {
             k: d for k, d in compiled.parallelization.degrees.items() if d > 1
         }
@@ -55,7 +55,7 @@ def main() -> None:
         app, proc, repro.CompileOptions(parallelize=False)
     )
     result = repro.simulate(naive, repro.SimulationOptions(frames=4))
-    verdict = result.verdict("result", rate_hz=1000.0, chunks_per_frame=1)
+    verdict = result.verdict(**naive.contract())
     print(verdict.describe())
     assert not verdict.meets, "the unparallelized pipeline should fall behind"
 

@@ -45,11 +45,14 @@ def main() -> None:
         if name.startswith("Smooth") or name.startswith("Down2"):
             print(f"  {name}: {flow.total_firings_per_second:,.0f} firings/s")
 
-    # Verify in timed simulation.  The coarse output extent: smoothing
-    # keeps 30x22, downsampling halves to 15x11, each 3x3 opening stage
-    # trims its halo: 13x9 then 11x7.
+    # Verify in timed simulation, against the frame the analysis
+    # derived for the coarse output: smoothing keeps 30x22, downsampling
+    # halves to 15x11, each 3x3 opening stage trims its halo: 13x9 then
+    # 11x7.
+    contract = compiled.contract()
+    assert contract["chunks_per_frame"] == 11 * 7
     result = repro.simulate(compiled, repro.SimulationOptions(frames=3))
-    verdict = result.verdict("Coarse", rate_hz=rate, chunks_per_frame=11 * 7)
+    verdict = result.verdict(**contract)
     print(verdict.describe())
     assert verdict.meets
 

@@ -34,9 +34,7 @@ def main() -> None:
 
     # 3. Simulate with full timing and check the verdict.
     result = repro.simulate(compiled, repro.SimulationOptions(frames=4))
-    verdict = result.verdict(
-        "Out", rate_hz=100.0, chunks_per_frame=(32 - 2) * (24 - 2)
-    )
+    verdict = result.verdict(**compiled.contract())
     print()
     print(verdict.describe())
     print(result.utilization.describe())

@@ -20,9 +20,8 @@ Quick start::
 
     compiled = repro.compile_application(app)      # buffer + parallelize + map
     result = repro.simulate(compiled)              # timing-accurate simulation
-    verdict = result.verdict("Out", rate_hz=100.0,
-                             chunks_per_frame=30 * 22)
-    assert verdict.meets
+    verdict = result.verdict(**compiled.contract())  # the derived rate
+    assert verdict.meets                             # and frame boundary
 
 See ``DESIGN.md`` for the full system inventory and ``EXPERIMENTS.md`` for
 the paper-figure reproductions.

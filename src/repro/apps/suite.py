@@ -48,16 +48,16 @@ BENCHMARK_PROCESSOR = ProcessorSpec(
 
 @dataclass(frozen=True, slots=True)
 class Benchmark:
-    """One Figure 13 column: an application plus its simulation contract."""
+    """One Figure 13 column: a fixed-size, fixed-rate application.
+
+    What a run is judged against (output, chunks per frame, frame rate)
+    is not declared here; :meth:`repro.transform.CompiledApp.contract`
+    reads it off the compiled graph.
+    """
 
     key: str
     title: str
     build: Callable[[], ApplicationGraph]
-    rate_hz: float
-    #: Application output to measure completion at.
-    output: str
-    #: Chunks completing one frame at that output.
-    chunks_per_frame: int
     #: Frames to simulate (enough for a steady-state tail).
     frames: int = 4
 
@@ -70,9 +70,6 @@ def _fig11_pipeline(width: int, height: int, rate: float, tag: str) -> Benchmark
         key=tag,
         title=f"image pipeline {width}x{height}@{rate:g}Hz",
         build=lambda: build_image_pipeline(width, height, rate),
-        rate_hz=rate,
-        output="result",
-        chunks_per_frame=1,
     )
 
 
@@ -83,49 +80,31 @@ def benchmark_suite() -> list[Benchmark]:
             key="1",
             title="Bayer demosaic (baseline)",
             build=lambda: build_bayer_app(32, 16, 200.0),
-            rate_hz=200.0,
-            output="Video",
-            chunks_per_frame=(32 // 2) * (16 // 2),
         ),
         Benchmark(
             key="1F",
             title="Bayer demosaic (fast)",
             build=lambda: build_bayer_app(32, 16, 1200.0),
-            rate_hz=1200.0,
-            output="Video",
-            chunks_per_frame=(32 // 2) * (16 // 2),
         ),
         Benchmark(
             key="2",
             title="image histogram (baseline)",
             build=lambda: build_histogram_app(32, 24, 200.0),
-            rate_hz=200.0,
-            output="result",
-            chunks_per_frame=1,
         ),
         Benchmark(
             key="2F",
             title="image histogram (fast)",
             build=lambda: build_histogram_app(32, 24, 800.0),
-            rate_hz=800.0,
-            output="result",
-            chunks_per_frame=1,
         ),
         Benchmark(
             key="3",
             title="parallel buffer test",
             build=lambda: build_buffer_test_app(96, 24, 50.0),
-            rate_hz=50.0,
-            output="Out",
-            chunks_per_frame=(96 - 6) * (24 - 6),
         ),
         Benchmark(
             key="4",
             title="multiple convolutions test",
             build=lambda: build_multi_conv_app(32, 20, 100.0),
-            rate_hz=100.0,
-            output="Out",
-            chunks_per_frame=(32 - 4) * (20 - 4),
         ),
         _fig11_pipeline(24, 16, 100.0, "SS"),
         _fig11_pipeline(24, 16, 1000.0, "SF"),
@@ -136,9 +115,6 @@ def benchmark_suite() -> list[Benchmark]:
             key="FB",
             title="16-way filter bank (>50 compiled kernels)",
             build=lambda: build_filter_bank_app(24, 16, 100.0, branches=16),
-            rate_hz=100.0,
-            output="Out",
-            chunks_per_frame=(24 - 4) * (16 - 4),
         ),
     ]
 

@@ -35,8 +35,8 @@ import time
 from .apps import BENCHMARK_PROCESSOR, benchmark, benchmark_suite
 from .graph.dot import to_dot
 from .errors import SimulationError
+from .explore.executor import measure
 from .machine import ProcessorSpec
-from .sim import SimulationOptions, simulate
 from .transform import CompileOptions, compile_application
 
 __all__ = ["main"]
@@ -49,20 +49,15 @@ def _processor(args: argparse.Namespace) -> ProcessorSpec:
     )
 
 
-def _compile(key: str, args: argparse.Namespace):
-    bench = benchmark(key)
-    return bench, compile_application(
-        bench.application(),
-        _processor(args),
-        CompileOptions(
-            mapping=args.mapping,
-            spare_processors=getattr(args, "spares", 0),
-        ),
+def _compile(args: argparse.Namespace):
+    return compile_application(
+        benchmark(args.key).application(), _processor(args),
+        CompileOptions(mapping=args.mapping),
     )
 
 
-def _noc_model(args: argparse.Namespace, compiled):
-    """Build the NoC timing model requested by --noc, or None."""
+def _noc_knobs(args: argparse.Namespace) -> dict | None:
+    """The NoC model knobs requested by --noc, or None."""
     if not getattr(args, "noc", False):
         for flag, name in ((getattr(args, "placement", None), "--placement"),
                            (getattr(args, "noc_mesh", None), "--mesh")):
@@ -72,14 +67,23 @@ def _noc_model(args: argparse.Namespace, compiled):
                     "add --noc"
                 )
         return None
-    from .machine import build_noc_model
+    return {
+        "mesh": args.noc_mesh,
+        "per_hop_cycles": args.hop_cycles,
+        "serialization_cycles_per_element": args.ser_cycles,
+    }
 
-    return build_noc_model(
-        compiled,
-        mesh=getattr(args, "noc_mesh", None),
-        placement=getattr(args, "placement", None),
-        per_hop_cycles=args.hop_cycles,
-        serialization_cycles_per_element=args.ser_cycles,
+
+def _measure(args: argparse.Namespace, **sim_options):
+    """``(compiled, result, verdict, simulate wall s)`` for ``args.key``
+    under whichever of the run flags the command declares."""
+    return measure(
+        benchmark(args.key).application(), _processor(args),
+        CompileOptions(mapping=args.mapping,
+                       spare_processors=getattr(args, "spares", 0)),
+        frames=args.frames, faults=_fault_spec(args),
+        noc=_noc_knobs(args), placement=getattr(args, "placement", None),
+        **sim_options,
     )
 
 
@@ -101,6 +105,31 @@ def _add_noc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ser-cycles", type=float, default=1.0,
                    dest="ser_cycles",
                    help="link serialization cycles per payload element")
+
+
+def _add_run_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("key")
+    p.add_argument("--frames", type=int, default=4)
+    p.add_argument("--json", action="store_true",
+                   help="machine-readable output")
+
+
+def _add_fault_args(p: argparse.ArgumentParser, see: str = "") -> None:
+    p.add_argument("--faults", default=None, metavar="FILE",
+                   help=f"inject a fault scenario (JSON FaultSpec file{see})")
+    p.add_argument("--fault-seed", type=int, default=None, dest="fault_seed",
+                   help="override the fault spec's seed")
+    p.add_argument("--spares", type=int, default=0,
+                   help="spare processing elements reserved for migration")
+
+
+def _add_span_args(p: argparse.ArgumentParser, does: str = "",
+                   where: str = "") -> None:
+    p.add_argument("--perfetto", default=None, metavar="OUT",
+                   help=f"{does}write a Perfetto/Chrome trace_event JSON "
+                        f"file{where}")
+    p.add_argument("--spans", default=None, metavar="OUT",
+                   help=f"{does}write the span stream as JSON lines")
 
 
 def _fault_spec(args: argparse.Namespace):
@@ -133,27 +162,15 @@ def cmd_describe(args: argparse.Namespace) -> int:
 def cmd_compile(args: argparse.Namespace) -> int:
     from .analysis import compile_report
 
-    _, compiled = _compile(args.key, args)
-    print(compile_report(compiled))
+    print(compile_report(_compile(args)))
     return 0
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    bench, compiled = _compile(args.key, args)
-    fault_spec = _fault_spec(args)
-    telemetry_on = bool(
-        getattr(args, "perfetto", None) or getattr(args, "spans", None)
-        or getattr(args, "critical_path", False)
+    telemetry_on = bool(args.perfetto or args.spans or args.critical_path)
+    compiled, result, verdict, sim_elapsed = _measure(
+        args, telemetry=telemetry_on, replay=args.replay, batch=args.batch,
     )
-    noc = _noc_model(args, compiled)
-    sim_started = time.perf_counter()
-    result = simulate(
-        compiled,
-        SimulationOptions(frames=args.frames, faults=fault_spec,
-                          telemetry=telemetry_on, noc=noc,
-                          replay=args.replay, batch=args.batch),
-    )
-    sim_elapsed = time.perf_counter() - sim_started
     path_report = None
     if telemetry_on:
         from .obs import (
@@ -164,17 +181,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
         tele = result.telemetry
         if args.perfetto:
-            write_perfetto(tele, args.perfetto, app=bench.key)
+            write_perfetto(tele, args.perfetto, app=args.key)
         if args.spans:
             write_spans_jsonl(tele, args.spans)
         if args.critical_path:
             path_report = analyze_critical_path(tele)
-    shedding = fault_spec is not None and fault_spec.recovery.shed
-    verdict = result.verdict(
-        bench.output, rate_hz=bench.rate_hz,
-        chunks_per_frame=bench.chunks_per_frame, frames=args.frames,
-        allow_shedding=shedding,
-    )
+    fault_spec = result.options.faults
     faults_active = fault_spec is not None and fault_spec.active()
     bench_stats = {
         "wall_s": sim_elapsed,
@@ -186,8 +198,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     if args.json:
         payload = {
-            "benchmark": bench.key,
-            "rate_hz": bench.rate_hz,
+            "benchmark": args.key,
+            "rate_hz": compiled.contract()["rate_hz"],
             "frames": args.frames,
             "processor_count": compiled.processor_count,
             "kernel_count": compiled.kernel_count(),
@@ -247,24 +259,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_dot(args: argparse.Namespace) -> int:
-    bench = benchmark(args.key)
     if args.compiled or args.mapped:
-        compiled = compile_application(
-            bench.application(), _processor(args),
-            CompileOptions(mapping=args.mapping),
-        )
+        compiled = _compile(args)
         print(to_dot(compiled.graph,
                      mapping=compiled.mapping if args.mapped else None))
     else:
-        print(to_dot(bench.application()))
+        print(to_dot(benchmark(args.key).application()))
     return 0
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     from .analysis import build_static_schedule
 
-    _, compiled = _compile(args.key, args)
-    schedule = build_static_schedule(compiled)
+    schedule = build_static_schedule(_compile(args))
     if args.json:
         print(json.dumps({"benchmark": args.key, **schedule.as_dict()},
                          indent=2))
@@ -276,8 +283,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 def cmd_energy(args: argparse.Namespace) -> int:
     from .machine import ManyCoreChip, anneal_placement, estimate_energy
 
-    bench, compiled = _compile(args.key, args)
-    result = simulate(compiled, SimulationOptions(frames=args.frames))
+    compiled, result, _, _ = _measure(args)
     placement = None
     if args.place:
         chip = ManyCoreChip(cols=args.mesh, rows=args.mesh,
@@ -298,15 +304,12 @@ def cmd_energy(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     from .sim import gantt
 
-    bench, compiled = _compile(args.key, args)
-    result = simulate(
-        compiled, SimulationOptions(frames=args.frames, trace=True)
-    )
+    _, result, _, _ = _measure(args, trace=True)
     if not result.trace:
         # An empty Gantt renders as blank rows and looks like success;
         # say why there is nothing to chart and fail loudly instead.
         print(
-            f"error: benchmark {bench.key!r} recorded no firings with "
+            f"error: benchmark {args.key!r} recorded no firings with "
             f"--frames {args.frames}; nothing to chart",
             file=sys.stderr,
         )
@@ -323,23 +326,16 @@ def cmd_profile(args: argparse.Namespace) -> int:
         write_spans_jsonl,
     )
 
-    bench, compiled = _compile(args.key, args)
-    fault_spec = _fault_spec(args)
-    noc = _noc_model(args, compiled)
-    result = simulate(
-        compiled,
-        SimulationOptions(frames=args.frames, faults=fault_spec,
-                          telemetry=True, noc=noc),
-    )
+    _, result, _, _ = _measure(args, telemetry=True)
     tele = result.telemetry
     report = analyze_critical_path(tele)
     if args.perfetto:
-        write_perfetto(tele, args.perfetto, app=bench.key)
+        write_perfetto(tele, args.perfetto, app=args.key)
     if args.spans:
         write_spans_jsonl(tele, args.spans)
     if args.json:
         payload = {
-            "benchmark": bench.key,
+            "benchmark": args.key,
             "frames": args.frames,
             "makespan_s": result.makespan_s,
             "telemetry": tele.as_dict(),
@@ -351,7 +347,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
         return 0
     counts = tele.span_counts()
     print(
-        f"benchmark {bench.key} ({bench.title}): "
+        f"benchmark {args.key} ({benchmark(args.key).title}): "
         f"{result.makespan_s * 1e3:.3f} ms makespan, "
         + ", ".join(f"{v} {k}" for k, v in counts.items())
     )
@@ -391,14 +387,9 @@ def cmd_suite(args: argparse.Namespace) -> int:
         counts = {}
         meets = True
         for mapping in ("1:1", "greedy"):
-            compiled = compile_application(
+            compiled, result, verdict, _ = measure(
                 bench.application(), _processor(args),
-                CompileOptions(mapping=mapping),
-            )
-            result = simulate(compiled, SimulationOptions(frames=bench.frames))
-            verdict = result.verdict(
-                bench.output, rate_hz=bench.rate_hz,
-                chunks_per_frame=bench.chunks_per_frame, frames=bench.frames,
+                CompileOptions(mapping=mapping), frames=bench.frames,
             )
             utils[mapping] = result.utilization.average_utilization
             counts[mapping] = compiled.processor_count
@@ -409,7 +400,7 @@ def cmd_suite(args: argparse.Namespace) -> int:
             rows.append({
                 "benchmark": bench.key,
                 "title": bench.title,
-                "rate_hz": bench.rate_hz,
+                "rate_hz": compiled.contract()["rate_hz"],
                 "utilization_1to1": utils["1:1"],
                 "utilization_greedy": utils["greedy"],
                 "processors_1to1": counts["1:1"],
@@ -670,10 +661,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("key")
 
     p = sub.add_parser("simulate", help="compile and simulate a benchmark")
-    p.add_argument("key")
-    p.add_argument("--frames", type=int, default=4)
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output")
+    _add_run_args(p)
     p.add_argument("--bench", action="store_true",
                    help="print simulator timing (wall, events/s, peak heap)")
     p.add_argument("--replay", action=argparse.BooleanOptionalAction,
@@ -687,22 +675,12 @@ def build_parser() -> argparse.ArgumentParser:
                         "kernel firings as one batched call per kernel "
                         "(bit-identical results; --no-batch forces "
                         "per-firing replay)")
-    p.add_argument("--faults", default=None, metavar="FILE",
-                   help="inject a fault scenario (JSON FaultSpec file; "
-                        "see docs/robustness.md)")
-    p.add_argument("--fault-seed", type=int, default=None, dest="fault_seed",
-                   help="override the fault spec's seed")
-    p.add_argument("--spares", type=int, default=0,
-                   help="spare processing elements reserved for migration")
+    _add_fault_args(p, see="; see docs/robustness.md")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on real-time violations or "
                         "unrecovered faults (CI gate)")
-    p.add_argument("--perfetto", default=None, metavar="OUT",
-                   help="record telemetry and write a Perfetto/Chrome "
-                        "trace_event JSON file (load at ui.perfetto.dev)")
-    p.add_argument("--spans", default=None, metavar="OUT",
-                   help="record telemetry and write the span stream "
-                        "as JSON lines")
+    _add_span_args(p, does="record telemetry and ",
+                   where=" (load at ui.perfetto.dev)")
     p.add_argument("--critical-path", action="store_true",
                    dest="critical_path",
                    help="record telemetry and report the critical path")
@@ -738,23 +716,12 @@ def build_parser() -> argparse.ArgumentParser:
         "profile",
         help="simulate with full telemetry: metrics, critical path, hints",
     )
-    p.add_argument("key")
-    p.add_argument("--frames", type=int, default=4)
-    p.add_argument("--json", action="store_true",
-                   help="machine-readable output")
-    p.add_argument("--perfetto", default=None, metavar="OUT",
-                   help="write a Perfetto/Chrome trace_event JSON file")
-    p.add_argument("--spans", default=None, metavar="OUT",
-                   help="write the span stream as JSON lines")
+    _add_run_args(p)
+    _add_span_args(p)
     p.add_argument("--timeline", action="store_true",
                    help="print the text Gantt + channel occupancy view")
     p.add_argument("--width", type=int, default=100)
-    p.add_argument("--faults", default=None, metavar="FILE",
-                   help="inject a fault scenario (JSON FaultSpec file)")
-    p.add_argument("--fault-seed", type=int, default=None, dest="fault_seed",
-                   help="override the fault spec's seed")
-    p.add_argument("--spares", type=int, default=0,
-                   help="spare processing elements reserved for migration")
+    _add_fault_args(p)
     _add_noc_args(p)
 
     p = sub.add_parser("suite", help="run the Figure 13 table")

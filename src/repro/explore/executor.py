@@ -88,8 +88,16 @@ from ..chaos.watchdog import (
     start_heartbeat,
 )
 from ..errors import BlockParallelError
-from ..sim.simulator import SimulationOptions, simulate
-from ..transform.compile import compile_application
+from ..faults import FaultSpec
+from ..graph.app import ApplicationGraph
+from ..machine import ProcessorSpec, build_noc_model
+from ..sim.simulator import SimulationOptions, SimulationResult, simulate
+from ..sim.stats import RealTimeVerdict
+from ..transform.compile import (
+    CompiledApp,
+    CompileOptions,
+    compile_application,
+)
 from .cache import ResultCache
 from .events import (
     JobCacheHit,
@@ -109,6 +117,7 @@ __all__ = [
     "SweepOptions",
     "SweepResult",
     "run_sweep",
+    "measure",
     "execute_job",
     "run_job_isolated",
 ]
@@ -211,22 +220,46 @@ def _apply_injection(job: Job) -> None:
         raise RuntimeError(f"unknown injection mode {mode!r}")
 
 
-def _noc_model(job: Job, compiled) -> Any:
-    """Build the job's :class:`~repro.machine.noc.NocModel`, or None."""
-    if not job.noc:
-        return None
-    from ..machine import build_noc_model
+def measure(
+    app: ApplicationGraph,
+    processor: ProcessorSpec,
+    options: CompileOptions,
+    *,
+    frames: int,
+    faults: FaultSpec | None = None,
+    noc: Mapping[str, Any] | None = None,
+    placement: str | None = None,
+    **sim_options: Any,
+) -> tuple[CompiledApp, SimulationResult, RealTimeVerdict, float]:
+    """Compile ``app``, simulate it and judge the run: the one
+    measurement path behind :func:`execute_job` and the single-app CLI
+    commands.  Returns ``(compiled, result, verdict, simulate wall s)``.
 
-    knobs = dict(job.noc)
-    return build_noc_model(
+    ``noc`` turns the NoC timing model on: its items (``mesh``,
+    ``per_hop_cycles``, ``serialization_cycles_per_element``) and
+    ``placement`` go to :func:`~repro.machine.build_noc_model`.
+    ``sim_options`` are further :class:`~repro.sim.SimulationOptions`
+    fields (``telemetry``, ``trace``, ``replay``, ``batch``).  The
+    verdict is taken on the compiled graph's own
+    :meth:`~repro.transform.CompiledApp.contract`, with shedding allowed
+    exactly when the fault scenario's recovery policy sheds.
+    """
+    compiled = compile_application(app, processor, options)
+    model = None
+    if noc is not None:
+        model = build_noc_model(compiled, placement=placement, **noc)
+    sim_started = time.perf_counter()
+    result = simulate(
         compiled,
-        mesh=knobs.get("mesh"),
-        placement=job.placement,
-        per_hop_cycles=knobs["per_hop_cycles"],
-        serialization_cycles_per_element=(
-            knobs["serialization_cycles_per_element"]
-        ),
+        SimulationOptions(frames=frames, faults=faults, noc=model,
+                          **sim_options),
     )
+    sim_elapsed = time.perf_counter() - sim_started
+    verdict = result.verdict(
+        **compiled.contract(), frames=frames,
+        allow_shedding=faults is not None and faults.recovery.shed,
+    )
+    return compiled, result, verdict, sim_elapsed
 
 
 def execute_job(job: Job) -> dict[str, Any]:
@@ -237,25 +270,12 @@ def execute_job(job: Job) -> dict[str, Any]:
     """
     _apply_injection(job)
     started = time.perf_counter()
-    app = job.build_app()
-    compiled = compile_application(
-        app, job.build_processor(), job.build_options()
-    )
     fault_spec = job.fault_spec()
-    noc = _noc_model(job, compiled)
-    sim_started = time.perf_counter()
-    result = simulate(
-        compiled,
-        SimulationOptions(frames=job.frames, faults=fault_spec,
-                          telemetry=job.telemetry, noc=noc,
-                          replay=job.replay),
-    )
-    sim_elapsed = time.perf_counter() - sim_started
-    output, chunks_per_frame, rate_hz = job.measurement()
-    shedding = fault_spec is not None and fault_spec.recovery.shed
-    verdict = result.verdict(
-        output, rate_hz=rate_hz, chunks_per_frame=chunks_per_frame,
-        frames=job.frames, allow_shedding=shedding,
+    compiled, result, verdict, sim_elapsed = measure(
+        job.build_app(), job.build_processor(), job.build_options(),
+        frames=job.frames, faults=fault_spec,
+        noc=dict(job.noc) or None, placement=job.placement,
+        telemetry=job.telemetry, replay=job.replay,
     )
     stats: dict[str, Any] = {
         "processor_count": compiled.processor_count,
@@ -268,7 +288,7 @@ def execute_job(job: Job) -> dict[str, Any]:
             else verdict.worst_interval_s
         ),
         "input_overruns": verdict.input_overruns,
-        "rate_hz": rate_hz,
+        "rate_hz": compiled.contract()["rate_hz"],
         "frames": job.frames,
         "makespan_s": result.makespan_s,
         "elapsed_s": time.perf_counter() - started,

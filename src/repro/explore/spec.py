@@ -48,7 +48,6 @@ from ..apps import (
     build_histogram_app,
     build_image_pipeline,
     build_multi_conv_app,
-    benchmark,
     benchmark_suite,
 )
 from ..errors import BlockParallelError, FaultSpecError, GraphError
@@ -57,7 +56,7 @@ from ..graph.app import ApplicationGraph
 from ..graph.serialize import FINGERPRINT_SCHEMA
 from ..graph.serialize import fingerprint as graph_fingerprint
 from ..machine.processor import ProcessorSpec
-from ..transform.compile import CompileOptions
+from ..transform.compile import CompileOptions, compile_application
 
 __all__ = [
     "ExploreError",
@@ -100,37 +99,23 @@ FAULT_KEYS = frozenset({"faults", "fault_seed"})
 
 @dataclass(frozen=True, slots=True)
 class AppTemplate:
-    """A sweep-addressable application: builder plus measurement contract."""
+    """A sweep-addressable application: a name and its builder."""
 
     name: str
     build: Callable[..., ApplicationGraph]
-    #: Application output kernel where real-time completion is measured.
-    output: str
-    #: Chunks completing one frame at that output, given builder params.
-    chunks_per_frame: Callable[[Mapping[str, Any]], int]
 
 
-def _w(params: Mapping[str, Any]) -> int:
-    return int(params["width"])
-
-
-def _h(params: Mapping[str, Any]) -> int:
-    return int(params["height"])
-
-
+#: Every app a sweep can name: the parameterized builders, then the
+#: Figure 13 keys — entries whose builder takes no parameters.
 APP_TEMPLATES: dict[str, AppTemplate] = {
     t.name: t for t in [
-        AppTemplate("image_pipeline", build_image_pipeline,
-                    "result", lambda p: 1),
-        AppTemplate("histogram", build_histogram_app, "result", lambda p: 1),
-        AppTemplate("bayer", build_bayer_app, "Video",
-                    lambda p: (_w(p) // 2) * (_h(p) // 2)),
-        AppTemplate("buffer_test", build_buffer_test_app, "Out",
-                    lambda p: (_w(p) - 6) * (_h(p) - 6)),
-        AppTemplate("multi_conv", build_multi_conv_app, "Out",
-                    lambda p: (_w(p) - 4) * (_h(p) - 4)),
-        AppTemplate("filter_bank", build_filter_bank_app, "Out",
-                    lambda p: (_w(p) - 4) * (_h(p) - 4)),
+        AppTemplate("image_pipeline", build_image_pipeline),
+        AppTemplate("histogram", build_histogram_app),
+        AppTemplate("bayer", build_bayer_app),
+        AppTemplate("buffer_test", build_buffer_test_app),
+        AppTemplate("multi_conv", build_multi_conv_app),
+        AppTemplate("filter_bank", build_filter_bank_app),
+        *(AppTemplate(b.key, b.build) for b in benchmark_suite()),
     ]
 }
 
@@ -146,7 +131,7 @@ class Job:
 
     #: Sweep name this job belongs to (labelling only).
     sweep: str
-    #: Application: an :data:`APP_TEMPLATES` name or a Figure 13 key.
+    #: Application: an :data:`APP_TEMPLATES` name (Figure 13 keys included).
     app: str
     #: Builder keyword arguments (positional axes like width/height/rate).
     params: tuple[tuple[str, Any], ...] = ()
@@ -217,9 +202,7 @@ class Job:
         return FaultSpec.from_json(self.faults)
 
     def build_app(self) -> ApplicationGraph:
-        if self.app in APP_TEMPLATES:
-            return APP_TEMPLATES[self.app].build(**self.param_dict)
-        return benchmark(self.app).application()
+        return APP_TEMPLATES[self.app].build(**self.param_dict)
 
     def build_processor(self) -> ProcessorSpec:
         overrides = dict(self.processor)
@@ -240,18 +223,16 @@ class Job:
         return CompileOptions(**dict(self.options))
 
     def measurement(self) -> tuple[str, int, float]:
-        """(output kernel, chunks per frame, input rate) for the verdict."""
-        if self.app in APP_TEMPLATES:
-            template = APP_TEMPLATES[self.app]
-            params = self.param_dict
-            rate = params.get("rate_hz")
-            if rate is None:  # builder default applies
-                rate = inspect.signature(
-                    template.build
-                ).parameters["rate_hz"].default
-            return template.output, template.chunks_per_frame(params), float(rate)
-        bench = benchmark(self.app)
-        return bench.output, bench.chunks_per_frame, bench.rate_hz
+        """(output kernel, chunks per frame, frame rate) for the verdict:
+        :meth:`~repro.transform.CompiledApp.contract` of the compiled
+        job.  Compiles to answer; a caller that already holds the
+        compiled app reads ``contract()`` there instead.
+        """
+        contract = compile_application(
+            self.build_app(), self.build_processor(), self.build_options()
+        ).contract()
+        return (contract["output"], contract["chunks_per_frame"],
+                contract["rate_hz"])
 
     # -- identity ------------------------------------------------------
 
@@ -539,25 +520,16 @@ def _route(point: Mapping[str, Any], spec: SweepSpec) -> Job:
 
 
 def _validate_builder_params(app: str, params: Mapping[str, Any]) -> None:
-    if app in APP_TEMPLATES:
-        sig = inspect.signature(APP_TEMPLATES[app].build)
-        try:
-            sig.bind(**params)
-        except TypeError as exc:
-            raise ExploreError(
-                f"app {app!r} rejects parameters {sorted(params)}: {exc}"
-            ) from None
-        return
-    known = {b.key for b in benchmark_suite()}
-    if app not in known:
+    if app not in APP_TEMPLATES:
         raise ExploreError(
-            f"unknown app {app!r}: not a template "
-            f"({sorted(APP_TEMPLATES)}) or benchmark key ({sorted(known)})"
+            f"unknown app {app!r}: not one of {sorted(APP_TEMPLATES)}"
         )
-    if params:
+    try:
+        inspect.signature(APP_TEMPLATES[app].build).bind(**params)
+    except TypeError as exc:
         raise ExploreError(
-            f"benchmark {app!r} takes no parameters, got {sorted(params)}"
-        )
+            f"app {app!r} rejects parameters {sorted(params)}: {exc}"
+        ) from None
 
 
 def expand(spec: SweepSpec) -> list[Job]:

@@ -36,6 +36,8 @@ from typing import Any, Iterable, Iterator
 
 __all__ = [
     "STORE_SCHEMA",
+    "append_jsonl",
+    "read_jsonl",
     "ResultStore",
     "SweepReport",
     "aggregate",
@@ -43,6 +45,48 @@ __all__ = [
 ]
 
 STORE_SCHEMA = 1
+
+
+def append_jsonl(path: str | os.PathLike[str], obj: Any, *,
+                 tear: bool = False) -> None:
+    """Append ``obj`` as one JSON line, closing a torn tail first.
+
+    A file that ends mid-line (a crashed writer's partial append) gets
+    its newline before the new line, so the new line is not glued onto
+    the torn one and lost with it — see the module docstring.  ``tear``
+    is the chaos injector's crash-mid-append: only a prefix of the line
+    is written, and no newline.
+    """
+    data = (json.dumps(obj, default=str) + "\n").encode("utf-8")
+    if tear:
+        data = data[: max(1, len(data) // 2)]
+    try:
+        with open(path, "rb") as fh:
+            fh.seek(-1, os.SEEK_END)
+            torn = fh.read(1) != b"\n"
+    except (OSError, ValueError):
+        torn = False  # missing or empty: nothing to repair
+    with open(path, "ab") as fh:
+        if torn:
+            fh.write(b"\n")
+        fh.write(data)
+        fh.flush()
+
+
+def read_jsonl(path: str | os.PathLike[str]) -> Iterator[Any]:
+    """Every line of ``path`` that parses as JSON, in file order; blank
+    and torn lines are skipped and a missing file reads as empty."""
+    if not os.path.exists(path):
+        return
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                yield json.loads(line)
+            except json.JSONDecodeError:
+                continue  # torn line from a crashed writer
 
 
 class ResultStore:
@@ -54,32 +98,12 @@ class ResultStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._chaos = chaos
 
-    def _tail_torn(self) -> bool:
-        """Whether the file ends mid-line (a crashed writer's partial
-        append).  Missing and empty files are fine."""
-        try:
-            with open(self.path, "rb") as fh:
-                fh.seek(-1, os.SEEK_END)
-                return fh.read(1) != b"\n"
-        except (OSError, ValueError):
-            return False
-
     def append(self, record: dict[str, Any]) -> None:
-        line = json.dumps({"schema": STORE_SCHEMA, **record}, default=str)
-        data = (line + "\n").encode("utf-8")
-        if self._chaos is not None and self._chaos.tear_store_line(
-                str(record.get("fingerprint", ""))):
-            # Injected crash-mid-append: a prefix of the line, no
-            # newline — the write a lost fsync leaves behind.
-            data = data[: max(1, len(data) // 2)]
-        repair = self._tail_torn()
-        with open(self.path, "ab") as fh:
-            if repair:
-                # Close the torn line first so this record is not glued
-                # onto it (and lost with it) — see the module docstring.
-                fh.write(b"\n")
-            fh.write(data)
-            fh.flush()
+        append_jsonl(
+            self.path, {"schema": STORE_SCHEMA, **record},
+            tear=self._chaos is not None and self._chaos.tear_store_line(
+                str(record.get("fingerprint", ""))),
+        )
 
     def compact(self, *, rotate_to: str | os.PathLike[str] | None = None,
                 ) -> dict[str, int]:
@@ -132,20 +156,10 @@ class ResultStore:
                 "dropped": len(records) - len(survivors)}
 
     def __iter__(self) -> Iterator[dict[str, Any]]:
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn final line from a crashed writer
-                if (isinstance(record, dict)
-                        and record.get("schema") == STORE_SCHEMA):
-                    yield record
+        for record in read_jsonl(self.path):
+            if (isinstance(record, dict)
+                    and record.get("schema") == STORE_SCHEMA):
+                yield record
 
     def load(self) -> list[dict[str, Any]]:
         return list(self)

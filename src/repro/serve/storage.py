@@ -16,6 +16,11 @@ restart loses only in-memory state, and resubmitting a spec finds every
 completed job's fingerprint already cached and executes just the
 remainder.  Nothing here is service-private magic.
 
+All three line files go through :func:`~repro.explore.store.append_jsonl`
+and :func:`~repro.explore.store.read_jsonl`: an append closes a torn tail
+before writing, a read skips torn lines, so a service killed mid-write
+loses that one line and nothing written after the restart.
+
 The optional ``chaos`` injector (see :mod:`repro.chaos`) is threaded
 through to both: the cache then corrupts or truncates entries at write
 time and the store tears appends, exercising exactly the recovery paths
@@ -24,13 +29,12 @@ time and the store tears appends, exercising exactly the recovery paths
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Any
 
 from ..explore.cache import ResultCache
-from ..explore.store import ResultStore
+from ..explore.store import ResultStore, append_jsonl, read_jsonl
 
 __all__ = ["ServiceStorage"]
 
@@ -54,49 +58,24 @@ class ServiceStorage:
         return self.events_dir / f"{run_id}.ndjson"
 
     def append_event(self, run_id: str, envelope: dict[str, Any]) -> None:
-        with open(self.event_log_path(run_id), "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(envelope, default=str) + "\n")
+        append_jsonl(self.event_log_path(run_id), envelope)
 
     def read_events(self, run_id: str) -> list[dict[str, Any]]:
-        path = self.event_log_path(run_id)
-        if not path.exists():
-            return []
-        out: list[dict[str, Any]] = []
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    out.append(json.loads(line))
-                except json.JSONDecodeError:
-                    continue  # torn final line from a killed service
-        return out
+        return list(read_jsonl(self.event_log_path(run_id)))
 
     # -- the run registry ----------------------------------------------
 
     def register(self, entry: dict[str, Any]) -> None:
         """Append one registry line (admission or terminal status)."""
-        with open(self.runs_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, default=str) + "\n")
+        append_jsonl(self.runs_path, entry)
 
     def registry(self) -> list[dict[str, Any]]:
         """Latest registry entry per run id, admission order preserved."""
-        if not self.runs_path.exists():
-            return []
         latest: dict[str, dict[str, Any]] = {}
-        with open(self.runs_path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                run_id = entry.get("run")
-                if isinstance(run_id, str) and run_id:
-                    latest[run_id] = {**latest.get(run_id, {}), **entry}
+        for entry in read_jsonl(self.runs_path):
+            run_id = entry.get("run")
+            if isinstance(run_id, str) and run_id:
+                latest[run_id] = {**latest.get(run_id, {}), **entry}
         return list(latest.values())
 
     # -- maintenance ---------------------------------------------------

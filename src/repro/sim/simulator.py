@@ -395,6 +395,13 @@ class SimulationResult:
     ) -> RealTimeVerdict:
         """Real-time verdict at one application output.
 
+        ``output``, ``rate_hz`` and ``chunks_per_frame`` are the contract
+        the run is held to.  The compiler derived all three when it
+        propagated the inputs' sizes and rates through the graph, so the
+        usual call is ``result.verdict(**compiled.contract())`` (see
+        :meth:`repro.transform.CompiledApp.contract`); pass them by hand
+        only to judge a run against something else.
+
         Meets real-time when every expected frame completed, steady-state
         completion intervals stay within tolerance of the frame period,
         and the input never overran.  The first frame's fill latency is

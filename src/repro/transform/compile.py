@@ -19,7 +19,7 @@ benchmark harnesses inspect to regenerate the paper's figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
+from typing import Any, Literal
 
 from ..analysis.dataflow import DataflowResult, analyze_dataflow
 from ..analysis.resources import (
@@ -28,6 +28,7 @@ from ..analysis.resources import (
     analyze_resources,
 )
 from ..analysis.validate import validate_application, validate_physical
+from ..errors import AnalysisError
 from ..graph.app import ApplicationGraph
 from ..machine.processor import DEFAULT_PROCESSOR, ProcessorSpec
 from .align import AlignmentPolicy, align_application
@@ -89,6 +90,46 @@ class CompiledApp:
 
     def kernel_count(self) -> int:
         return len(self.graph.kernels)
+
+    def contract(self, output: str | None = None) -> dict[str, Any]:
+        """The real-time contract at one application output, as the
+        dataflow analysis derived it (Section III-A): ``output``,
+        ``chunks_per_frame`` and ``rate_hz`` — the keyword arguments of
+        :meth:`~repro.sim.SimulationResult.verdict`, so
+        ``result.verdict(**compiled.contract())`` judges a run on the
+        frame boundary and rate the graph actually produces.
+
+        ``output`` may be omitted when the graph has exactly one
+        :class:`~repro.kernels.ApplicationOutput`.
+        """
+        outputs = [k.name for k in self.graph.application_outputs()]
+        if output is None:
+            if len(outputs) != 1:
+                raise AnalysisError(
+                    f"{self.source.name!r} has {len(outputs)} application "
+                    f"outputs {outputs}; contract() needs exactly one, or "
+                    "the name of the one to measure"
+                )
+            output = outputs[0]
+        elif output not in outputs:
+            raise AnalysisError(
+                f"{self.source.name!r} has no application output "
+                f"{output!r}; candidates: {outputs}"
+            )
+        stream = self.dataflow.stream_into(output, "in")
+        if stream.share != 1:
+            # A split branch's chunks_per_frame is the ceiling over all
+            # branches, not what this one sink receives each frame.
+            raise AnalysisError(
+                f"output {output!r} receives a {stream.share} share of its "
+                f"stream; join the branches before measuring there "
+                f"(outputs: {outputs})"
+            )
+        return {
+            "output": output,
+            "chunks_per_frame": stream.chunks_per_frame,
+            "rate_hz": float(stream.rate_hz),
+        }
 
     def describe(self) -> str:
         lines = [

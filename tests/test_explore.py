@@ -1,6 +1,8 @@
 """Tests for the design-space exploration engine (spec, cache, store,
 serial execution, cached rate probes, and the CLI surface)."""
 
+import inspect
+import itertools
 import json
 import pickle
 
@@ -9,6 +11,7 @@ import pytest
 from repro.apps import benchmark, benchmark_suite, build_image_pipeline
 from repro.cli import main
 from repro.explore import (
+    APP_TEMPLATES,
     CACHE_SCHEMA,
     STORE_SCHEMA,
     DiskProbeCache,
@@ -25,6 +28,7 @@ from repro.explore import (
     SweepSpec,
     SweepStarted,
     aggregate,
+    execute_job,
     find_max_rate_cached,
     run_sweep,
 )
@@ -38,6 +42,28 @@ PIPELINE_SPEC = {
     "axes": {"rate_hz": [50.0, 100.0]},
     "fixed": {"width": 16, "height": 12},
     "frames": 2,
+}
+
+
+#: (output, chunks per frame, frame rate) of every Figure 13 key.
+SUITE_CONTRACTS = {
+    "1": ("Video", 128, 200.0), "1F": ("Video", 128, 1200.0),
+    "2": ("result", 1, 200.0), "2F": ("result", 1, 800.0),
+    "3": ("Out", 1620, 50.0), "4": ("Out", 448, 100.0),
+    "SS": ("result", 1, 100.0), "SF": ("result", 1, 1000.0),
+    "BS": ("result", 1, 100.0), "BF": ("result", 1, 400.0),
+    "5": ("result", 1, 400.0), "FB": ("Out", 240, 100.0),
+}
+
+#: Output and chunks per frame of every template, by width and height
+#: (other builder parameters at their defaults).
+TEMPLATE_CONTRACTS = {
+    "image_pipeline": ("result", lambda w, h: 1),
+    "histogram": ("result", lambda w, h: 1),
+    "bayer": ("Video", lambda w, h: (w // 2) * (h // 2)),
+    "buffer_test": ("Out", lambda w, h: (w - 6) * (h - 6)),
+    "multi_conv": ("Out", lambda w, h: (w - 4) * (h - 4)),
+    "filter_bank": ("Out", lambda w, h: (w - 4) * (h - 4)),
 }
 
 
@@ -84,23 +110,55 @@ class TestSweepSpec:
 
     def test_benchmark_key_app(self):
         spec = SweepSpec.from_dict({"app": "2", "axes": {"frames": [2, 3]}})
-        jobs = spec.jobs()
-        assert [j.frames for j in jobs] == [2, 3]
-        output, chunks, rate = jobs[0].measurement()
-        bench = benchmark("2")
-        assert (output, chunks, rate) == (bench.output, bench.chunks_per_frame,
-                                          bench.rate_hz)
+        assert [j.frames for j in spec.jobs()] == [2, 3]
 
-    def test_default_rate_comes_from_builder_signature(self):
-        spec = SweepSpec.from_dict({
-            "app": "image_pipeline",
-            "fixed": {"width": 16, "height": 12},
-        })
-        _, _, rate = spec.jobs()[0].measurement()
-        import inspect
-        expected = inspect.signature(
-            build_image_pipeline).parameters["rate_hz"].default
-        assert rate == expected
+    def test_contract_is_derived_from_the_compiled_graph(self):
+        # The tuples the suite and the templates used to declare by
+        # hand, now read off the compiled graph.
+        for key, (output, chunks, rate) in SUITE_CONTRACTS.items():
+            for mapping in ("greedy", "1:1"):
+                job = Job(sweep="t", app=key,
+                          options=(("mapping", mapping),))
+                got = job.measurement()
+                assert got == (output, chunks, rate), (key, mapping)
+                assert type(got[2]) is float
+        grid = itertools.product([(24, 16), (48, 20)], [None, 60, 62.5])
+        for (width, height), rate in grid:
+            params = {"width": width, "height": height}
+            if rate is not None:
+                params["rate_hz"] = rate
+            for app, (output, chunks) in TEMPLATE_CONTRACTS.items():
+                job = SweepSpec.from_dict(
+                    {"app": app, "fixed": params}).jobs()[0]
+                expected = rate
+                if rate is None:  # the builder's default applies
+                    expected = inspect.signature(
+                        APP_TEMPLATES[app].build
+                    ).parameters["rate_hz"].default
+                got = job.measurement()
+                assert got == (output, chunks(width, height), expected), \
+                    job.label
+                assert type(got[2]) is float
+
+    def test_job_stats_rate_is_a_float(self):
+        # bench/'s job goldens digest stats["rate_hz"]: an int rate axis
+        # must still come out as a float.
+        job = SweepSpec.from_dict({**PIPELINE_SPEC,
+                                   "axes": {"rate_hz": [50]}}).jobs()[0]
+        rate = execute_job(job)["rate_hz"]
+        assert rate == 50.0 and type(rate) is float
+
+    def test_window_axis_moves_the_frame_boundary(self):
+        # window=5 on 48x16 makes 44*12 chunks a frame; the declared
+        # (w-6)*(h-6) said 420 and cut every frame short.
+        job = SweepSpec.from_dict({
+            "app": "buffer_test",
+            "fixed": {"width": 48, "height": 16, "rate_hz": 40, "window": 5},
+        }).jobs()[0]
+        assert job.measurement() == ("Out", 528, 40.0)
+        stats = execute_job(job)
+        assert stats["meets"]
+        assert stats["worst_interval_s"] == pytest.approx(1 / 40, rel=1e-3)
 
     def test_unknown_spec_key_rejected(self):
         with pytest.raises(ExploreError, match="unknown sweep spec keys"):
@@ -125,7 +183,7 @@ class TestSweepSpec:
 
     def test_benchmark_with_parameters_rejected(self):
         spec = SweepSpec.from_dict({"app": "2", "fixed": {"width": 16}})
-        with pytest.raises(ExploreError, match="takes no parameters"):
+        with pytest.raises(ExploreError, match="'2' rejects parameters"):
             spec.jobs()
 
 

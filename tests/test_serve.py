@@ -380,6 +380,24 @@ class TestStoreCompaction:
         assert index["ok1"]["tag"] == 9
 
 
+class TestStorageAfterKill:
+    def test_first_line_after_a_torn_tail_is_read_back(self, tmp_path):
+        # A service killed mid-write leaves a line without its newline;
+        # whatever the restarted service appends next must not be glued
+        # onto it (and dropped with it by every reader).
+        storage = ServiceStorage(tmp_path / "data")
+        storage.register({"run": "r1", "state": "queued"})
+        storage.append_event("r1", {"seq": 0, "event": "RunAccepted"})
+        for path in (storage.runs_path, storage.event_log_path("r1")):
+            with open(path, "a", encoding="utf-8") as fh:
+                fh.write('{"run": "r2", "sta')
+        restarted = ServiceStorage(tmp_path / "data")
+        restarted.register({"run": "r3", "state": "queued"})
+        restarted.append_event("r1", {"seq": 1, "event": "JobStarted"})
+        assert [e["run"] for e in restarted.registry()] == ["r1", "r3"]
+        assert [e["seq"] for e in restarted.read_events("r1")] == [0, 1]
+
+
 # ---------------------------------------------------------------------------
 # The isolated single-job primitive (satellite: cancellation/timeout)
 

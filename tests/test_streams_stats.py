@@ -158,7 +158,7 @@ class TestBenchmarkSuite:
     def test_lookup(self):
         from repro.apps import benchmark
 
-        assert benchmark("SS").rate_hz == 100.0
+        assert benchmark("SS").title == "image pipeline 24x16@100Hz"
         with pytest.raises(KeyError):
             benchmark("nope")
 

@@ -10,7 +10,13 @@ from repro.analysis import (
     validate_physical,
 )
 from repro.apps import build_image_pipeline, build_multi_conv_app
-from repro.errors import AlignmentError, GraphError, RateError, TransformError
+from repro.errors import (
+    AlignmentError,
+    AnalysisError,
+    GraphError,
+    RateError,
+    TransformError,
+)
 from repro.geometry import Inset, Size2D
 from repro.graph import ApplicationGraph
 from repro.kernels import (
@@ -18,8 +24,10 @@ from repro.kernels import (
     BufferKernel,
     InsetKernel,
     PadKernel,
+    RoundRobinSplit,
     SubtractKernel,
 )
+from repro.sim import simulate
 from repro.transform import (
     CompileOptions,
     align_application,
@@ -191,6 +199,54 @@ class TestCompilePipeline:
         app.connect("Input", "out", "s", "in1")
         with pytest.raises(GraphError):
             compile_application(app, BIG_PROC)
+
+
+class TestContract:
+    """``CompiledApp.contract`` reads the verdict's arguments off the
+    dataflow analysis; every refusal names the candidate outputs."""
+
+    @staticmethod
+    def halves():
+        app = ApplicationGraph("halves")
+        app.add_input("Input", 8, 4, 10.0)
+        app.add_kernel(RoundRobinSplit("split", 2))
+        app.add_output("A")
+        app.add_output("B")
+        app.connect("Input", "out", "split", "in")
+        app.connect("split", "out_0", "A", "in")
+        app.connect("split", "out_1", "B", "in")
+        return compile_application(app, BIG_PROC)
+
+    def test_reads_the_only_output(self):
+        compiled = compile_application(
+            build_multi_conv_app(32, 20, 100), SMALL_PROC
+        )
+        expected = {"output": "Out", "chunks_per_frame": 28 * 16,
+                    "rate_hz": 100.0}
+        assert compiled.contract() == compiled.contract("Out") == expected
+        assert type(compiled.contract()["rate_hz"]) is float
+        assert simulate(compiled).verdict(**compiled.contract()).meets
+
+    def test_several_outputs_and_none_named(self):
+        with pytest.raises(AnalysisError, match=r"2 application outputs "
+                                                r"\['A', 'B'\]"):
+            self.halves().contract()
+
+    def test_unknown_output(self):
+        with pytest.raises(AnalysisError, match=r"no application output 'C'; "
+                                                r"candidates: \['A', 'B'\]"):
+            self.halves().contract("C")
+
+    def test_split_branch_output_refused(self):
+        with pytest.raises(AnalysisError, match=r"'A' receives a 1/2 share"
+                                                r".*\['A', 'B'\]"):
+            self.halves().contract("A")
+
+    def test_graph_without_outputs(self):
+        compiled = self.halves()
+        compiled.graph = ApplicationGraph("bare")  # hand-assembled artefact
+        with pytest.raises(AnalysisError, match=r"0 application outputs \[\]"):
+            compiled.contract()
 
 
 class TestPadPolicyErrors:
