@@ -85,7 +85,8 @@ class WorkerChaos:
     """
 
     #: Probability an attempt dies mid-job (``os._exit``, i.e. SIGKILL
-    #: semantics: the pool breaks and the attempt is charged a crash).
+    #: semantics: the worker never answers and the attempt is charged a
+    #: crash).
     crash_probability: float = 0.0
     #: Probability an attempt wedges: no progress, no heartbeat.  Only
     #: a deadline or the watchdog ends it.

@@ -7,7 +7,7 @@ whether or not a :class:`~.model.ChaosSpec` is installed:
 * **Heartbeats** — a worker touches a per-attempt heartbeat file on a
   short interval; the parent treats a stale file as a wedged worker,
   kills it, and charges the attempt a retryable ``crash`` instead of
-  letting the job block a pool slot until its full wall-clock timeout.
+  letting the job block a worker slot until its full wall-clock timeout.
 * **Quarantine** — a :class:`QuarantineLedger` counts consecutive
   crashes per job fingerprint; a fingerprint that crash-loops past its
   budget is *parked*: it gets a terminal ``quarantined`` record and is
@@ -26,6 +26,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from typing import Callable
 
 from .inject import unit_interval
 
@@ -58,35 +59,42 @@ def backoff_delay(attempt: int, base_s: float, max_s: float, *,
 
 
 def touch_heartbeat(path: str) -> None:
-    """Advance a heartbeat file's mtime (creating it if needed)."""
+    """Advance an existing heartbeat file's mtime.
+
+    Never creates the file: whoever watches it made it (the executor's
+    ``mkstemp``) and removes it, so a beat that races the removal is a
+    no-op instead of a leaked file.
+    """
     try:
         os.utime(path, None)
     except OSError:
-        try:
-            with open(path, "a", encoding="utf-8"):
-                pass
-        except OSError:  # pragma: no cover - heartbeat dir went away
-            pass
+        pass
 
 
-def start_heartbeat(path: str, interval_s: float) -> threading.Event:
+def start_heartbeat(path: str, interval_s: float) -> Callable[[], None]:
     """Touch ``path`` every ``interval_s`` from a daemon thread.
 
-    Returns the stop event.  Runs in the *worker* process: a healthy
+    Returns ``stop()``, which ends the thread and waits for it: no beat
+    lands after it returns.  Runs in the *worker* process: a healthy
     worker heartbeats even while a long kernel body executes; a wedged
     one (stuck in C, swapped out, SIGSTOPped — or chaos-hung) does not,
     which is exactly the distinction the parent's watchdog needs.
     """
-    stop = threading.Event()
+    stopping = threading.Event()
     touch_heartbeat(path)
 
     def beat() -> None:
-        while not stop.wait(interval_s):
+        while not stopping.wait(interval_s):
             touch_heartbeat(path)
 
     thread = threading.Thread(target=beat, name="repro-heartbeat",
                               daemon=True)
     thread.start()
+
+    def stop() -> None:
+        stopping.set()
+        thread.join()
+
     return stop
 
 

@@ -1,21 +1,27 @@
 """Parallel sweep execution: compile→simulate→measure as fault-isolated jobs.
 
-Jobs run in :class:`concurrent.futures.ProcessPoolExecutor` workers so a
-crashing or hanging design point cannot take the sweep (or the parent
-interpreter) down.  Each in-flight job gets its own *single-worker* pool:
-a broken pool then identifies its crasher exactly, and terminating a hung
-worker touches nothing else — no collateral blame, no requeue storms.
-(Worker processes are consequently per-job; with the ``fork`` start
-method that costs milliseconds against jobs that compile and simulate
-for hundreds.)
+Jobs run in supervised worker processes so a crashing or hanging design
+point cannot take the sweep (or the parent interpreter) down.  Workers
+are **resident**: a :class:`Crew` forks one per slot, on the slot's
+first flight, and a worker that answered serves the slot's next job —
+24 jobs on 2 workers cost 2 forks, and a job costs what its simulation
+costs (a process per attempt measured ≈ 19 ms against ≈ 40 ms jobs).
+Isolation does not need a process per job, only **one job per worker at
+a time**: a worker that dies identifies its crasher exactly, and a hung
+or overdue one is killed — and its slot given a fresh fork — without
+touching anything else.  No collateral blame, no requeue storms.  The
+crew's owner (:func:`run_sweep` for the call, ``repro serve`` for the
+life of the service) closes it on every exit path; nothing is left to
+interpreter exit.
 
 Two things live here and nowhere else, and both front ends — this
 module's :func:`run_sweep` and :class:`repro.serve.SweepService` — go
 through them:
 
-* **one supervisor**, :class:`_Flight`: one attempt in a single-worker
-  pool with a wall-clock deadline and (opt-in) a heartbeat file, whose
-  ``poll()`` says what became of the worker;
+* **one supervisor**, :class:`_Flight`: one attempt on a worker
+  borrowed from the crew, with a wall-clock deadline and (opt-in) a
+  heartbeat file, whose ``poll()`` says what became of the worker and
+  whose ``close()`` hands it back or kills it;
 * **one policy**, :func:`settle`: what an attempt's payload means — a
   :class:`Retry` or the terminal outcome — from which
   :func:`terminal_record` and :func:`terminal_event` build the record
@@ -28,13 +34,14 @@ Together they guarantee **exactly one terminal record per job**:
   errors (:class:`~repro.errors.BlockParallelError`) fail immediately,
   anything else retries with exponential backoff up to ``retries`` times
   before recording a ``failure`` of kind ``error``;
-* a worker that dies (segfault, ``os._exit``) breaks its pool and is
-  charged a ``crash`` attempt (retryable: transient infrastructure kills
-  exist), terminal after ``retries``;
+* a worker that dies mid-job (segfault, ``os._exit``) is charged a
+  ``crash`` attempt (retryable: transient infrastructure kills exist),
+  terminal after ``retries``; one that dies *between* jobs is replaced
+  at hand-off and charged to nobody;
 * a job past its deadline is recorded as kind ``timeout`` (terminal by
   default — a deterministic hang only wastes the budget again; opt into
   ``retry_timeouts`` for flaky-infrastructure setups) and its worker
-  process is terminated.
+  process is killed.
 
 Results are stored through the content-addressed cache (hits skip
 execution entirely) and appended to the JSONL store.  ``workers=0``
@@ -67,17 +74,13 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import stat
 import tempfile
 import threading
 import time
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
-from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from ..chaos.inject import ChaosInjector
@@ -333,9 +336,9 @@ def _worker(job_dict: dict[str, Any],
             chaos_action: dict[str, Any] | None = None,
             heartbeat: str | None = None,
             heartbeat_interval_s: float = 0.0) -> dict[str, Any]:
-    """Pool entry point: never raises, so every Python-level failure comes
-    back as data (exceptions crossing the pool boundary are reserved for
-    dead workers).
+    """One attempt, as a resident worker runs it: never raises, so every
+    Python-level failure comes back as data (only a dead worker fails to
+    answer).
 
     ``chaos_action`` is a pre-drawn injector decision (the parent draws
     it so the worker stays deterministic); ``heartbeat`` is the watchdog
@@ -354,7 +357,7 @@ def _worker(job_dict: dict[str, Any],
         stop = start_heartbeat(heartbeat, heartbeat_interval_s)
     try:
         if action.get("mode") == "crash":
-            os._exit(23)  # hard death: breaks the pool, blamed as crash
+            os._exit(23)  # hard death: no answer, blamed as crash
         if action.get("mode") == "slow":
             time.sleep(float(action.get("delay_s", 0.0)))
         job = Job.from_dict(job_dict)
@@ -370,11 +373,13 @@ def _worker(job_dict: dict[str, Any],
                     "retryable": True}
     finally:
         if stop is not None:
-            stop.set()
+            # Joined before the answer goes out: the parent unlinks the
+            # file on receipt, and this worker lives on.
+            stop()
 
 
 # ---------------------------------------------------------------------------
-# The supervisor: one attempt of one job, in a worker process of its own
+# The supervisor: resident worker processes, one attempt at a time on each
 
 
 def _mp_context():
@@ -386,16 +391,23 @@ def _mp_context():
     )
 
 
-def _worker_init() -> None:
-    """Reset signal state inherited over ``fork``.
+def _worker_init(keep: int) -> None:
+    """Drop what a worker must not share with the parent it was forked
+    from: signal plumbing and sockets.
 
     A forked worker inherits the parent's signal wakeup fd (asyncio's
     self-pipe when the parent is ``repro serve``) and its no-op Python
-    handlers.  Left alone, terminating the worker would write SIGTERM
+    handlers.  Left alone, a signal sent to the worker would be written
     into the *shared* pipe and the parent's event loop would dispatch
-    its own shutdown handler; and the inherited no-op handler would let
-    a hung worker shrug off ``terminate()``.  Detach the fd and restore
-    default dispositions so signals stay within this process.
+    its own shutdown handler.  Detach the fd and restore default
+    dispositions so signals stay within this process.
+
+    It also inherits every socket open at that moment — ``repro
+    serve``'s client connections, the pipe ends of sibling workers and
+    the parent's end of its own — and a resident worker would hold them
+    for its whole life: a connection the service closes would never
+    reach EOF at the client, a dead sibling (or parent) would never read
+    as EOF either.  Close them all but ``keep``, this worker's own end.
     """
     try:
         signal.set_wakeup_fd(-1)
@@ -406,11 +418,95 @@ def _worker_init() -> None:
             signal.signal(signum, signal.SIG_DFL)
         except (ValueError, OSError):  # pragma: no cover
             pass
+    with suppress(OSError):  # no fd directory: spawned, nothing inherited
+        for fd in map(int, os.listdir("/dev/fd")):
+            with suppress(OSError):  # the listing's own descriptor, gone
+                if fd != keep and stat.S_ISSOCK(os.fstat(fd).st_mode):
+                    os.close(fd)
+
+
+def _serve(conn: Connection) -> None:
+    """Main of a resident worker: answer one :func:`_worker` request at
+    a time until killed, or until the parent is gone (EOF)."""
+    _worker_init(conn.fileno())
+    with suppress(EOFError):
+        while True:
+            conn.send(_worker(*conn.recv()))
+
+
+class _Worker:
+    """One resident worker process and the parent's end of its pipe."""
+
+    def __init__(self) -> None:
+        context = _mp_context()
+        self.conn, child = context.Pipe()
+        self.proc = context.Process(target=_serve, args=(child,),
+                                    name="repro-sweep-worker", daemon=True)
+        self.proc.start()
+        child.close()
+
+    def kill(self) -> None:
+        """End the process whatever it is doing — busy, hung, idle or
+        already dead — and reap it (a reaped child is what
+        ``RUSAGE_CHILDREN`` and ``active_children()`` account for)."""
+        self.proc.kill()
+        self.proc.join()
+        self.proc.close()
+        self.conn.close()
+
+
+class Crew:
+    """The resident workers of one owner — a :func:`run_sweep` call, a
+    :class:`repro.serve.SweepService`, or a lone
+    :func:`run_job_isolated` — parked here between flights.
+
+    A worker process is forked when a flight finds nobody parked, so a
+    crew holds as many as its owner flies at once (its ``workers``) and
+    an owner that never flies (a fully cached sweep, a service that only
+    boots) forks none.  :meth:`acquire` and :meth:`release` are
+    thread-safe, and forks are serialised under the same lock so none
+    catches a sibling half set up.  The owner must :meth:`close` (or
+    leave the ``with`` block) on every exit path: nothing else ends a
+    parked worker before the interpreter does.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._parked: list[_Worker] = []
+
+    def acquire(self) -> _Worker:
+        """A parked worker, else a fresh one.  A worker that died while
+        parked (say, OOM-killed between jobs) is reaped and replaced
+        here, so its death is never charged to the next job."""
+        with self._lock:
+            while self._parked:
+                worker = self._parked.pop()
+                if worker.proc.is_alive():
+                    return worker
+                worker.kill()
+            return _Worker()
+
+    def release(self, worker: _Worker) -> None:
+        with self._lock:
+            self._parked.append(worker)
+
+    def close(self) -> None:
+        """Kill every parked worker (they are idle: nothing is lost)."""
+        with self._lock:
+            while self._parked:
+                self._parked.pop().kill()
+
+    def __enter__(self) -> "Crew":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
 
 
 class _Flight:
-    """One attempt in flight: a single-worker pool, its future, its
-    wall-clock deadline and (watchdog armed) its heartbeat file.
+    """One attempt in flight: a worker borrowed from a :class:`Crew`,
+    the attempt's wall-clock deadline and (watchdog armed) its heartbeat
+    file.
 
     The only supervisor of a worker process.  :func:`run_job_isolated`
     flies one and adds a cancel check; :func:`run_sweep`'s pooled path
@@ -418,18 +514,22 @@ class _Flight:
     worker from :meth:`poll` and both must :meth:`close`.
     """
 
-    __slots__ = ("budget", "deadline", "future", "heartbeat",
-                 "heartbeat_s", "pool")
+    __slots__ = ("budget", "crew", "deadline", "heartbeat", "heartbeat_s",
+                 "reusable", "waitables", "worker")
 
-    def __init__(self, job: Job, *, timeout_s: float | None = None,
+    def __init__(self, crew: Crew, job: Job, *,
+                 timeout_s: float | None = None,
                  heartbeat_s: float | None = None,
                  chaos_action: dict[str, Any] | None = None) -> None:
         self.budget = job.timeout_s if timeout_s is None else timeout_s
         self.heartbeat_s = heartbeat_s or 0.0  # None and 0 both disarm
         self.heartbeat: str | None = None
-        self.pool = ProcessPoolExecutor(max_workers=1,
-                                        mp_context=_mp_context(),
-                                        initializer=_worker_init)
+        self.crew = crew
+        self.reusable = False
+        self.worker = crew.acquire()
+        #: What :func:`multiprocessing.connection.wait` can sleep on:
+        #: ready when the worker has answered or died.
+        self.waitables = (self.worker.conn, self.worker.proc.sentinel)
         try:
             if self.heartbeat_s > 0.0:
                 fd, path = tempfile.mkstemp(prefix="repro-heartbeat-")
@@ -437,34 +537,45 @@ class _Flight:
                 self.heartbeat = path
             self.deadline = time.monotonic() + self.budget
             # The worker beats every quarter-deadline.
-            self.future: Future = self.pool.submit(
-                _worker, job.to_dict(), chaos_action, self.heartbeat,
-                self.heartbeat_s / 4.0,
-            )
+            try:
+                self.worker.conn.send((job.to_dict(), chaos_action,
+                                       self.heartbeat,
+                                       self.heartbeat_s / 4.0))
+            except OSError:
+                pass  # died since acquire(): poll() reports the crash
         except BaseException:
             self.close()
             raise
+
+    def done(self) -> bool:
+        """Whether the worker has answered or died."""
+        return self.worker.conn.poll() or not self.worker.proc.is_alive()
 
     def poll(self) -> dict[str, Any] | None:
         """The attempt's payload once its fate is known, else None.
 
         A payload is the worker's own (``{"ok": True, "stats": ...}`` or
         a classified Python-level failure) or one of the three verdicts
-        only the parent can reach: ``crash`` when the worker died and
-        broke its pool (single-worker pools make the blame exact),
-        ``crash`` with ``"watchdog": True`` when its heartbeat went
-        stale, ``timeout`` past the deadline.  The worker is still alive
-        after the last two: the caller's :meth:`close` kills it.
+        only the parent can reach: ``crash`` when the worker died (one
+        job per worker at a time makes the blame exact), ``crash`` with
+        ``"watchdog": True`` when its heartbeat went stale, ``timeout``
+        past the deadline.  The worker is still alive after the last
+        two: the caller's :meth:`close` kills it.
         """
-        if self.future.done():
-            error = self.future.exception()
-            if error is None:
-                return self.future.result()
-            if isinstance(error, BrokenProcessPool):
-                return {"ok": False, "kind": "crash",
-                        "message": "worker process died", "retryable": True}
-            return {"ok": False, "kind": "error",  # pragma: no cover
-                    "message": str(error), "retryable": True}
+        if self.done():
+            conn = self.worker.conn
+            try:
+                # Only a readable pipe is read: death is not always an
+                # EOF (a fork from another thread, caught mid-set-up,
+                # can hold a copy of the dead worker's end).
+                if conn.poll():
+                    payload = conn.recv()
+                    self.reusable = True
+                    return payload
+            except (EOFError, OSError):
+                pass
+            return {"ok": False, "kind": "crash",
+                    "message": "worker process died", "retryable": True}
         if (self.heartbeat is not None
                 and heartbeat_stale(self.heartbeat, self.heartbeat_s)):
             return {"ok": False, "kind": "crash",
@@ -478,21 +589,14 @@ class _Flight:
         return None
 
     def close(self) -> None:
-        """Tear the pool down even when the worker is hung or dead, and
-        remove the heartbeat file.
-
-        ``shutdown`` alone never interrupts a busy worker, so the worker
-        processes are terminated explicitly; ``_processes`` is
-        stdlib-private but stable across supported versions, and the
-        fallback is merely a slower (blocking) shutdown.
-        """
-        processes = list(getattr(self.pool, "_processes", {}).values())
-        self.pool.shutdown(wait=False, cancel_futures=True)
-        for proc in processes:
-            try:
-                proc.terminate()
-            except (OSError, ValueError):  # pragma: no cover - already dead
-                pass
+        """Hand a worker that answered back to the crew; kill it in
+        every other case — dead, hung, overdue, cancelled mid-flight —
+        so the next flight forks a clean one.  Remove the heartbeat
+        file."""
+        if self.reusable:
+            self.crew.release(self.worker)
+        else:
+            self.worker.kill()
         if self.heartbeat is not None:
             try:
                 os.unlink(self.heartbeat)
@@ -508,14 +612,15 @@ def run_job_isolated(
     poll_s: float = 0.05,
     heartbeat_s: float | None = None,
     chaos_action: dict[str, Any] | None = None,
+    crew: Crew | None = None,
 ) -> dict[str, Any]:
-    """One job attempt in its own single-worker pool, cancellable.
+    """One job attempt on a supervised worker process, cancellable.
 
     This is the blocking execution primitive :mod:`repro.serve` drives
     from worker threads: one :class:`_Flight` — the same crash
     isolation, watchdog and deadline as :func:`run_sweep`'s pooled path
     — plus a cooperative ``cancel`` event.  Returns a payload shaped
-    like the pool ``_worker``'s — ``{"ok": True, "stats": ...}`` or
+    like :func:`_worker`'s — ``{"ok": True, "stats": ...}`` or
     ``{"ok": False, "kind": ..., "message": ..., "retryable": ...}`` —
     with the failure kinds the in-process worker cannot produce:
 
@@ -526,33 +631,37 @@ def run_job_isolated(
     * ``"timeout"`` once ``timeout_s`` (default: the job's own
       ``timeout_s``) of wall clock elapses;
     * ``"cancelled"`` as soon as ``cancel`` is observed set (checked
-      every ``poll_s``); the worker process is terminated either way.
+      every ``poll_s``) with the worker still busy, which is then
+      killed.
 
     ``chaos_action`` is a pre-drawn
     :meth:`~repro.chaos.ChaosInjector.worker_action` decision forwarded
     to the worker.
 
-    The pool is always torn down before returning, so a crashed or hung
-    worker never outlives its job.
+    The worker comes from ``crew`` and goes back to it when it answered;
+    a crashed, hung, overdue or cancelled one is killed before this
+    returns.  Without a ``crew`` the call is a crew of one that lives
+    for the call: a worker is forked for it and killed after it.
     """
     if cancel is not None and cancel.is_set():
         return {"ok": False, "kind": "cancelled",
                 "message": "cancelled before start", "retryable": False}
-    flight = _Flight(job, timeout_s=timeout_s, heartbeat_s=heartbeat_s,
-                     chaos_action=chaos_action)
-    try:
-        while True:
-            wait([flight.future], timeout=poll_s)
-            if (cancel is not None and cancel.is_set()
-                    and not flight.future.done()):
-                return {"ok": False, "kind": "cancelled",
-                        "message": "cancelled mid-flight",
-                        "retryable": False}
-            payload = flight.poll()
-            if payload is not None:
-                return payload
-    finally:
-        flight.close()
+    with Crew() if crew is None else nullcontext(crew) as crew:
+        flight = _Flight(crew, job, timeout_s=timeout_s,
+                         heartbeat_s=heartbeat_s, chaos_action=chaos_action)
+        try:
+            while True:
+                wait(flight.waitables, timeout=poll_s)
+                if (cancel is not None and cancel.is_set()
+                        and not flight.done()):
+                    return {"ok": False, "kind": "cancelled",
+                            "message": "cancelled mid-flight",
+                            "retryable": False}
+                payload = flight.poll()
+                if payload is not None:
+                    return payload
+        finally:
+            flight.close()
 
 
 # ---------------------------------------------------------------------------
@@ -752,8 +861,9 @@ def run_sweep(
     if workers == 0:
         _run_serial(pending, handle_payload, emit)
     else:
-        _run_pooled(pending, workers, options, handle_payload, emit,
-                    chaos=chaos)
+        with Crew() as crew:
+            _run_pooled(pending, workers, options, handle_payload, emit,
+                        crew, chaos=chaos)
 
     records = [terminal[i] for i in sorted(terminal)]
     elapsed = time.monotonic() - started
@@ -777,19 +887,21 @@ def _run_serial(pending: list[_Attempt], handle_payload, emit) -> None:
 
 
 def _run_pooled(pending: list[_Attempt], workers: int,
-                options: SweepOptions, handle_payload, emit,
+                options: SweepOptions, handle_payload, emit, crew: Crew,
                 chaos: ChaosInjector | None = None) -> None:
-    """At most ``workers`` flights in the air, each polled every
-    ``tick_s`` (sooner when one completes)."""
+    """At most ``workers`` flights in the air on ``crew``'s workers,
+    each polled every ``tick_s`` (sooner when one answers or dies)."""
     in_flight: list[_Attempt] = []
     try:
         while pending or in_flight:
             now = time.monotonic()
-            # Top up: launch ready tasks while worker slots are free.
-            ready = [t for t in pending if t.not_before <= now]
-            while ready and len(in_flight) < workers:
-                task = ready.pop(0)
-                pending.remove(task)
+            # Top up: one pass over ``pending``, in order, launching
+            # ready tasks while worker slots are free.
+            waiting: list[_Attempt] = []
+            for task in pending:
+                if len(in_flight) == workers or task.not_before > now:
+                    waiting.append(task)
+                    continue
                 emit(JobStarted(task.job.label, attempt=task.attempt))
                 action = None
                 if chaos is not None:
@@ -797,10 +909,11 @@ def _run_pooled(pending: list[_Attempt], workers: int,
                         task.job.fingerprint, task.attempt,
                         task.job.label,
                     )
-                task.flight = _Flight(task.job,
+                task.flight = _Flight(crew, task.job,
                                       heartbeat_s=options.heartbeat_s,
                                       chaos_action=action)
                 in_flight.append(task)
+            pending[:] = waiting  # in place: handle_payload appends retries
             if not in_flight:
                 # Everything pending is backing off; sleep until the
                 # earliest becomes ready.
@@ -808,8 +921,8 @@ def _run_pooled(pending: list[_Attempt], workers: int,
                 time.sleep(max(options.tick_s, wake - time.monotonic()))
                 continue
 
-            wait([t.flight.future for t in in_flight],
-                 timeout=options.tick_s, return_when=FIRST_COMPLETED)
+            wait([w for t in in_flight for w in t.flight.waitables],
+                 timeout=options.tick_s)
             for task in list(in_flight):
                 payload = task.flight.poll()
                 if payload is not None:
@@ -820,5 +933,5 @@ def _run_pooled(pending: list[_Attempt], workers: int,
                     task.flight.close()
                     handle_payload(task, payload)
     finally:
-        for task in in_flight:  # pragma: no cover - unwind
+        for task in in_flight:
             task.flight.close()

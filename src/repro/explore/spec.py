@@ -34,6 +34,7 @@ declarative spec alone (documented in ``docs/explore.md``).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import inspect
 import itertools
@@ -350,6 +351,25 @@ def _canonical_placement(value: Any, noc_on: bool) -> str:
     return str(value)
 
 
+def _graph_digest(build: Callable[..., ApplicationGraph],
+                  params: Mapping[str, Any]) -> str | None:
+    try:
+        return graph_fingerprint(build(**params))
+    except GraphError:
+        # Procedural input patterns refuse to serialize; the declarative
+        # spec alone is then the identity (stated in docs/explore.md).
+        return None
+
+
+@functools.lru_cache(maxsize=1024)
+def _memoised_graph_digest(build: Callable[..., ApplicationGraph],
+                           params_json: str) -> str | None:
+    """:func:`_graph_digest` once per design point: the jobs of a grid
+    that differ only in processor, compile or simulation axes — and
+    every resubmission of the grid — share one graph build."""
+    return _graph_digest(build, json.loads(params_json))
+
+
 def compute_fingerprint(job: Job) -> str:
     """sha256 over the built graph's canonical JSON plus job config."""
     payload: dict[str, Any] = {
@@ -378,12 +398,17 @@ def compute_fingerprint(job: Job) -> str:
     # fingerprints stay valid for the default-off configuration.
     if job.replay:
         payload["replay"] = True
-    try:
-        payload["graph"] = graph_fingerprint(job.build_app())
-    except GraphError:
-        # Procedural input patterns refuse to serialize; the declarative
-        # spec alone is then the identity (stated in docs/explore.md).
-        payload["graph"] = None
+    build = APP_TEMPLATES[job.app].build
+    params = job.param_dict
+    params_json = json.dumps(params, sort_keys=True, separators=(",", ":"),
+                             default=str)
+    # The memo rebuilds the graph from the key, so it only serves
+    # parameters the key spells exactly (a tuple or a numpy scalar does
+    # not survive JSON and builds uncached).
+    if json.loads(params_json) == params:
+        payload["graph"] = _memoised_graph_digest(build, params_json)
+    else:
+        payload["graph"] = _graph_digest(build, params)
     text = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       default=str)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -519,13 +544,16 @@ def _route(point: Mapping[str, Any], spec: SweepSpec) -> Job:
     )
 
 
+_signature = functools.lru_cache(maxsize=64)(inspect.signature)
+
+
 def _validate_builder_params(app: str, params: Mapping[str, Any]) -> None:
     if app not in APP_TEMPLATES:
         raise ExploreError(
             f"unknown app {app!r}: not one of {sorted(APP_TEMPLATES)}"
         )
     try:
-        inspect.signature(APP_TEMPLATES[app].build).bind(**params)
+        _signature(APP_TEMPLATES[app].build).bind(**params)
     except TypeError as exc:
         raise ExploreError(
             f"app {app!r} rejects parameters {sorted(params)}: {exc}"

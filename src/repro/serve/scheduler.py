@@ -58,6 +58,7 @@ from ..chaos.inject import ChaosInjector
 from ..chaos.watchdog import QuarantineLedger
 from ..explore.events import JobCacheHit, JobRetried, JobStarted, SweepEvent
 from ..explore.executor import (
+    Crew,
     Retry,
     SweepOptions,
     failure_outcome,
@@ -87,8 +88,8 @@ class ServiceConfig(SweepOptions):
     :class:`~repro.explore.SweepOptions`, field for field, with the two
     defaults a resident multi-tenant service wants different."""
 
-    #: Concurrent jobs in flight across all runs (each in its own
-    #: crash-isolated worker process).
+    #: Concurrent jobs in flight across all runs (each alone on a
+    #: crash-isolated resident worker process).
     workers: int = 2
     #: On by default: one poison design point must not burn every run's
     #: retry budget forever.
@@ -230,6 +231,9 @@ class SweepService:
         self.started_at: float | None = None
         self._started_mono: float | None = None
         self._quarantine = QuarantineLedger(config.quarantine_after)
+        #: The resident worker processes, one per worker task once it
+        #: has flown a job; :meth:`stop` closes it.
+        self._crew = Crew()
         self._runs: dict[str, RunHandle] = {}
         #: (-priority, admission seq, run_id, job index) min-heap.
         self._heap: list[tuple[int, int, str, int]] = []
@@ -267,8 +271,11 @@ class SweepService:
                 self.cancel(run_id, reason="shutdown")
         self._stopping = True
         self._wakeup.set()
-        if self._workers:
-            await asyncio.gather(*self._workers)
+        try:
+            if self._workers:
+                await asyncio.gather(*self._workers)
+        finally:
+            self._crew.close()
         self._workers = []
 
     @property
@@ -493,7 +500,7 @@ class SweepService:
                     run_job_isolated, job, cancel=flag,
                     poll_s=config.tick_s,
                     heartbeat_s=config.heartbeat_s,
-                    chaos_action=chaos_action,
+                    chaos_action=chaos_action, crew=self._crew,
                 )
                 kind = payload.get("kind", "error")
                 message = payload.get("message", "unknown failure")

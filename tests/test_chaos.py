@@ -25,6 +25,7 @@ the full matrix in the ``chaos-smoke`` job.
 import asyncio
 import dataclasses
 import json
+import os
 import queue
 import re
 import threading
@@ -335,6 +336,7 @@ class TestQuarantineLedger:
 class TestHeartbeat:
     def test_touch_and_staleness(self, tmp_path):
         path = str(tmp_path / "hb")
+        open(path, "w").close()  # the watcher creates it, never the beat
         touch_heartbeat(path)
         assert heartbeat_stale(path, 30.0) is False
         time.sleep(0.15)
@@ -345,12 +347,21 @@ class TestHeartbeat:
 
     def test_start_heartbeat_keeps_the_file_fresh(self, tmp_path):
         path = str(tmp_path / "hb")
+        open(path, "w").close()
         stop = start_heartbeat(path, 0.05)
         try:
             time.sleep(0.3)
             assert heartbeat_stale(path, 0.2) is False
         finally:
-            stop.set()
+            stop()
+        assert not any(t.name == "repro-heartbeat"
+                       for t in threading.enumerate())
+
+    def test_a_beat_never_creates_the_file(self, tmp_path):
+        path = str(tmp_path / "hb")
+        start_heartbeat(path, 0.01)()
+        touch_heartbeat(path)
+        assert not os.path.exists(path)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ import asyncio
 import dataclasses
 import itertools
 import time
-from concurrent.futures import Future
 
 import pytest
 
@@ -304,10 +303,9 @@ class TestFrontEndParity:
         scripts = scripts_for(jobs)
 
         class StubFlight:
-            def __init__(self, flown, **kwargs):
+            def __init__(self, crew, flown, **kwargs):
                 self.payload = scripts[flown.fingerprint].pop(0)
-                self.future = Future()
-                self.future.set_result(None)
+                self.waitables = ()
 
             def poll(self):
                 return self.payload

@@ -132,6 +132,54 @@ class TestJobFingerprint:
         assert base not in fps
         assert len(set(fps)) == len(fps)
 
+    def test_memoised_graph_digest_is_the_unmemoised_one(self, monkeypatch):
+        """The graph digest is memoised per (builder, canonical params);
+        every fingerprint must equal what building and hashing the
+        job's own graph gives — on the miss and on the hit, for every
+        app a sweep can name, and for parameters equal under ``==`` but
+        not under JSON (``50`` and ``50.0`` hash alike)."""
+        from repro.explore import spec
+
+        points = [{"app": name} for name in spec.APP_TEMPLATES]
+        points += [
+            {**self.BASE, "telemetry": True},
+            {**self.BASE, "noc": True, "placement": "energy"},
+            {**self.BASE, "replay": True},
+            {**self.BASE, "faults": {"seed": 3}},
+            {**self.BASE, "params": {"width": 16, "height": 12,
+                                     "rate_hz": 50}},
+            {**self.BASE, "params": {"width": 16, "height": 12,
+                                     "rate_hz": 50.0}},
+            # Does not survive JSON: served by the uncached path.
+            {**self.BASE, "params": {"width": np.int64(16), "height": 12,
+                                     "rate_hz": 50.0}},
+            {"app": "bayer", "params": {"width": 8, "height": 8,
+                                        "rate_hz": 10.0}},
+        ]
+        jobs = [Job.from_dict({"sweep": "s", **p}) for p in points]
+        spec._memoised_graph_digest.cache_clear()
+        missed = [spec.compute_fingerprint(j) for j in jobs]
+        hit = [spec.compute_fingerprint(j) for j in jobs]
+        assert spec._memoised_graph_digest.cache_info().hits >= len(jobs) - 1
+
+        def digest_of_own_graph(job):
+            try:
+                return fingerprint(job.build_app())
+            except GraphError:
+                return None
+
+        reference = []
+        for job in jobs:
+            monkeypatch.setattr(
+                spec, "_memoised_graph_digest",
+                lambda build, text, job=job: digest_of_own_graph(job))
+            monkeypatch.setattr(
+                spec, "_graph_digest",
+                lambda build, params, job=job: digest_of_own_graph(job))
+            reference.append(spec.compute_fingerprint(job))
+        assert missed == reference
+        assert hit == reference
+
     def test_unserializable_graph_falls_back_to_spec_hash(self):
         # Bayer's procedural input cannot be fingerprinted as a graph;
         # the declarative spec must still distinguish design points.
