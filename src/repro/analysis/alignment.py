@@ -21,7 +21,7 @@ from ..errors import AlignmentError
 from ..geometry import Inset, Region
 from ..graph.app import ApplicationGraph
 from ..streams import StreamInfo
-from .dataflow import DataflowResult
+from .dataflow import DataflowResult, tolerant_dataflow
 
 __all__ = ["Misalignment", "find_misalignments", "check_alignment"]
 
@@ -78,9 +78,8 @@ def find_misalignments(
     function tolerates per-kernel analysis failures by comparing the
     *incoming* streams directly.
     """
-    streams: dict[tuple[str, str], StreamInfo] = {}
     if dataflow is None:
-        dataflow = _partial_dataflow(app)
+        dataflow = tolerant_dataflow(app)
     found: list[Misalignment] = []
     for name in app.topological_order():
         kernel = app.kernel(name)
@@ -131,39 +130,3 @@ def check_alignment(
             "application has misaligned multi-input kernels:\n"
             + "\n".join(p.describe() for p in problems)
         )
-
-
-def _partial_dataflow(app: ApplicationGraph) -> DataflowResult:
-    """Dataflow that tolerates misaligned downstream kernels.
-
-    Alignment checking must run *before* the graph is fully analyzable (a
-    misaligned subtract makes the default transfer raise), so we analyze a
-    copy in which analysis failures simply leave downstream streams
-    unresolved; the caller only queries streams flowing *into* the kernels
-    it inspects.
-    """
-    from .dataflow import KernelFlow
-
-    order = app.topological_order()
-    streams: dict[tuple[str, str], StreamInfo] = {}
-    flows: dict[str, KernelFlow] = {}
-    for name in order:
-        kernel = app.kernel(name)
-        resolved: dict[str, StreamInfo] = {}
-        for port in kernel.inputs:
-            edge = app.edge_into(name, port)
-            if edge is not None and (edge.src, edge.src_port) in streams:
-                resolved[port] = streams[(edge.src, edge.src_port)]
-        try:
-            result = kernel.transfer(resolved)
-        except Exception:
-            continue  # downstream of the misalignment; streams stay unset
-        for port, stream in result.outputs.items():
-            streams[(name, port)] = stream
-        flows[name] = KernelFlow(
-            kernel=name,
-            inputs=resolved,
-            outputs=dict(result.outputs),
-            firings_per_second=dict(result.firings_per_second),
-        )
-    return DataflowResult(app=app, flows=flows)

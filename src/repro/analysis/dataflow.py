@@ -14,6 +14,7 @@ analysis iterates until every stream is stable.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -83,57 +84,86 @@ class DataflowResult:
         return "\n".join(lines)
 
 
-def _gather_inputs(
-    app: ApplicationGraph,
-    name: str,
-    streams: dict[tuple[str, str], StreamInfo],
-) -> tuple[dict[str, StreamInfo], bool]:
-    """(resolved input streams, all-resolved?) for one kernel."""
-    kernel = app.kernel(name)
-    resolved: dict[str, StreamInfo] = {}
-    complete = True
-    for port in kernel.inputs:
-        edge = app.edge_into(name, port)
-        if edge is None:
-            raise AnalysisError(f"input {name}.{port} is unconnected")
-        stream = streams.get((edge.src, edge.src_port))
-        if stream is None:
-            complete = False
-        else:
-            resolved[port] = stream
-    return resolved, complete
-
-
 def analyze_dataflow(app: ApplicationGraph) -> DataflowResult:
     """Run the iteration size/rate analysis over ``app``.
 
     Raises :class:`AnalysisError` if any kernel cannot be resolved (e.g. a
     feedback loop without an :class:`~repro.kernels.InitialValueKernel`) or
     if the worklist fails to converge.
+
+    The result is kept in ``app.derived`` and handed back until the graph
+    next changes, so asking again after a pass that inserted nothing is
+    free.
     """
+    return app.derived.get("dataflow") or _propagate(app, tolerant=False)
+
+
+def tolerant_dataflow(app: ApplicationGraph) -> DataflowResult:
+    """Dataflow that tolerates kernels whose transfer function fails.
+
+    Alignment checking must run *before* the graph is fully analyzable (a
+    misaligned subtract makes the default transfer raise), so failures
+    simply leave the kernel and everything downstream of it unresolved;
+    the caller only queries streams flowing *into* the kernels it inspects.
+    On a graph where nothing fails this *is* :func:`analyze_dataflow`'s
+    result, and is kept as such.
+    """
+    return app.derived.get("dataflow") or _propagate(app, tolerant=True)
+
+
+def _propagate(app: ApplicationGraph, *, tolerant: bool) -> DataflowResult:
     order = app.topological_order()  # raises on unbroken cycles
+    kernels = app.kernels
+    # Adjacency for this pass only: the graph itself keeps no index that
+    # a mutator would have to invalidate.
+    source_of: dict[tuple[str, str], tuple[str, str]] = {}
+    successors: dict[str, list[str]] = {name: [] for name in order}
+    for e in app.edges:
+        source_of[e.dst, e.dst_port] = (e.src, e.src_port)
+        if e.dst not in successors[e.src]:
+            successors[e.src].append(e.dst)
+
     streams: dict[tuple[str, str], StreamInfo] = {}
     results: dict[str, TransferResult] = {}
     inputs_seen: dict[str, dict[str, StreamInfo]] = {}
+    whole = True
 
-    worklist = list(order)
-    max_steps = 4 * max(len(order), 1) + 8
+    worklist = deque(order)
+    queued = set(order)
+    max_steps = (4 * max(len(order), 1) + 8) * max(len(order), 1)
     steps = 0
     while worklist:
         steps += 1
-        if steps > max_steps * max(len(order), 1):
+        if steps > max_steps:
             raise AnalysisError(
                 f"dataflow analysis did not converge on {app.name!r}; "
                 "check feedback loop declarations"
             )
-        name = worklist.pop(0)
-        kernel = app.kernel(name)
-        resolved, complete = _gather_inputs(app, name, streams)
+        name = worklist.popleft()
+        queued.discard(name)
+        kernel = kernels[name]
+        resolved: dict[str, StreamInfo] = {}
+        complete = True
+        for port in kernel.inputs:
+            source = source_of.get((name, port))
+            if source is None and not tolerant:
+                raise AnalysisError(f"input {name}.{port} is unconnected")
+            stream = streams.get(source)
+            if stream is None:
+                complete = False
+            else:
+                resolved[port] = stream
         if not complete and not getattr(kernel, "breaks_cycle", False):
             # Will be revisited once upstream kernels resolve; topological
             # seeding guarantees progress for acyclic graphs.
             continue
-        result = kernel.transfer(resolved)
+        try:
+            result = kernel.transfer(resolved)
+        except Exception:
+            if not tolerant:
+                raise
+            whole = False
+            continue
         inputs_seen[name] = resolved
         changed = name not in results or any(
             streams.get((name, port)) != stream
@@ -143,12 +173,13 @@ def analyze_dataflow(app: ApplicationGraph) -> DataflowResult:
         for port, stream in result.outputs.items():
             streams[(name, port)] = stream
         if changed:
-            for succ in app.successors(name):
-                if succ not in worklist:
+            for succ in successors[name]:
+                if succ not in queued:
+                    queued.add(succ)
                     worklist.append(succ)
 
     missing = [n for n in order if n not in results]
-    if missing:
+    if missing and not tolerant:
         raise AnalysisError(
             f"dataflow could not resolve kernels {missing}; upstream inputs "
             "never produced streams"
@@ -162,5 +193,9 @@ def analyze_dataflow(app: ApplicationGraph) -> DataflowResult:
             firings_per_second=dict(results[name].firings_per_second),
         )
         for name in order
+        if name in results
     }
-    return DataflowResult(app=app, flows=flows)
+    dataflow = DataflowResult(app=app, flows=flows)
+    if whole and not missing:
+        app.derived["dataflow"] = dataflow
+    return dataflow

@@ -26,6 +26,7 @@ from fractions import Fraction
 from .errors import AnalysisError, PortError
 
 __all__ = [
+    "shared_on_copy",
     "Size2D",
     "Step2D",
     "Offset2D",
@@ -40,6 +41,19 @@ __all__ = [
 ]
 
 
+def shared_on_copy(cls):
+    """Class decorator for frozen value types: ``copy.deepcopy`` hands back
+    the instance itself.
+
+    A graph copy duplicates what a pass may mutate (containers, arrays,
+    runtime state); the port, method and geometry records hanging off every
+    kernel can never change, so copies of a kernel share them.
+    """
+    cls.__deepcopy__ = lambda self, memo: self
+    return cls
+
+
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class Size2D:
     """A strictly positive 2-D extent in elements (width x height)."""
@@ -68,6 +82,7 @@ class Size2D:
         return self.w <= other.w and self.h <= other.h
 
 
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class Step2D:
     """How far a window advances per iteration in each dimension."""
@@ -87,6 +102,21 @@ class Step2D:
         yield self.y
 
 
+def _bounded_fraction(value: float | int | Fraction) -> Fraction:
+    """``value`` as a rational with denominator at most 2**16.
+
+    Inset propagation adds offsets that are already such rationals, and
+    ``limit_denominator`` leaves those unchanged in value, so they are kept
+    as they are instead of being rebuilt on every transfer.
+    """
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    if value.denominator <= 1 << 16:
+        return value
+    return value.limit_denominator(1 << 16)
+
+
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class Offset2D:
     """Offset from a window's upper-left corner to its logical output.
@@ -99,8 +129,8 @@ class Offset2D:
     y: Fraction
 
     def __init__(self, x: float | int | Fraction, y: float | int | Fraction) -> None:
-        object.__setattr__(self, "x", Fraction(x).limit_denominator(1 << 16))
-        object.__setattr__(self, "y", Fraction(y).limit_denominator(1 << 16))
+        object.__setattr__(self, "x", _bounded_fraction(x))
+        object.__setattr__(self, "y", _bounded_fraction(y))
 
     def __str__(self) -> str:  # matches the paper's "[x.y,x.y]" rendering
         return f"[{float(self.x):.1f},{float(self.y):.1f}]"
@@ -122,6 +152,7 @@ class Offset2D:
 Inset = Offset2D
 
 
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class Region:
     """A rectangle of data positioned relative to an application input.

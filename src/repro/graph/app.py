@@ -8,20 +8,27 @@ source of every real-time constraint downstream.
 The graph is a mutable container deliberately separate from the analyses:
 compiler passes produce transformed copies, leaving the programmer's graph
 untouched.
+
+Every mutator bumps :attr:`ApplicationGraph.version` and empties
+:attr:`ApplicationGraph.derived`, the one place results computed *from*
+the graph (its topological order, its dataflow analysis) are kept, so a
+pass that changes nothing costs its successors no re-analysis.  The rule
+for pass authors: mutate through the graph, or call
+:meth:`ApplicationGraph.touch` after changing a kernel in place.
 """
 
 from __future__ import annotations
 
 import copy
-from typing import Iterator, TYPE_CHECKING
-
-import networkx as nx
+from typing import Any, Iterator, TYPE_CHECKING
 
 from ..errors import GraphError
 from .edges import DependencyEdge, StreamEdge
 from .kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    import networkx as nx
+
     from ..kernels.sources import ApplicationInput, ApplicationOutput
 
 __all__ = ["ApplicationGraph"]
@@ -35,6 +42,23 @@ class ApplicationGraph:
         self._kernels: dict[str, Kernel] = {}
         self._edges: list[StreamEdge] = []
         self._deps: list[DependencyEdge] = []
+        #: Bumped by every mutation; see :meth:`touch`.
+        self.version = 0
+        #: Results derived from the graph as it is now, by name; emptied
+        #: by every mutation, so they never outlive what they describe.
+        self.derived: dict[str, Any] = {}
+
+    def touch(self) -> None:
+        """Record that the graph changed: bump :attr:`version` and drop
+        every derived result.  The mutators below call it; a pass that
+        rewrites a kernel already in the graph in place must too."""
+        self.version += 1
+        self.derived.clear()
+
+    def __getstate__(self) -> dict[str, Any]:
+        # Derived results describe the graph, they are not part of it: a
+        # pickled (or deep-copied) graph recomputes its own.
+        return {**self.__dict__, "derived": {}}
 
     # ------------------------------------------------------------------
     # Construction
@@ -43,6 +67,7 @@ class ApplicationGraph:
         if kernel.name in self._kernels:
             raise GraphError(f"duplicate kernel name {kernel.name!r}")
         self._kernels[kernel.name] = kernel
+        self.touch()
         return kernel
 
     def add_input(
@@ -83,6 +108,7 @@ class ApplicationGraph:
             )
         edge = StreamEdge(src_name, src_port, dst_name, dst_port)
         self._edges.append(edge)
+        self.touch()
         return edge
 
     def add_dependency(self, src: str | Kernel, dst: str | Kernel) -> DependencyEdge:
@@ -93,6 +119,7 @@ class ApplicationGraph:
         self.kernel(dst_name)
         dep = DependencyEdge(src_name, dst_name)
         self._deps.append(dep)
+        self.touch()
         return dep
 
     def remove_edge(self, edge: StreamEdge) -> None:
@@ -100,6 +127,7 @@ class ApplicationGraph:
             self._edges.remove(edge)
         except ValueError:
             raise GraphError(f"no such edge: {edge}") from None
+        self.touch()
 
     def remove_kernel(self, name: str) -> None:
         """Remove a kernel and every edge touching it."""
@@ -107,6 +135,7 @@ class ApplicationGraph:
         del self._kernels[name]
         self._edges = [e for e in self._edges if name not in (e.src, e.dst)]
         self._deps = [d for d in self._deps if name not in (d.src, d.dst)]
+        self.touch()
 
     def rename_kernel(self, old: str, new: str) -> None:
         """Rename a kernel, rewriting all edges that reference it."""
@@ -130,6 +159,7 @@ class ApplicationGraph:
                            new if d.dst == old else d.dst)
             for d in self._deps
         ]
+        self.touch()
 
     def insert_on_edge(
         self, edge: StreamEdge, kernel: Kernel, in_port: str, out_port: str
@@ -215,8 +245,10 @@ class ApplicationGraph:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def to_networkx(self, *, include_dependencies: bool = False) -> nx.MultiDiGraph:
+    def to_networkx(self, *, include_dependencies: bool = False) -> "nx.MultiDiGraph":
         """The stream topology as a networkx graph for generic algorithms."""
+        import networkx as nx  # the only user: keep it off `import repro`
+
         g = nx.MultiDiGraph(name=self.name)
         for name, k in self._kernels.items():
             g.add_node(name, kernel=k)
@@ -234,21 +266,44 @@ class ApplicationGraph:
         Section III-D) are ignored when ordering, which is exactly the
         "break the feedback loops using special feedback kernels" strategy
         the paper describes.
+
+        The order is Kahn's, generation by generation: kernels in
+        insertion order, successors in the order their first channel was
+        connected.  Kernel naming, degrees and processor assignment all
+        follow it, so it is part of what a compile reproduces.  Computed
+        once per graph version; callers get their own list.
         """
-        g = nx.DiGraph()
-        g.add_nodes_from(self._kernels)
+        order = self.derived.get("order")
+        if order is None:
+            order = self.derived["order"] = self._kahn_order()
+        return list(order)
+
+    def _kahn_order(self) -> list[str]:
+        succ: dict[str, dict[str, None]] = {name: {} for name in self._kernels}
+        indegree = dict.fromkeys(self._kernels, 0)
         for e in self._edges:
-            if getattr(self._kernels[e.dst], "breaks_cycle", False):
-                continue
-            g.add_edge(e.src, e.dst)
-        try:
-            return list(nx.topological_sort(g))
-        except nx.NetworkXUnfeasible:
-            cycle = nx.find_cycle(g)
+            if e.dst not in succ[e.src] and not getattr(
+                self._kernels[e.dst], "breaks_cycle", False
+            ):
+                succ[e.src][e.dst] = None
+                indegree[e.dst] += 1
+        order: list[str] = []
+        generation = [name for name, d in indegree.items() if d == 0]
+        while generation:
+            order.extend(generation)
+            ready = []
+            for name in generation:
+                for child in succ[name]:
+                    indegree[child] -= 1
+                    if indegree[child] == 0:
+                        ready.append(child)
+            generation = ready
+        if len(order) < len(succ):
             raise GraphError(
                 "application graph has a cycle not broken by a feedback "
-                f"kernel: {' -> '.join(u for u, _ in cycle)}"
-            ) from None
+                f"kernel: {' -> '.join(_first_cycle(succ))}"
+            )
+        return order
 
     def iter_kernels(self) -> Iterator[Kernel]:
         return iter(self._kernels.values())
@@ -271,10 +326,11 @@ class ApplicationGraph:
                     raise GraphError(f"unconnected output: {name}.{port}")
 
     def copy(self, name: str | None = None) -> "ApplicationGraph":
-        """A deep copy (kernels cloned) for compiler passes to transform."""
+        """An independent copy for compiler passes to transform: kernels
+        are copied (see :meth:`Kernel.__deepcopy__` for what they share),
+        the immutable edge records are shared."""
         twin = ApplicationGraph(name or self.name)
-        for k in self._kernels.values():
-            twin.add_kernel(copy.deepcopy(k))
+        twin._kernels = {n: copy.deepcopy(k) for n, k in self._kernels.items()}
         twin._edges = list(self._edges)
         twin._deps = list(self._deps)
         return twin
@@ -312,3 +368,26 @@ class ApplicationGraph:
             f"<ApplicationGraph {self.name!r}: {len(self._kernels)} kernels, "
             f"{len(self._edges)} channels, {len(self._deps)} dependencies>"
         )
+
+
+def _first_cycle(succ: dict[str, dict[str, None]]) -> list[str]:
+    """The first cycle a depth-first walk meets, as the kernels along it.
+
+    Roots in kernel order, children in channel order, reported from the
+    kernel the closing channel points back at.
+    """
+    finished: set[str] = set()
+    for root in succ:
+        path = [root]
+        walks = [iter(succ[root])]
+        while walks:
+            child = next(walks[-1], None)
+            if child is None:
+                walks.pop()
+                finished.add(path.pop())
+            elif child in path:
+                return path[path.index(child):]
+            elif child not in finished:
+                path.append(child)
+                walks.append(iter(succ[child]))
+    raise AssertionError("no cycle in a graph Kahn's algorithm did not empty")

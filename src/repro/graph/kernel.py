@@ -511,7 +511,6 @@ class Kernel:
         firings: dict[str, float],
     ) -> None:
         grids: list[Size2D] = []
-        insets: list[Inset] = []
         rates: list[float] = []
         shares: list[Fraction] = []
         firing_counts: list[int] = []
@@ -534,35 +533,41 @@ class Kernel:
                 # Logical windowing over an un-chunked region (the
                 # pre-buffering graph): the iteration grid counts firings.
                 firing_counts.append(int(grids[-1].elements * s.share))
-            insets.append(Inset(s.inset.x + spec.offset.x, s.inset.y + spec.offset.y))
             rates.append(s.rate_hz)
             shares.append(s.share)
             for tok, rate in s.token_rates.items():
                 token_rates[tok] = max(token_rates.get(tok, 0), rate)
-        if len(set(grids)) != 1:
-            raise RateError(
-                f"{self._name}.{m.name}: iteration grids differ across inputs "
-                f"({', '.join(map(str, grids))}); inputs are misaligned"
-            )
-        if len(set(firing_counts)) != 1:
-            raise RateError(
-                f"{self._name}.{m.name}: per-frame chunk counts differ "
-                f"across inputs ({firing_counts}); inputs are misaligned"
-            )
-        if len(set(rates)) != 1:
-            raise RateError(
-                f"{self._name}.{m.name}: input rates differ ({rates})"
-            )
-        if len(set(shares)) != 1:
-            raise RateError(
-                f"{self._name}.{m.name}: input stream shares differ ({shares})"
-            )
+        if len(grids) > 1:  # one input agrees with itself
+            if len(set(grids)) != 1:
+                raise RateError(
+                    f"{self._name}.{m.name}: iteration grids differ across "
+                    f"inputs ({', '.join(map(str, grids))}); inputs are "
+                    "misaligned"
+                )
+            if len(set(firing_counts)) != 1:
+                raise RateError(
+                    f"{self._name}.{m.name}: per-frame chunk counts differ "
+                    f"across inputs ({firing_counts}); inputs are misaligned"
+                )
+            if len(set(rates)) != 1:
+                raise RateError(
+                    f"{self._name}.{m.name}: input rates differ ({rates})"
+                )
+            if len(set(shares)) != 1:
+                raise RateError(
+                    f"{self._name}.{m.name}: input stream shares differ "
+                    f"({shares})"
+                )
+        # The output lands where the first input's window origin maps to
+        # (making the other inputs agree is the alignment pass's job).
+        first = inputs[m.data_inputs[0]].inset
+        offset = self._inputs[m.data_inputs[0]].offset
+        out_inset = first if not (offset.x or offset.y) else first + offset
         grid = grids[0]
         rate = rates[0]
         share = shares[0]
         chunks = max(1, firing_counts[0])
         firings[m.name] = float(firing_counts[0]) * rate
-        out_inset = insets[0]
         for oname in m.outputs:
             ospec = self._outputs[oname]
             outputs[oname] = StreamInfo(
@@ -778,6 +783,22 @@ class Kernel:
         """Clear runtime state; subclasses chain to super."""
         self._ctx = None
         self._eol_seen = {}
+
+    def __deepcopy__(self, memo: dict) -> "Kernel":
+        """Copy what can change, share what cannot.
+
+        Each attribute is deep-copied on its own with the caller's memo —
+        tables, arrays and runtime state are duplicated, aliasing inside
+        one kernel survives — while the frozen spec records, being
+        :func:`~repro.geometry.shared_on_copy`, come back as themselves.
+        Skipping the reduce/reconstruct protocol for the kernel object is
+        what this method saves over the generic path.
+        """
+        twin = object.__new__(type(self))
+        memo[id(self)] = twin
+        for key, value in self.__dict__.items():
+            twin.__dict__[key] = copy.deepcopy(value, memo)
+        return twin
 
     def clone(self, new_name: str) -> "Kernel":
         """A fresh copy under a new name (used when replicating kernels)."""

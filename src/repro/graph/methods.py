@@ -14,11 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import MethodError, ResourceError
+from ..geometry import shared_on_copy
 from ..tokens import ControlToken
 
 __all__ = ["MethodCost", "TokenTrigger", "MethodSpec"]
 
 
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class MethodCost:
     """Resources consumed by one invocation of a method.
@@ -42,6 +44,7 @@ class MethodCost:
             raise ResourceError(f"negative state words: {self.state_words}")
 
 
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class TokenTrigger:
     """A (input name, token class) pair that triggers a token method."""
@@ -57,6 +60,7 @@ class TokenTrigger:
             )
 
 
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class MethodSpec:
     """Registration record for one kernel method.

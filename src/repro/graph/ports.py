@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ..errors import PortError
-from ..geometry import Offset2D, Size2D, Step2D, steady_state_reuse
+from ..geometry import (
+    Offset2D,
+    Size2D,
+    Step2D,
+    shared_on_copy,
+    steady_state_reuse,
+)
 
 __all__ = ["Direction", "PortSpec", "InputSpec", "OutputSpec"]
 
@@ -30,6 +36,7 @@ class Direction(enum.Enum):
     OUTPUT = "output"
 
 
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class PortSpec:
     """Common parameterization shared by inputs and outputs."""
@@ -59,6 +66,7 @@ class PortSpec:
         return f"{self.name} {self.window}{self.step}"
 
 
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class InputSpec(PortSpec):
     """A kernel input: window, step, offset, and replication flag.
@@ -101,6 +109,7 @@ class InputSpec(PortSpec):
         return base + tail
 
 
+@shared_on_copy
 @dataclass(frozen=True, slots=True)
 class OutputSpec(PortSpec):
     """A kernel output: the chunk produced per firing.

@@ -214,7 +214,6 @@ def anneal_placement(
     traffic = traffic_matrix(mapping, dataflow)
     all_tiles = list(chip.tiles())
     tiles: dict[int, Tile] = {p: all_tiles[i] for i, p in enumerate(procs)}
-    free_tiles = all_tiles[len(procs):]
 
     congestion = (
         _Congestion(tiles, traffic, chip) if objective == "makespan" else None
@@ -232,66 +231,21 @@ def anneal_placement(
         )
 
     rng = random.Random(seed)
-    energy = initial_energy
     temperature = (
         start_temperature
         if start_temperature is not None
-        else max(energy / max(len(procs), 1), 1e-9)
+        else max(initial_energy / max(len(procs), 1), 1e-9)
     )
-    cooling = 0.999
-    slots: list[Tile | None] = list(free_tiles)
-
-    best = dict(tiles)
-    best_energy = energy
-    for _ in range(iterations):
-        a = rng.choice(procs)
-        moved: tuple[int, ...]
-        # Swap with another processor's tile, or move to a free tile.
-        if slots and rng.random() < 0.3:
-            moved = (a,)
-            pairs = congestion.pairs_of(moved) if congestion else ()
-            if congestion is not None:
-                congestion._shift(tiles, pairs, -1.0)
-            idx = rng.randrange(len(slots))
-            old = tiles[a]
-            tiles[a] = slots[idx]  # type: ignore[assignment]
-            slots[idx] = old
-            undo = ("free", a, old, idx)
-        else:
-            b = rng.choice(procs)
-            if a == b:
-                continue
-            moved = (a, b)
-            pairs = congestion.pairs_of(moved) if congestion else ()
-            if congestion is not None:
-                congestion._shift(tiles, pairs, -1.0)
-            tiles[a], tiles[b] = tiles[b], tiles[a]
-            undo = ("swap", a, b, None)
-        if congestion is not None:
-            congestion._shift(tiles, pairs, +1.0)
-            new_energy = congestion.cost()
-        else:
-            new_energy = _energy(tiles, traffic)
-        accept = new_energy <= energy or rng.random() < math.exp(
-            (energy - new_energy) / max(temperature, 1e-12)
+    if congestion is not None:
+        best, best_energy = _anneal_congestion(
+            rng, procs, tiles, all_tiles[len(procs):], congestion,
+            iterations, temperature,
         )
-        if accept:
-            energy = new_energy
-            if energy < best_energy:
-                best_energy = energy
-                best = dict(tiles)
-        else:
-            if congestion is not None:
-                congestion._shift(tiles, pairs, -1.0)
-            kind, a, other, idx = undo
-            if kind == "swap":
-                tiles[a], tiles[other] = tiles[other], tiles[a]
-            else:
-                slots[idx], tiles[a] = tiles[a], other  # type: ignore[index]
-            if congestion is not None:
-                congestion._shift(tiles, pairs, +1.0)
-        temperature *= cooling
-
+    else:
+        best, best_energy = _anneal_distance(
+            rng, procs, all_tiles, traffic, iterations, temperature,
+            initial_energy,
+        )
     return Placement(
         chip=chip,
         tiles=best,
@@ -299,6 +253,138 @@ def anneal_placement(
         initial_energy=initial_energy,
         objective=objective,
     )
+
+
+#: Geometric cooling factor per proposed move.
+_COOLING = 0.999
+
+
+def _proposals(rng: random.Random, procs: list[int], free: int, iterations: int):
+    """``(a, b, slot)`` per proposed move: swap processor ``a``'s tile
+    with processor ``b``'s or, when ``b`` is None, with free slot ``slot``.
+
+    Both searches draw from here and from :func:`_accepts`, so the seeded
+    draw sequence — including the ``a == b`` draw that proposes nothing
+    and, unlike a rejection, does not cool — exists once.
+    """
+    for _ in range(iterations):
+        a = rng.choice(procs)
+        if free and rng.random() < 0.3:
+            yield a, None, rng.randrange(free)
+        else:
+            b = rng.choice(procs)
+            if a != b:
+                yield a, b, None
+
+
+def _accepts(
+    rng: random.Random, energy: float, new_energy: float, temperature: float
+) -> bool:
+    """The Metropolis criterion; draws only for an uphill move."""
+    return new_energy <= energy or rng.random() < math.exp(
+        (energy - new_energy) / max(temperature, 1e-12)
+    )
+
+
+def _anneal_distance(
+    rng: random.Random,
+    procs: list[int],
+    all_tiles: list[Tile],
+    traffic: Mapping[tuple[int, int], float],
+    iterations: int,
+    temperature: float,
+    energy: float,
+) -> tuple[dict[int, Tile], float]:
+    """The ``energy`` search, delta-evaluated.
+
+    A move changes only the traffic pairs touching the (at most two)
+    processors it moves, so each proposal is priced from those pairs
+    alone: processors sit on integer tile indices, hop counts come from a
+    tile-by-tile table (quadratic in the mesh, built once per call), and
+    every processor carries the ``(peer, rate)`` pairs it exchanges
+    traffic with.  A swap is priced as two single moves in a
+    row — the second sees the first already landed — which makes the pair
+    between the two swapped processors cancel without a special case.
+
+    ``energy`` is a running total only between improvements: whenever a
+    new best is kept it is recomputed from scratch, so the value reported
+    is always :func:`_energy` of the tiles reported.
+    """
+    hops = [[a.distance(b) for b in all_tiles] for a in all_tiles]
+    touching: dict[int, list[tuple[int, float]]] = {p: [] for p in procs}
+    for (a, b), rate in traffic.items():
+        touching[a].append((b, rate))
+        touching[b].append((a, rate))
+    at = {p: i for i, p in enumerate(procs)}
+    slots = list(range(len(procs), len(all_tiles)))
+
+    best = {p: all_tiles[i] for p, i in at.items()}
+    best_energy = energy
+    for a, b, slot in _proposals(rng, procs, len(slots), iterations):
+        source = at[a]
+        target = slots[slot] if b is None else at[b]
+        here, there = hops[source], hops[target]
+        delta = 0.0
+        for peer, rate in touching[a]:
+            where = at[peer]
+            delta += rate * (there[where] - here[where])
+        if b is not None:
+            at[a] = target
+            for peer, rate in touching[b]:
+                where = at[peer]
+                delta += rate * (here[where] - there[where])
+            at[a] = source
+        new_energy = energy + delta
+        if _accepts(rng, energy, new_energy, temperature):
+            energy = new_energy
+            at[a] = target
+            if b is None:
+                slots[slot] = source
+            else:
+                at[b] = source
+            if energy < best_energy:
+                best = {p: all_tiles[i] for p, i in at.items()}
+                best_energy = energy = _energy(best, traffic)
+        temperature *= _COOLING
+    return best, best_energy
+
+
+def _anneal_congestion(
+    rng: random.Random,
+    procs: list[int],
+    tiles: dict[int, Tile],
+    slots: list[Tile],
+    congestion: _Congestion,
+    iterations: int,
+    temperature: float,
+) -> tuple[dict[int, Tile], float]:
+    """The ``makespan`` search: each proposal re-routes the pairs touching
+    the moved processors, and a rejected one routes them back."""
+
+    def exchange(a: int, b: int | None, slot: int | None, pairs) -> None:
+        congestion._shift(tiles, pairs, -1.0)
+        if b is None:
+            tiles[a], slots[slot] = slots[slot], tiles[a]
+        else:
+            tiles[a], tiles[b] = tiles[b], tiles[a]
+        congestion._shift(tiles, pairs, +1.0)
+
+    energy = congestion.cost()
+    best = dict(tiles)
+    best_energy = energy
+    for a, b, slot in _proposals(rng, procs, len(slots), iterations):
+        pairs = congestion.pairs_of((a,) if b is None else (a, b))
+        exchange(a, b, slot, pairs)
+        new_energy = congestion.cost()
+        if _accepts(rng, energy, new_energy, temperature):
+            energy = new_energy
+            if energy < best_energy:
+                best_energy = energy
+                best = dict(tiles)
+        else:
+            exchange(a, b, slot, pairs)  # its own inverse
+        temperature *= _COOLING
+    return best, best_energy
 
 
 def build_noc_model(

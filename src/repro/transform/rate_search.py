@@ -140,6 +140,12 @@ def find_max_rate(
     """
     if processor_budget < 1:
         raise TransformError("processor budget must be at least 1")
+    if high_hz is not None and high_hz <= low_hz:
+        # Probing a ceiling below the verified floor would report a rate
+        # lower than one the search has just proven.
+        raise TransformError(
+            f"high_hz ({high_hz:g} Hz) must exceed low_hz ({low_hz:g} Hz)"
+        )
     history: list[tuple[float, bool]] = []
     probes = 0
     cache_hits = 0

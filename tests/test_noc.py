@@ -19,6 +19,7 @@ Covers the communication-aware extension end to end:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -27,7 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.apps import BENCHMARK_PROCESSOR, benchmark
+from repro.apps import BENCHMARK_PROCESSOR, benchmark, build_image_pipeline
 from repro.errors import PlacementError, SimulationError
 from repro.machine import (
     ManyCoreChip,
@@ -40,6 +41,7 @@ from repro.machine import (
 )
 from repro.machine.chip import Tile
 from repro.machine.noc import route_path
+from repro.machine.placement import _energy, traffic_matrix
 from repro.sim import SimulationOptions, simulate
 from repro.transform import CompileOptions, compile_application
 
@@ -311,11 +313,82 @@ def test_energy_objective_unchanged_default():
 
 
 # ---------------------------------------------------------------------------
+# Delta-evaluated annealing answers what the full sums answered
+
+#: (app, objective, seed) -> (energy, initial_energy, tiles digest) of
+#: ``anneal_placement`` on ``fit_chip``, captured from the commit that
+#: still summed every traffic pair on every proposal (PR 16).
+ANNEAL_LITERALS = {
+    ("5", "energy", 0): (3604800.0, 3604800.0, "97d7dd3d12f125d662928452"),
+    ("5", "energy", 1): (3604800.0, 3604800.0, "97d7dd3d12f125d662928452"),
+    ("5", "makespan", 0): (2625300.0, 2625300.0, "97d7dd3d12f125d662928452"),
+    ("5", "makespan", 1): (2625300.0, 2625300.0, "97d7dd3d12f125d662928452"),
+    ("BF", "energy", 0): (44230550.0, 77217850.0, "e6f598940428360e71b9c4ec"),
+    ("BF", "energy", 1): (44171350.0, 77217850.0, "e14c000cb99f1627a980470e"),
+    ("BF", "makespan", 0): (6850177.34375, 16729753.90625,
+                            "096e77476fdaa9ed09bf13da"),
+    ("BF", "makespan", 1): (6881751.5625, 16729753.90625,
+                            "6a291aa87c3db4f72a757ef4"),
+    ("FB", "energy", 0): (6092800.0, 24295600.0, "936b24e9b22bf28f19db2790"),
+    ("FB", "energy", 1): (5908000.0, 24295600.0, "10d0dfc46b8610e04ba1394c"),
+    ("FB", "makespan", 0): (641027.7777777778, 1377919.4444444445,
+                            "f4b5f8e36e973a7ebf66fd7f"),
+    ("FB", "makespan", 1): (642572.2222222222, 1377919.4444444445,
+                            "a8836a27155b95df00f73632"),
+    # App 5's four processors on a 4x4 mesh: mostly free-tile moves.
+    ("5@4", "energy", 0): (3604800.0, 7113600.0, "f3cd8205094119d7d98fde38"),
+    ("5@4", "energy", 1): (3604800.0, 7113600.0, "ca5e72cafe599bd98700ecc6"),
+    ("5@4", "makespan", 0): (2456325.0, 3619950.0,
+                             "83936fc0942d16d0285c5bba"),
+}
+
+
+def tiles_digest(placement) -> str:
+    text = json.dumps({str(p): [t.x, t.y] for p, t in placement.tiles.items()},
+                      sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:24]
+
+
+@pytest.mark.parametrize("app", ["5", "BF", "FB", "5@4"])
+def test_annealed_placements_match_the_full_sum_annealer(app):
+    key, _, mesh = app.partition("@")
+    compiled = compile_bench(key)
+    chip = fit_chip(compiled.mapping.processor_count, BENCHMARK_PROCESSOR,
+                    mesh=int(mesh) if mesh else None)
+    traffic = traffic_matrix(compiled.mapping, compiled.dataflow)
+    assert all(rate == int(rate) for rate in traffic.values())
+    for (name, objective, seed), expected in ANNEAL_LITERALS.items():
+        if name != app:
+            continue
+        placement = anneal_placement(compiled.mapping, compiled.dataflow,
+                                     chip, seed=seed, objective=objective)
+        assert (placement.energy, placement.initial_energy,
+                tiles_digest(placement)) == expected, (objective, seed)
+        if objective == "energy":
+            assert placement.energy == _energy(dict(placement.tiles), traffic)
+
+
+def test_reported_energy_is_recomputed_not_accumulated():
+    """At 333.3 Hz the traffic is not integer-valued, so a running total
+    of deltas drifts; what is reported is the sum over the tiles reported."""
+    compiled = compile_application(
+        build_image_pipeline(24, 16, 333.3), BENCHMARK_PROCESSOR)
+    traffic = traffic_matrix(compiled.mapping, compiled.dataflow)
+    assert any(rate != int(rate) for rate in traffic.values())
+    chip = fit_chip(compiled.mapping.processor_count + 3, BENCHMARK_PROCESSOR)
+    for seed in range(3):
+        placement = anneal_placement(compiled.mapping, compiled.dataflow,
+                                     chip, seed=seed)
+        assert placement.energy < placement.initial_energy
+        assert placement.energy == _energy(dict(placement.tiles), traffic)
+
+
+# ---------------------------------------------------------------------------
 # Seeded determinism across processes (satellite)
 
 _ANNEAL_SCRIPT = """\
 import json, sys
-from repro.apps import BENCHMARK_PROCESSOR, benchmark
+from repro.apps import BENCHMARK_PROCESSOR, benchmark, build_image_pipeline
 from repro.machine import anneal_placement, fit_chip
 from repro.transform import compile_application
 

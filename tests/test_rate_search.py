@@ -54,6 +54,22 @@ class TestRateSearch:
         with pytest.raises(TransformError):
             find_max_rate(pipeline, PROC, processor_budget=0)
 
+    @pytest.mark.parametrize("high_hz", [10.0, 50.0])
+    def test_ceiling_at_or_below_floor_rejected(self, high_hz):
+        """A ceiling under the floor used to answer *below* a proven rate
+        ("max rate 10 Hz" right after verifying 50 Hz)."""
+        built = []
+
+        def build(rate):
+            built.append(rate)
+            return pipeline(rate)
+
+        with pytest.raises(TransformError, match=r"high_hz \(.*\b%g Hz\) "
+                           r"must exceed low_hz \(50 Hz\)" % high_hz):
+            find_max_rate(build, PROC, processor_budget=6, low_hz=50.0,
+                          high_hz=high_hz)
+        assert built == []  # rejected up front, before any probe
+
     def test_explicit_ceiling_accepted_when_feasible(self):
         res = find_max_rate(pipeline, PROC, processor_budget=32,
                             low_hz=50.0, high_hz=100.0)
