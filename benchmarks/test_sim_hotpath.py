@@ -20,9 +20,11 @@ rather than silently shipping: the interpreted loop must beat the seed
 loop by ``HEADLINE_MIN_SPEEDUP``, and the replay engine must beat it by
 ``REPLAY_MIN_SPEEDUP`` while actually engaging (a replay engine that
 silently never locks a period would otherwise "pass" at interpreted
-speed).  Kernel execution — real pixel data, always computed — is about
-half the replay-mode wall time, which is what bounds the replay bar
-well below the event-dispatch savings alone.
+speed).  Kernel execution — these runs ask for every output's content,
+so every pixel is computed — is about half the replay-mode wall time,
+which is what bounds the replay bar well below the event-dispatch
+savings alone; the ``content`` entry times what a run that asks for no
+content (``simulate(..., content=())``, every sweep job) saves.
 
 See ``docs/performance.md`` for what each engine changes and
 ``tests/test_sim_conformance.py`` / ``tests/test_sim_differential.py``
@@ -85,10 +87,10 @@ HEADLINE_MIN_SPEEDUP = 2.0
 #: the seed loop swing ±25% with runner load), and must demonstrably
 #: engage (measured ~71% of events replayed at this horizon — an
 #: engine that never locks a period would otherwise "pass" at
-#: interpreted speed).  Kernel execution — real pixel data, always
-#: computed — is about half the replay-mode wall time, which is what
-#: Amdahl-bounds the vs-seed ratio near 2.4x rather than the
-#: dispatch-only savings.
+#: interpreted speed).  Kernel execution — every pixel, since these
+#: runs ask for all content — is about half the replay-mode wall time,
+#: which is what Amdahl-bounds the vs-seed ratio near 2.4x rather than
+#: the dispatch-only savings.
 HEADLINE_FRAMES = 12
 REPLAY_MIN_SPEEDUP = 2.0
 REPLAY_VS_INTERPRETED_MAX = 1.05
@@ -117,8 +119,17 @@ BATCH_MIN_COVERAGE = 0.50
 #: > 15% rise over the committed ``telemetry.overhead``.
 TELEMETRY_MAX_OVERHEAD = 2.5
 
+#: A run nobody reads the pixels of (``content=()``: what every sweep
+#: job and verdict-only CLI command asks for) may cost at most this
+#: fraction of the full run's wall (measured 0.68-0.70 on the headline
+#: entry: the compute bodies are gone, the event loop and the buffers'
+#: stores are not).  ``scripts/bench_gate.py`` additionally fails a
+#: > 15% rise over the committed ``content.ratio``.
+CONTENT_MAX_RATIO = 0.85
+
 _entries: list[dict] = []
 _telemetry_entry: dict = {}
+_content_entry: dict = {}
 _replay_headline: dict = {}
 _batch_headline: dict = {}
 
@@ -192,6 +203,8 @@ def _write_bench_json():
         payload["batch_headline"] = _batch_headline
     if _telemetry_entry:
         payload["telemetry"] = _telemetry_entry
+    if _content_entry:
+        payload["content"] = _content_entry
     BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n")
 
 
@@ -464,4 +477,44 @@ def test_telemetry_overhead(benchmark):
     assert overhead <= TELEMETRY_MAX_OVERHEAD, (
         f"telemetry collection costs {overhead:.2f}x > "
         f"{TELEMETRY_MAX_OVERHEAD}x the telemetry-off run"
+    )
+
+
+def test_content_ratio(benchmark):
+    """What not computing unread pixels buys, as a same-process ratio.
+
+    ``content=()`` is how ``repro.explore.executor.measure`` — every
+    sweep job, ``repro serve`` and the verdict-only CLI commands — calls
+    ``simulate``: kernels whose values nothing times emit stand-ins at
+    their declared cost.  The two runs are the same schedule event for
+    event (the differential harness proves the whole timing plane
+    equal); the no-content one must stay well under the full one.
+    """
+    bench, compiled = _compiled(*HEADLINE)
+    options = SimulationOptions(frames=bench.frames)
+    (on_wall, off_wall), (on, off) = _best_of_each([
+        lambda: simulate(compiled, options),
+        lambda: simulate(compiled, options, content=()),
+    ])
+    assert off.events_processed == on.events_processed
+    assert off.makespan_s == on.makespan_s
+    assert off.firings == on.firings
+    assert set(on.outputs) == set(on.output_times) and off.outputs == {}
+
+    once(benchmark, lambda: simulate(compiled, options, content=()))
+
+    ratio = off_wall / on_wall
+    _content_entry.update({
+        "app": HEADLINE[0],
+        "chip": HEADLINE[1],
+        "frames": bench.frames,
+        "events": off.events_processed,
+        "on_wall_s": on_wall,
+        "off_wall_s": off_wall,
+        "ratio": ratio,
+        "max_ratio": CONTENT_MAX_RATIO,
+    })
+    assert ratio <= CONTENT_MAX_RATIO, (
+        f"a run that asks for no content costs {ratio:.2f}x > "
+        f"{CONTENT_MAX_RATIO}x the run that computes every pixel"
     )

@@ -12,14 +12,15 @@ baseline and fails (exit 1) when either:
   ``--max-regression`` (default 15%) against the baseline entry with the
   same ``(app, chip)`` key, or
 * a headline block (``replay_headline``, ``batch_headline``,
-  ``telemetry``) in the fresh payload breaks one of its own published
-  bars — the floors live in the payload, written by the benchmark
-  harness, so the gate and the harness can never disagree about what
-  the floor is, or
-* ``telemetry.overhead`` (telemetry-on wall over telemetry-off wall)
-  rises by more than ``--max-regression`` over the baseline's: a ratio
-  of two runs on one runner, so it is comparable across runner classes
-  and a creep under the ceiling still shows.
+  ``telemetry``, ``content``) in the fresh payload breaks one of its own
+  published bars — the floors live in the payload, written by the
+  benchmark harness, so the gate and the harness can never disagree
+  about what the floor is, or
+* ``telemetry.overhead`` (telemetry-on wall over telemetry-off wall) or
+  ``content.ratio`` (no-content wall over full-content wall) rises by
+  more than ``--max-regression`` over the baseline's: each a ratio of
+  two runs on one runner, so it is comparable across runner classes and
+  a creep under the ceiling still shows.
 
 A per-app delta table (GitHub-flavoured markdown) is always printed; it
 is additionally appended to ``--summary`` when given, or to the file
@@ -65,7 +66,14 @@ HEADLINE_BARS = {
     "telemetry": (
         ("overhead", "max_overhead", "max"),
     ),
+    "content": (
+        ("ratio", "max_ratio", "max"),
+    ),
 }
+
+#: Same-process wall ratios additionally gated against the baseline's
+#: value: (block, metric), lower is better.
+GATED_RATIOS = (("telemetry", "overhead"), ("content", "ratio"))
 
 
 def _entries_by_key(payload: dict) -> dict[tuple[str, str], dict]:
@@ -148,19 +156,20 @@ def gate(
                     f"published bar ({metric} {rel} {bar:g})"
                 )
 
-    base_tele, new_tele = baseline.get("telemetry"), fresh.get("telemetry")
-    if base_tele is not None and new_tele is not None:
-        was, now = base_tele["overhead"], new_tele["overhead"]
+    for block, metric in GATED_RATIOS:
+        if block not in baseline or block not in fresh:
+            continue
+        was, now = baseline[block][metric], fresh[block][metric]
         rise = now / was - 1.0
         ok = rise <= max_regression
         status = "ok" if ok else f"**rose > {max_regression:.0%}**"
         lines.append(
-            f"| telemetry | — | overhead {was:.3f} | {now:.3f} "
+            f"| {block} | — | {metric} {was:.3f} | {now:.3f} "
             f"| {rise:+.1%} | {status} |"
         )
         if not ok:
             failures.append(
-                f"telemetry.overhead {was:.3f} -> {now:.3f} ({rise:+.1%}, "
+                f"{block}.{metric} {was:.3f} -> {now:.3f} ({rise:+.1%}, "
                 f"limit +{max_regression:.0%})"
             )
 

@@ -65,14 +65,6 @@ class LatencyEstimate:
         return "\n".join(lines)
 
 
-def _spacing(dataflow: DataflowResult, kernel: str, port: str,
-             in_spacing: float, in_chunks: int) -> float:
-    """Mean chunk spacing of an output, from frame-rate conservation."""
-    out_stream = dataflow.flow(kernel).outputs[port]
-    total_in_time = in_spacing * in_chunks
-    return total_in_time / max(out_stream.chunks_per_frame, 1)
-
-
 def estimate_latency(
     app: ApplicationGraph, dataflow: DataflowResult | None = None
 ) -> LatencyEstimate:

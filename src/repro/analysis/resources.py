@@ -72,9 +72,6 @@ class ResourceAnalysis:
                 f"no resource analysis for kernel {kernel!r}"
             ) from None
 
-    def total_cpu_utilization(self) -> float:
-        return sum(r.cpu_utilization for r in self.kernels.values())
-
     def describe(self) -> str:
         lines = [
             f"resources for {self.app.name!r} on {self.processor.clock_hz/1e6:.0f}"

@@ -25,7 +25,6 @@ __all__ = [
     "FaultSpecError",
     "ChaosSpecError",
     "RealTimeViolation",
-    "ChannelOverflow",
     "ResourceError",
 ]
 
@@ -123,10 +122,6 @@ class RealTimeViolation(SimulationError):
         super().__init__(message)
         self.time = time
         self.element = element
-
-
-class ChannelOverflow(SimulationError):
-    """Data arrived at a full channel that is not allowed to backpressure."""
 
 
 class ResourceError(BlockParallelError):

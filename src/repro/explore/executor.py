@@ -90,7 +90,7 @@ from ..chaos.watchdog import (
     heartbeat_stale,
     start_heartbeat,
 )
-from ..errors import BlockParallelError
+from ..errors import BlockParallelError, SimulationError
 from ..faults import FaultSpec
 from ..graph.app import ApplicationGraph
 from ..machine import ProcessorSpec, build_noc_model
@@ -246,7 +246,15 @@ def measure(
     verdict is taken on the compiled graph's own
     :meth:`~repro.transform.CompiledApp.contract`, with shedding allowed
     exactly when the fault scenario's recovery policy sheds.
+
+    A verdict has no pixels, so the run asks for no output content
+    (``simulate(..., content=())``): ``result.outputs`` is empty and
+    kernels whose values nothing times fire without computing.
     """
+    if frames < 1:
+        raise SimulationError(
+            f"a verdict needs at least one frame, got frames={frames!r}"
+        )
     compiled = compile_application(app, processor, options)
     model = None
     if noc is not None:
@@ -256,6 +264,7 @@ def measure(
         compiled,
         SimulationOptions(frames=frames, faults=faults, noc=model,
                           **sim_options),
+        content=(),
     )
     sim_elapsed = time.perf_counter() - sim_started
     verdict = result.verdict(

@@ -274,7 +274,7 @@ class Job:
             params=_freeze(data.get("params", {})),
             processor=_freeze(data.get("processor", {})),
             options=_freeze(data.get("options", {})),
-            frames=int(data.get("frames", 3)),
+            frames=_frames(data.get("frames", 3)),
             timeout_s=float(data.get("timeout_s", 300.0)),
             inject=_freeze(data.get("inject", {})),
             faults=_canonical_faults(data.get("faults")),
@@ -290,6 +290,15 @@ class Job:
 
 def _freeze(mapping: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
     return tuple(sorted(mapping.items()))
+
+
+def _frames(value: Any) -> int:
+    """A 'frames' value as it enters: a job always takes a verdict, and
+    a verdict over zero frames is a vacuous pass."""
+    frames = int(value)
+    if frames < 1:
+        raise ExploreError(f"'frames' must be at least 1, got {value!r}")
+    return frames
 
 
 def _canonical_faults(data: Any) -> str:
@@ -468,7 +477,7 @@ class SweepSpec:
             axes=tuple(sorted((k, tuple(v)) for k, v in axes.items())),
             fixed=_freeze(data.get("fixed", {})),
             points=tuple(_freeze(p) for p in data.get("points", ())),
-            frames=int(data.get("frames", 3)),
+            frames=_frames(data.get("frames", 3)),
             timeout_s=float(data.get("timeout_s", 300.0)),
         )
 
@@ -497,7 +506,7 @@ def _route(point: Mapping[str, Any], spec: SweepSpec) -> Job:
         elif key in OPTION_KEYS:
             options[key] = value
         elif key in SIM_KEYS:
-            frames = int(value)
+            frames = _frames(value)
         elif key == "telemetry":
             telemetry = bool(value)
         elif key == "replay":

@@ -27,8 +27,6 @@ from .edges import DependencyEdge, StreamEdge
 from .kernel import Kernel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    import networkx as nx
-
     from ..kernels.sources import ApplicationInput, ApplicationOutput
 
 __all__ = ["ApplicationGraph"]
@@ -245,20 +243,6 @@ class ApplicationGraph:
     # ------------------------------------------------------------------
     # Traversal
     # ------------------------------------------------------------------
-    def to_networkx(self, *, include_dependencies: bool = False) -> "nx.MultiDiGraph":
-        """The stream topology as a networkx graph for generic algorithms."""
-        import networkx as nx  # the only user: keep it off `import repro`
-
-        g = nx.MultiDiGraph(name=self.name)
-        for name, k in self._kernels.items():
-            g.add_node(name, kernel=k)
-        for e in self._edges:
-            g.add_edge(e.src, e.dst, edge=e, kind="stream")
-        if include_dependencies:
-            for d in self._deps:
-                g.add_edge(d.src, d.dst, edge=d, kind="dependency")
-        return g
-
     def topological_order(self) -> list[str]:
         """Kernel names in dataflow order.
 

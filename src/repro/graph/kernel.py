@@ -144,6 +144,26 @@ class Kernel:
     #: (pad kernels synthesizing whole border rows) override it.
     max_emissions_per_firing: int = 2
 
+    #: What this kernel's *timing-plane* behaviour — the cycles each
+    #: firing is charged and how many chunks leave on which ports — is a
+    #: function of (docs/simulator.md "Two planes"):
+    #:
+    #: ``"values"``
+    #:     the data it reads (a variable-work kernel, a conditional
+    #:     emitter).  The default, so an unclassified kernel costs speed,
+    #:     never correctness: its whole upstream cone computes real data.
+    #: ``"position"``
+    #:     its own counters and FSM only (buffers, split/join, inset/pad,
+    #:     sources, sinks).  The body always runs; it never looks inside
+    #:     a chunk, so it routes stand-ins exactly like data.
+    #: ``"declared"``
+    #:     nothing: every firing of every method writes exactly one chunk
+    #:     to each of ``method.outputs``, in that order, at
+    #:     ``method.cost.cycles``, and holds no state another kernel's
+    #:     timing can see.  Only such a kernel may have its body skipped
+    #:     when nobody reads its values.
+    timing_depends_on: str = "values"
+
     #: Registry of every Kernel subclass by class name, populated by
     #: ``__init_subclass__``; the serialization module reconstructs
     #: kernels from it.
@@ -445,18 +465,6 @@ class Kernel:
         if y < spec.window.h - 1:
             return False
         return (y - (spec.window.h - 1)) % spec.step.y == 0
-
-    def forwarding_outputs(self, port: str) -> tuple[str, ...]:
-        """Outputs to which unhandled control tokens on ``port`` auto-forward.
-
-        The paper specifies unhandled tokens pass on "to the appropriate
-        outputs for the given input": the outputs of the data method the
-        input triggers (Section II-C).  Inputs that trigger only control
-        methods (e.g. coefficient loads) forward nowhere; their tokens are
-        dropped after any handler runs.
-        """
-        m = self.data_method_for_input(port)
-        return m.outputs if m is not None else ()
 
     def state_words(self) -> int:
         """Private memory words this kernel holds across invocations."""

@@ -23,7 +23,6 @@ from ..geometry import (
     Size2D,
     Step2D,
     shared_on_copy,
-    steady_state_reuse,
 )
 
 __all__ = ["Direction", "PortSpec", "InputSpec", "OutputSpec"]
@@ -95,11 +94,6 @@ class InputSpec(PortSpec):
     def halo(self) -> tuple[int, int]:
         """(x, y) halo: data consumed beyond the produced grid per side pair."""
         return (self.window.w - self.step.x, self.window.h - self.step.y)
-
-    @property
-    def reuse_fraction(self) -> Fraction:
-        """Steady-state fraction of window elements reused per iteration."""
-        return steady_state_reuse(self.window, self.step)
 
     def describe(self) -> str:
         base = PortSpec.describe(self)

@@ -31,6 +31,7 @@ class BinaryElementwiseKernel(Kernel):
 
     #: Per-iteration compute cost; cheap ALU work.
     cycles: int = 5
+    timing_depends_on = "declared"
 
     def configure(self) -> None:
         self.add_input("in0", 1, 1, 1, 1, 0, 0)
@@ -115,6 +116,7 @@ class UnaryElementwiseKernel(Kernel):
     """Base for one-input, one-output per-element kernels."""
 
     cycles: int = 4
+    timing_depends_on = "declared"
 
     def configure(self) -> None:
         self.add_input("in", 1, 1, 1, 1, 0, 0)

@@ -21,6 +21,8 @@ __all__ = ["BayerDemosaicKernel", "LuminanceKernel"]
 class BayerDemosaicKernel(Kernel):
     """RGGB quad demosaic: ``(2x2)[2,2]`` in, three ``1x1`` colour outputs."""
 
+    timing_depends_on = "declared"
+
     def __init__(self, name: str) -> None:
         super().__init__(name)
 
@@ -52,6 +54,8 @@ class LuminanceKernel(Kernel):
     Used by the Bayer benchmark to fold the demosaiced planes back into a
     single stream feeding the application output.
     """
+
+    timing_depends_on = "declared"
 
     def __init__(self, name: str) -> None:
         super().__init__(name)

@@ -54,6 +54,7 @@ class BufferKernel(Kernel):
 
     data_parallel = False
     compiler_inserted = True
+    timing_depends_on = "position"
 
     #: Cycles charged per stored input chunk (pointer arithmetic + wrap).
     STORE_CYCLES = 4

@@ -22,6 +22,8 @@ __all__ = ["DownsampleKernel"]
 class DownsampleKernel(Kernel):
     """Box-average ``factor:1`` downsampler with fractional output offset."""
 
+    timing_depends_on = "declared"
+
     def __init__(self, name: str, factor: int = 2) -> None:
         if factor < 2:
             raise GraphError(f"downsample {name!r}: factor must be >= 2")

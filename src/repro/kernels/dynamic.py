@@ -39,6 +39,8 @@ class VariableWorkKernel(Kernel):
     declared cost is the ``bound_cycles`` budget.
     """
 
+    timing_depends_on = "values"
+
     def __init__(
         self, name: str, width: int, height: int, *, bound_cycles: int
     ) -> None:

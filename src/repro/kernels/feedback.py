@@ -44,6 +44,7 @@ class InitialValueKernel(Kernel):
 
     data_parallel = False
     breaks_cycle = True
+    timing_depends_on = "position"
 
     def __init__(
         self,

@@ -34,6 +34,8 @@ class WindowedKernel(Kernel):
     array to a scalar.
     """
 
+    timing_depends_on = "declared"
+
     def __init__(self, name: str, width: int, height: int, cycles: int) -> None:
         self.width = width
         self.height = height
@@ -86,6 +88,8 @@ class ConvolutionKernel(Kernel):
     Pass ``with_coeff_input=False`` to embed fixed coefficients instead of
     wiring a coefficient source (convenient for small pipelines and tests).
     """
+
+    timing_depends_on = "declared"
 
     def __init__(
         self,
@@ -210,6 +214,8 @@ class SobelKernel(Kernel):
     A second standard windowed filter used by the multi-filter benchmark
     applications; fixed 3x3 window, centre offset.
     """
+
+    timing_depends_on = "declared"
 
     _GX = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
     _GY = _GX.T.copy()

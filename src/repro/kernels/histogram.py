@@ -42,6 +42,8 @@ class HistogramKernel(Kernel):
     finish_count ``3*bins + 3`` (dump and reset).
     """
 
+    timing_depends_on = "declared"
+
     def __init__(
         self,
         name: str,
@@ -144,6 +146,7 @@ class HistogramMergeKernel(Kernel):
     """
 
     data_parallel = False
+    timing_depends_on = "declared"
 
     def __init__(self, name: str, bins: int = 32) -> None:
         self.bins = bins

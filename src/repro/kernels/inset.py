@@ -38,6 +38,7 @@ class InsetKernel(Kernel):
 
     data_parallel = False
     compiler_inserted = True
+    timing_depends_on = "position"
 
     def __init__(
         self,
@@ -197,6 +198,7 @@ class PadKernel(Kernel):
 
     data_parallel = False
     compiler_inserted = True
+    timing_depends_on = "position"
 
     def __init__(
         self,

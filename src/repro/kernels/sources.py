@@ -41,6 +41,7 @@ class ApplicationInput(Kernel):
     """
 
     data_parallel = False
+    timing_depends_on = "position"
 
     def __init__(
         self,
@@ -135,6 +136,7 @@ class ConstantSource(Kernel):
     """
 
     data_parallel = False
+    timing_depends_on = "position"
 
     def __init__(self, name: str, values: np.ndarray, rate_hz: float = 1.0) -> None:
         arr = np.atleast_2d(np.asarray(values, dtype=np.float64))
@@ -177,6 +179,7 @@ class ApplicationOutput(Kernel):
     """
 
     data_parallel = False
+    timing_depends_on = "position"
 
     def __init__(self, name: str, width: int = 1, height: int = 1) -> None:
         self.width = width

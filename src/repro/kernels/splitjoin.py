@@ -55,6 +55,7 @@ class RoundRobinSplit(Kernel):
     compiler_inserted = True
     forwards_all_line_tokens = True
     charges_element_io = False
+    timing_depends_on = "position"
 
     def __init__(self, name: str, n: int, chunk_w: int = 1, chunk_h: int = 1) -> None:
         if n < 2:
@@ -120,6 +121,7 @@ class CountedJoin(Kernel):
     compiler_inserted = True
     forwards_all_line_tokens = True
     charges_element_io = False
+    timing_depends_on = "position"
 
     def __init__(
         self, name: str, counts: Sequence[int], chunk_w: int = 1, chunk_h: int = 1
@@ -233,6 +235,7 @@ class ColumnSplit(Kernel):
     compiler_inserted = True
     forwards_all_line_tokens = True
     charges_element_io = False
+    timing_depends_on = "position"
 
     def __init__(
         self,
@@ -333,6 +336,7 @@ class ReplicateKernel(Kernel):
     compiler_inserted = True
     forwards_all_line_tokens = True
     charges_element_io = False
+    timing_depends_on = "position"
 
     def __init__(self, name: str, n: int, chunk_w: int, chunk_h: int) -> None:
         if n < 2:

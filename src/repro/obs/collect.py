@@ -34,7 +34,6 @@ from .spans import (
     FiringSpan,
     Span,
     rows_digest,
-    span_as_dict,
     span_from_row,
     span_row,
 )
@@ -519,5 +518,3 @@ class Telemetry:
             "metrics": self.metrics.as_dict(),
         }
 
-    def spans_as_dicts(self) -> list[dict]:
-        return [span_as_dict(s) for s in self.spans]

@@ -175,10 +175,6 @@ class MetricsRegistry:
     def histograms(self) -> list[tuple[str, dict, Histogram]]:
         return list(self._rows(self._histograms))
 
-    def counter_value(self, name: str, **labels: Any) -> float:
-        metric = self._counters.get(_key(name, labels))
-        return metric.value if metric is not None else 0.0
-
     def as_dict(self) -> dict:
         """Deterministic JSON-safe dump of every metric, sorted by key."""
         return {

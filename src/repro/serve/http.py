@@ -46,6 +46,7 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..chaos.inject import ChaosInjector
 from ..chaos.model import ChaosSpec
+from ..explore.spec import ExploreError
 from .protocol import PROTOCOL_VERSION, ServeError
 from .scheduler import ServiceConfig, SweepService
 from .storage import ServiceStorage
@@ -128,7 +129,7 @@ class HttpServer:
             except _HttpError as exc:
                 await self._respond(writer, exc.status,
                                     {"error": exc.message})
-            except ServeError as exc:
+            except (ServeError, ExploreError) as exc:
                 await self._respond(writer, 400, {"error": str(exc)})
             except (ConnectionError, asyncio.IncompleteReadError):
                 pass  # client went away; nothing to answer

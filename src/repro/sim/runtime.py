@@ -20,13 +20,15 @@ the data, which is what makes end-of-frame processing deterministic.
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Iterable, Union
 
 import numpy as np
 
-from ..errors import FiringError
+from ..errors import FiringError, SimulationError
+from ..geometry import Size2D
 from ..graph.app import ApplicationGraph
 from ..graph.kernel import FiringContext, Kernel
 from ..graph.methods import MethodSpec
@@ -39,6 +41,8 @@ __all__ = [
     "FiringResult",
     "RuntimeKernel",
     "build_runtime",
+    "live_kernels",
+    "stand_in",
 ]
 
 #: A channel item: a data chunk or a control token.
@@ -173,6 +177,36 @@ class RuntimeKernel:
         # plans with pre-built Firing instances, and bound method objects.
         self._wired: tuple | None = None
         self._bound: dict[str, object] = {}
+
+    def skip_bodies(self) -> None:
+        """Bind every method to an emitter of its declared outputs.
+
+        For a ``"declared"`` kernel nobody reads (:func:`live_kernels`):
+        each firing writes a :func:`stand_in` of the port's shape to each
+        of ``method.outputs`` instead of computing, so :meth:`execute`
+        charges, counts and emits exactly what the body would have,
+        through the table it already consults.  Methods fed only by
+        *replicated* inputs keep their bodies: those load configuration
+        (coefficients, bin edges) once in a while, and whether it has
+        arrived is state the batching protocol asks about
+        (:meth:`ConvolutionKernel.batch_accepts`).
+        """
+        kernel = self.kernel
+        for method in kernel.methods.values():
+            if method.data_inputs and all(
+                kernel.input_spec(port).replicated
+                for port in method.data_inputs
+            ):
+                continue
+            writes = tuple(
+                (port, stand_in(kernel.output_spec(port).window))
+                for port in method.outputs
+            )
+
+            def emit(writes=writes) -> None:
+                kernel._ctx.writes.extend(writes)
+
+            self._bound[method.name] = emit
 
     def _prime(self) -> tuple:
         """Snapshot the wired inputs into a per-port dispatch plan.
@@ -369,25 +403,6 @@ class RuntimeKernel:
             token=token,
         )
 
-    def _data_firing(self, port: str) -> Firing | None:
-        method = self._data_method[port]
-        if method is None:
-            raise FiringError(
-                f"{self.name}: data arrived on {port!r} which triggers no "
-                "data method"
-            )
-        if method.selector is not None:
-            selected = getattr(self.kernel, method.selector)()
-            if selected != port:
-                return None
-            return Firing(kind="method", method=method, consume_ports=(port,))
-        for other in method.data_inputs:
-            head = self.inputs[other].head() if other in self.inputs else None
-            if head is None or isinstance(head, ControlToken):
-                return None
-        return Firing(kind="method", method=method,
-                      consume_ports=method.data_inputs)
-
     # ------------------------------------------------------------------
     def execute(self, firing: Firing) -> FiringResult:
         """Consume the firing's inputs, run the body, collect emissions."""
@@ -489,6 +504,51 @@ class RuntimeKernel:
             elements_written=0,
             emissions=emissions,
         )
+
+
+@functools.lru_cache(maxsize=None)
+def stand_in(window: Size2D) -> np.ndarray:
+    """The chunk that stands for data nobody reads: right shape, all
+    zeros, one shared read-only array per shape — a body that tried to
+    write into it would get numpy's ``ValueError``, not silent reuse."""
+    chunk = np.zeros((window.h, window.w))
+    chunk.flags.writeable = False
+    return chunk
+
+
+def live_kernels(
+    app: ApplicationGraph, content: Iterable[str], *, everything: bool = False
+) -> set[str]:
+    """The value-demand slice: kernels whose data somebody reads.
+
+    ``content`` names the application outputs whose received chunks the
+    caller will look at.  Live is the upstream closure, over the stream
+    edges (feedback cycles included), of those outputs plus every kernel
+    whose timing depends on values (anything not declared ``"position"``
+    or ``"declared"``, see :attr:`Kernel.timing_depends_on`) — or simply
+    ``everything``, which is what an active fault scenario asks for: a
+    fault can take any kernel off its declared behaviour.
+    """
+    outputs = sorted(k.name for k in app.application_outputs())
+    unknown = sorted(set(content) - set(outputs))
+    if unknown:
+        raise SimulationError(
+            f"content asked for unknown application outputs {unknown}; "
+            f"this graph has {outputs}"
+        )
+    kernels = app.kernels
+    if everything:
+        return set(kernels)
+    edges = app.edges
+    live: set[str] = set()
+    todo = set(content) | {
+        name for name, k in kernels.items()
+        if k.timing_depends_on not in ("position", "declared")
+    }
+    while todo:
+        live |= todo
+        todo = {e.src for e in edges if e.dst in todo} - live
+    return live
 
 
 def build_runtime(

@@ -54,6 +54,16 @@ seam: a ``record`` callable the loop reports each event to at its record
 points, and an ``enter`` callable — the period executor — it offers a
 pop to when ``record`` flagged a period boundary.  When the detector
 gives up, the loop drops the recorder and runs bare.
+
+Two planes
+----------
+Nothing above times a run by its pixels, so a caller says which
+application outputs' content it will read (``simulate(...,
+content=...)``; default all).  :meth:`Simulator._setup` asks
+:func:`~.runtime.live_kernels` which kernels that keeps live and
+rebinds the bodies of the rest to stand-in emitters
+(:meth:`~.runtime.RuntimeKernel.skip_bodies`); the loop itself has no
+branch for it.  See ``docs/simulator.md`` ("Two planes").
 """
 
 from __future__ import annotations
@@ -63,18 +73,19 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
 from ..errors import SimulationError
 from ..faults import FaultInjector, FaultSpec, FaultStats
+from ..geometry import Size2D
 from ..graph.app import ApplicationGraph
 from ..obs.collect import Telemetry, TelemetryCollector, TelemetryConfig
 from ..kernels.sources import ApplicationInput, ApplicationOutput, ConstantSource
 from ..machine.noc import NocModel, NocStats, link_name, route_path
 from ..machine.processor import ProcessorSpec
-from ..tokens import ControlToken
+from ..tokens import ControlToken, EndOfFrame, EndOfLine
 from ..transform.compile import CompiledApp
 from ..transform.multiplex import Mapping as KernelMapping
 from .functional import source_items
@@ -95,6 +106,8 @@ from .runtime import (
     Item,
     RuntimeKernel,
     build_runtime,
+    live_kernels,
+    stand_in,
 )
 from .stats import ProcessorStats, RealTimeVerdict, UtilizationSummary
 from .trace import TraceEvent, trace_digest
@@ -281,7 +294,9 @@ class SimulationResult:
     utilization: UtilizationSummary
     #: Output kernel name -> arrival time of each received chunk.
     output_times: Mapping[str, list[float]]
-    #: Output kernel name -> received chunks (same order).
+    #: Output kernel name -> received chunks (same order); only the
+    #: outputs whose content the caller asked for (``simulate(...,
+    #: content=...)``), which by default is all of them.
     outputs: Mapping[str, list[np.ndarray]]
     violations: list[_Violation]
     channels: list[Channel]
@@ -326,7 +341,9 @@ class SimulationResult:
         are considered identical when their ``as_dict()`` match exactly.
         Bulk payloads (received chunks, the trace) appear as counts plus
         content digests so golden fixtures stay reviewable; wall-clock
-        perf counters (``peak_heap``) are deliberately excluded.  The
+        perf counters (``peak_heap``) are deliberately excluded.  An
+        output whose content was not asked for reports its chunk count
+        and ``"sha256": None`` — never a digest of stand-ins.  The
         ``faults`` section appears only when a fault spec was active, so
         fault-free runs keep the exact key set the golden conformance
         fixtures were recorded with.
@@ -339,8 +356,13 @@ class SimulationResult:
                 name: list(times) for name, times in self.output_times.items()
             },
             "outputs": {
-                name: {"count": len(chunks), "sha256": _digest_arrays(chunks)}
-                for name, chunks in self.outputs.items()
+                name: (
+                    {"count": len(self.outputs[name]),
+                     "sha256": _digest_arrays(self.outputs[name])}
+                    if name in self.outputs
+                    else {"count": len(times), "sha256": None}
+                )
+                for name, times in self.output_times.items()
             },
             "violations": [
                 {"time": v.time, "where": v.where, "detail": v.detail}
@@ -651,10 +673,23 @@ def _resync_shed(
     return dropped
 
 
+def _stand_in_items(kernel: ApplicationInput, frames: int) -> Iterator[Item]:
+    """:func:`~repro.sim.functional.source_items` with every element
+    replaced by the 1x1 stand-in: what an input nobody reads delivers."""
+    row = (stand_in(Size2D(1, 1)),) * kernel.width
+    for f in range(frames):
+        kernel.frame(f)  # the pattern's shape check is still a check
+        for y in range(kernel.height):
+            yield from row
+            yield EndOfLine(frame=f, line=y)
+        yield EndOfFrame(frame=f)
+
+
 def _timed_source_items(
-    kernel: ApplicationInput, frames: int
+    kernel: ApplicationInput, frames: int, dead: bool = False
 ) -> Iterator[tuple[float, Item]]:
-    """(time, item) schedule of one application input.
+    """(time, item) schedule of one application input (``dead``: one
+    nobody reads, delivering stand-ins).
 
     Reproduces the seed's accumulation exactly: tokens share the
     timestamp of the element that follows them, and element times are the
@@ -662,7 +697,8 @@ def _timed_source_items(
     """
     period = kernel.element_period
     t = 0.0
-    for item in source_items(kernel, frames):
+    items = _stand_in_items if dead else source_items
+    for item in items(kernel, frames):
         yield t, item
         if isinstance(item, np.ndarray):
             t += period
@@ -677,6 +713,7 @@ class Simulator:
         mapping: KernelMapping,
         processor: ProcessorSpec,
         options: SimulationOptions | None = None,
+        content: Iterable[str] | None = None,
     ) -> None:
         self.graph = graph
         self.mapping = mapping
@@ -684,6 +721,10 @@ class Simulator:
         # A fresh instance per simulator: a shared module-level default
         # would be one unfreeze away from cross-run option bleed.
         self.options = options if options is not None else SimulationOptions()
+        #: Names of the application outputs whose received chunks the
+        #: caller will read; None means all of them, and computes every
+        #: value.  See :func:`simulate`.
+        self.content = None if content is None else frozenset(content)
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
@@ -783,6 +824,19 @@ class Simulator:
                     if not edges
                     or (ch.src, ch.src_port, ch.dst, ch.dst_port) in edges
                 }
+
+        # --- value demand: bodies nobody reads emit stand-ins -------------
+        # (docs/simulator.md "Two planes").  The specialisation lives in
+        # each dead kernel's bound-body table and source iterator, so the
+        # loop below is the same loop whoever asked for what.
+        dead: set[str] = set()
+        if self.content is not None:
+            dead = set(runtimes) - live_kernels(
+                self.graph, self.content, everything=fault_spec is not None
+            )
+            for name in dead:
+                if runtimes[name].kernel.timing_depends_on == "declared":
+                    runtimes[name].skip_bodies()
 
         violations: list[_Violation] = []
 
@@ -1052,7 +1106,7 @@ class Simulator:
             if isinstance(kernel, ApplicationInput):
                 sources.append(_Source(
                     len(sources), states[name],
-                    _timed_source_items(kernel, opts.frames),
+                    _timed_source_items(kernel, opts.frames, name in dead),
                 ))
                 horizon = max(horizon, opts.frames / kernel.rate_hz)
         for src in sources:
@@ -1092,6 +1146,7 @@ class Simulator:
             },
             outputs={
                 name: list(rk.kernel.received) for name, rk in outputs.items()
+                if self.content is None or name in self.content
             },
             violations=run.violations,
             channels=run.channels,
@@ -1437,8 +1492,21 @@ class Simulator:
 
 
 def simulate(
-    compiled: CompiledApp, options: SimulationOptions | None = None
+    compiled: CompiledApp,
+    options: SimulationOptions | None = None,
+    *,
+    content: Iterable[str] | None = None,
 ) -> SimulationResult:
-    """Simulate a compiled application on its mapping."""
-    sim = Simulator(compiled.graph, compiled.mapping, compiled.processor, options)
+    """Simulate a compiled application on its mapping.
+
+    ``content`` names the application outputs whose received chunks the
+    caller will read: ``None`` (the default) means all of them, ``()``
+    none — a caller that only wants the verdict.  Kernels whose values
+    reach no asked-for output and no value-dependent kernel fire at
+    their declared cost without computing (docs/simulator.md "Two
+    planes"); every timing observable is the same either way, and an
+    output not asked for is absent from :attr:`SimulationResult.outputs`.
+    """
+    sim = Simulator(compiled.graph, compiled.mapping, compiled.processor,
+                    options, content)
     return sim.run()

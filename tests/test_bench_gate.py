@@ -61,6 +61,10 @@ def _payload() -> dict:
             "overhead": 1.8,
             "max_overhead": 2.5,
         },
+        "content": {
+            "ratio": 0.70,
+            "max_ratio": 0.85,
+        },
     }
 
 
@@ -132,6 +136,47 @@ def test_telemetry_drift_and_improvement_stay_quiet():
         assert failures == []
         assert any(line.startswith("| telemetry | — | overhead 1.800")
                    for line in lines)
+
+
+def test_content_ceiling_breach_fails():
+    base = _payload()
+    base["content"]["ratio"] = 0.80
+    fresh = copy.deepcopy(base)
+    fresh["content"]["ratio"] = 0.86  # +7.5%, but above its own 0.85
+    _, failures = bench_gate.gate(base, fresh, 0.15)
+    assert len(failures) == 1
+    assert "content.ratio" in failures[0] and "published bar" in failures[0]
+
+
+def test_content_rise_under_the_ceiling_fails():
+    base = _payload()
+    fresh = copy.deepcopy(base)
+    fresh["content"]["ratio"] = 0.83  # +19%, still under 0.85
+    _, failures = bench_gate.gate(base, fresh, 0.15)
+    assert len(failures) == 1
+    assert "content.ratio 0.700 -> 0.830" in failures[0]
+
+
+def test_content_drift_and_improvement_stay_quiet():
+    base = _payload()
+    for ratio in (0.76, 0.5):  # +9% drift; bodies cheaper still
+        fresh = copy.deepcopy(base)
+        fresh["content"]["ratio"] = ratio
+        lines, failures = bench_gate.gate(base, fresh, 0.15)
+        assert failures == []
+        assert any(line.startswith("| content | — | ratio 0.700")
+                   for line in lines)
+
+
+def test_missing_content_block_fails_and_a_new_one_does_not():
+    base = _payload()
+    fresh = copy.deepcopy(base)
+    del fresh["content"]
+    _, failures = bench_gate.gate(base, fresh, 0.15)
+    assert any("content" in f and "missing" in f for f in failures)
+    # A baseline from before the entry existed gates it on its own bar.
+    _, failures = bench_gate.gate(fresh, base, 0.15)
+    assert failures == []
 
 
 def test_missing_telemetry_block_fails():

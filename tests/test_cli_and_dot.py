@@ -163,10 +163,27 @@ class TestTelemetryCli:
     def test_trace_empty_fails_loudly(self, capsys):
         """Zero frames means zero firings: diagnose, don't print a
         blank chart and exit 0."""
-        assert main(["trace", "1", "--frames", "0"]) == 1
+        with pytest.raises(SystemExit) as usage:
+            main(["trace", "1", "--frames", "0"])
+        assert usage.value.code == 2
         captured = capsys.readouterr()
-        assert "no firings" in captured.err
+        assert "--frames: must be at least 1, got 0" in captured.err
         assert "gantt" not in captured.out
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "2", "--frames", "0", "--json"],
+        ["profile", "2", "--frames", "-1"],
+        ["energy", "2", "--frames", "0"],
+    ])
+    def test_frames_below_one_is_a_usage_error(self, argv, capsys):
+        """A zero-frame run used to report ``"meets": true``: a vacuous
+        pass.  Every ``--frames`` rejects it before anything compiles."""
+        with pytest.raises(SystemExit) as usage:
+            main(argv)
+        assert usage.value.code == 2
+        captured = capsys.readouterr()
+        assert "--frames: must be at least 1" in captured.err
+        assert captured.out == ""
 
     def test_simulate_telemetry_artifacts(self, tmp_path, capsys):
         import json

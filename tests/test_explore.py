@@ -168,6 +168,35 @@ class TestSweepSpec:
         with pytest.raises(ExploreError, match="non-empty list"):
             SweepSpec.from_dict({"app": "2", "axes": {"frames": []}})
 
+    def test_spec_frames_below_one_rejected(self):
+        with pytest.raises(ExploreError, match="'frames' must be at least 1, "
+                                               "got -1"):
+            SweepSpec.from_dict({"app": "2", "frames": -1})
+
+    def test_frames_axis_below_one_rejected_at_expansion(self):
+        spec = SweepSpec.from_dict({"app": "2", "axes": {"frames": [2, 0]}})
+        with pytest.raises(ExploreError, match="'frames' must be at least 1, "
+                                               "got 0"):
+            spec.jobs()
+
+    def test_job_frames_below_one_rejected(self):
+        wire = SweepSpec.from_dict({"app": "2"}).jobs()[0].to_dict()
+        assert Job.from_dict(wire).frames == 3
+        with pytest.raises(ExploreError, match="'frames' must be at least 1, "
+                                               "got 0"):
+            Job.from_dict({**wire, "frames": 0})
+
+    def test_measure_refuses_a_verdict_over_no_frames(self):
+        """Where every front end lands: a zero-frame run completes zero
+        of zero expected frames, which used to read ``"meets": true``."""
+        from repro.errors import SimulationError
+        from repro.explore.executor import measure
+        from repro.transform import CompileOptions
+
+        with pytest.raises(SimulationError, match="at least one frame"):
+            measure(benchmark("2").application(), SMALL_PROC,
+                    CompileOptions(), frames=0)
+
     def test_unknown_app_rejected(self):
         spec = SweepSpec.from_dict({"app": "not_an_app"})
         with pytest.raises(ExploreError, match="unknown app"):

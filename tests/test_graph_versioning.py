@@ -91,13 +91,6 @@ def test_import_repro_does_not_import_networkx():
     assert out.stdout.strip() == "[]"
 
 
-def test_to_networkx_still_works():
-    app = benchmark_suite()[0].application()
-    g = app.to_networkx(include_dependencies=True)
-    assert set(g.nodes) == set(app.kernels)
-    assert g.number_of_edges() == len(app.edges) + len(app.dependencies)
-
-
 @pytest.mark.parametrize("bench", benchmark_suite(), ids=lambda b: b.key)
 def test_native_order_matches_networkx_on_the_suite(bench):
     app = bench.application()

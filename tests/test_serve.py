@@ -822,6 +822,12 @@ class TestHttpEndToEnd:
             client.run("nope")
         with pytest.raises(ServeError, match="spec"):
             client._request("POST", "/v1/runs", {"not-spec": 1})
+        # A spec the explore layer refuses is the client's error (400),
+        # not the service's: a zero-frame sweep never reaches a worker.
+        with pytest.raises(ServeError,
+                           match="^'frames' must be at least 1, got 0$"):
+            client.submit({**SPEC, "frames": 0})
+        assert client.runs() == []
         with pytest.raises(ServeError, match="not allowed"):
             client._request("PUT", "/v1/runs")
         with pytest.raises(ServeError, match="no route"):

@@ -30,6 +30,15 @@ corpus the differential proof would be vacuous (replay-on would just be
 the event loop twice), and if no corpus case ever batched a firing the
 batch axis would be vacuous too.
 
+The *content* axis rides the same corpus: every case re-runs the event
+loop, and every fourth one of the two replay ways, with ``content=()``
+— nobody reads a pixel, so every compute kernel emits stand-ins — and
+must reproduce the full run on everything but the pixel digests,
+``ReplayStats`` included; a strided sample grows a second output off a random stage, so
+a random subset of the outputs keeps a prefix of the pipeline computing
+and leaves the rest dead, under both replay ways, with bounded
+channels and with a NoC model under telemetry.
+
 A sample of the same corpus also runs under :mod:`repro.obs` telemetry
 (alone, with a NoC model, with seeded faults, and with a span cap):
 the collector records flat rows and builds typed spans only on demand,
@@ -152,6 +161,23 @@ def test_differential_reference_fast_replay():
                     f"output buffer mismatch (case {case}, seed {seed:#x}, "
                     f"output {name})"
                 )
+
+        # Content axis: with nobody reading the pixels every compute
+        # kernel emits stand-ins, and nothing but the digests may move.
+        ways = [("fast", fast)]
+        if case % 8 == 0:
+            ways.append(("replay", rep))
+        elif case % 8 == 4:
+            ways.append(("no-batch", scalar))
+        for way, full in ways:
+            bare = simulate(compiled, full.options, content=())
+            where = f"{way}, content=() (case {case}, seed {seed:#x})"
+            want = full.as_dict()
+            want["outputs"]["Out"]["sha256"] = None
+            assert bare.as_dict() == want, where
+            assert bare.outputs == {}, where
+            if full.replay is not None:
+                assert bare.replay.as_dict() == full.replay.as_dict(), where
 
         stats = rep.replay
         assert stats is not None and stats.eligible
@@ -307,6 +333,59 @@ def test_telemetry_rows_match_objects_and_stats():
     assert checked == 3 * len(range(0, N_CASES, TELEMETRY_STRIDE))
     assert fault_spans > 0, "no sampled case recorded a fault span"
     assert routed > 0, "no sampled case routed a transfer over the NoC"
+
+
+def test_content_axis_partial_slices():
+    """A random subset of the outputs: the kernels it reaches compute,
+    the rest emit stand-ins, and only the digests can tell.
+
+    Every ``TELEMETRY_STRIDE``-th case grows a second output, ``Tap``,
+    off a random stage (or the input), so asking for ``Tap`` alone keeps
+    a prefix of the pipeline live and leaves the suffix dead.  Each way
+    through the run — replay with and without batching, and the event
+    loop with bounded channels and with a NoC model under telemetry —
+    must agree with its own full run on every ``as_dict()`` key (the
+    telemetry section's span digest and metrics included) but the
+    digests of outputs not asked for, and on ``ReplayStats``.
+    """
+    proper = 0
+    for case in range(0, N_CASES, TELEMETRY_STRIDE):
+        seed = _SEED0 + case
+        rng = random.Random(seed)
+        app, frames = _build_case(rng)
+        app.add_kernel(ApplicationOutput("Tap", 1, 1))
+        app.connect(rng.choice([n for n in app.kernels
+                                if n not in ("Out", "Tap")]),
+                    "out", "Tap", "in")
+        compiled = compile_application(
+            app, _PROC, CompileOptions(mapping="greedy")
+        )
+        noc = NocModel(row_major_placement(
+            compiled.mapping,
+            fit_chip(compiled.processor_count, compiled.processor),
+        ))
+        content = tuple(n for n in ("Out", "Tap") if rng.random() < 0.5)
+        proper += len(content) == 1
+        ways = {
+            "replay": {"replay": True},
+            "no-batch": {"replay": True, "batch": False},
+            "noc": {"noc": noc, "telemetry": True},
+            "capacity": {"channel_capacity": 4},
+        }
+        for way, extra in ways.items():
+            where = f"{way}, content={content} (case {case}, seed {seed:#x})"
+            options = SimulationOptions(frames=min(frames, 2), **extra)
+            full = simulate(compiled, options)
+            got = simulate(compiled, options, content=content)
+            want = full.as_dict()
+            for name in {"Out", "Tap"}.difference(content):
+                want["outputs"][name]["sha256"] = None
+            assert got.as_dict() == want, where
+            assert set(got.outputs) == set(content), where
+            if full.replay is not None:
+                assert got.replay.as_dict() == full.replay.as_dict(), where
+    # Non-vacuity: some sampled subset is a proper, non-empty one.
+    assert proper > 0
 
 
 def test_differential_case_generator_is_deterministic():
