@@ -9,9 +9,12 @@ greedy-mapped grid meets real time everywhere, faster rates need more
 processors).
 """
 
+import timeit
+
 from conftest import once
 
 from repro.explore import ResultCache, SweepSpec, run_sweep, SweepOptions
+from repro.faults import FaultSpec
 
 SPEC = {
     "name": "fig11_sweep",
@@ -65,3 +68,17 @@ def test_explore_sweep_engine(benchmark, tmp_path):
           f"{second.cache_hits}/{len(jobs)} cached "
           f"in {second.elapsed_s:.2f}s")
     print(report.describe())
+
+    # What the typed record loader costs where a sweep pays it: spec
+    # load + expansion per job (every value checked once per spec), and
+    # a fault scenario's load + canonical JSON (once per fault job).
+    # Reported in docs/performance.md, not gated.
+    scenario = {"seed": 3, "transient": {"probability": 0.02},
+                "recovery": {"max_retries": 3, "backoff_cycles": 8}}
+    expand_s = min(timeit.repeat(
+        lambda: SweepSpec.from_dict(SPEC).jobs(), number=200, repeat=5))
+    fault_s = min(timeit.repeat(
+        lambda: FaultSpec.from_dict(scenario).canonical_json(),
+        number=2000, repeat=5))
+    print(f"expand_us_per_job {expand_s / 200 / len(jobs) * 1e6:.1f}  "
+          f"fault_spec_load_us {fault_s / 2000 * 1e6:.1f}")

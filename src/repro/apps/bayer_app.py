@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import GraphError
 from ..graph.app import ApplicationGraph
 from ..kernels.bayer import BayerDemosaicKernel, LuminanceKernel
 
@@ -59,7 +60,7 @@ def build_bayer_app(
     ``width`` and ``height`` must be even (RGGB quads tile the frame).
     """
     if width % 2 or height % 2:
-        raise ValueError("Bayer frames must have even dimensions")
+        raise GraphError("Bayer frames must have even dimensions")
     app = ApplicationGraph(name or f"bayer_{width}x{height}@{rate_hz:g}")
     app.add_input("Sensor", width, height, rate_hz)
     app.kernels["Sensor"]._pattern = bayer_mosaic_pattern(width, height)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..errors import GraphError
 from ..graph.app import ApplicationGraph
 from ..kernels.filters import ConvolutionKernel
 
@@ -31,6 +32,8 @@ def build_buffer_test_app(
     for the convolution to slide; at the defaults that is ``96 x 14``
     words, several processing elements' worth on a small-memory target.
     """
+    if window < 1:
+        raise GraphError(f"window must be at least 1, got {window}")
     app = ApplicationGraph(name or f"buffer_test_{width}x{height}@{rate_hz:g}")
     app.add_input("Input", width, height, rate_hz)
     coeff = np.full((window, window), 1.0 / (window * window))

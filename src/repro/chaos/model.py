@@ -25,10 +25,11 @@ Scope notes
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Any, Mapping
 
 from ..errors import ChaosSpecError
+from ..records import conform, dump, load, load_file, parse_json
 
 __all__ = [
     "WorkerChaos",
@@ -39,37 +40,16 @@ __all__ = [
 ]
 
 
-def _check_probability(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ChaosSpecError(
-            f"{name} must be a number, got {value!r}"
-        ) from None
-    if not 0.0 <= value <= 1.0:
-        raise ChaosSpecError(f"{name} must be in [0, 1], got {value!r}")
-    return value
-
-
-def _check_non_negative(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise ChaosSpecError(
-            f"{name} must be a number, got {value!r}"
-        ) from None
-    if value < 0:
-        raise ChaosSpecError(f"{name} must be non-negative, got {value!r}")
-    return value
-
-
-def _reject_unknown(what: str, data: Mapping[str, Any],
-                    known: set[str]) -> None:
-    unknown = set(data) - known
-    if unknown:
-        raise ChaosSpecError(
-            f"unknown {what} keys: {sorted(unknown)} (known: {sorted(known)})"
-        )
+def _check_probabilities(record: Any, where: str) -> None:
+    """Hold ``record`` to its declarations; every field whose name ends
+    in ``_probability`` must then lie in [0, 1]."""
+    conform(record, error=ChaosSpecError, where=where)
+    for spec in fields(record):
+        value = getattr(record, spec.name)
+        if spec.name.endswith("_probability") and not 0.0 <= value <= 1.0:
+            raise ChaosSpecError(
+                f"{where}.{spec.name} must be in [0, 1], got {value!r}"
+            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,40 +79,15 @@ class WorkerChaos:
     match: str = ""
 
     def __post_init__(self) -> None:
-        for name in ("crash_probability", "hang_probability",
-                     "slow_probability"):
-            object.__setattr__(
-                self, name,
-                _check_probability(f"worker.{name}", getattr(self, name)),
-            )
-        object.__setattr__(
-            self, "slow_s", _check_non_negative("worker.slow_s", self.slow_s)
-        )
-        if not isinstance(self.match, str):
+        _check_probabilities(self, "worker")
+        if self.slow_s < 0:
             raise ChaosSpecError(
-                f"worker.match must be a string, got {self.match!r}"
+                f"worker.slow_s must be non-negative, got {self.slow_s!r}"
             )
 
     def active(self) -> bool:
         return (self.crash_probability > 0 or self.hang_probability > 0
                 or self.slow_probability > 0)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "crash_probability": self.crash_probability,
-            "hang_probability": self.hang_probability,
-            "slow_probability": self.slow_probability,
-            "slow_s": self.slow_s,
-            "match": self.match,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkerChaos":
-        _reject_unknown("worker", data, {
-            "crash_probability", "hang_probability", "slow_probability",
-            "slow_s", "match",
-        })
-        return cls(**dict(data))
 
 
 @dataclass(frozen=True, slots=True)
@@ -154,34 +109,12 @@ class StorageChaos:
     store_torn_write_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("cache_corrupt_probability",
-                     "cache_truncate_probability",
-                     "store_torn_write_probability"):
-            object.__setattr__(
-                self, name,
-                _check_probability(f"storage.{name}", getattr(self, name)),
-            )
+        _check_probabilities(self, "storage")
 
     def active(self) -> bool:
         return (self.cache_corrupt_probability > 0
                 or self.cache_truncate_probability > 0
                 or self.store_torn_write_probability > 0)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "cache_corrupt_probability": self.cache_corrupt_probability,
-            "cache_truncate_probability": self.cache_truncate_probability,
-            "store_torn_write_probability":
-                self.store_torn_write_probability,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StorageChaos":
-        _reject_unknown("storage", data, {
-            "cache_corrupt_probability", "cache_truncate_probability",
-            "store_torn_write_probability",
-        })
-        return cls(**dict(data))
 
 
 @dataclass(frozen=True, slots=True)
@@ -201,27 +134,10 @@ class HttpChaos:
     stream_break_probability: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("reset_probability", "stream_break_probability"):
-            object.__setattr__(
-                self, name,
-                _check_probability(f"http.{name}", getattr(self, name)),
-            )
+        _check_probabilities(self, "http")
 
     def active(self) -> bool:
         return self.reset_probability > 0 or self.stream_break_probability > 0
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "reset_probability": self.reset_probability,
-            "stream_break_probability": self.stream_break_probability,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "HttpChaos":
-        _reject_unknown("http", data, {
-            "reset_probability", "stream_break_probability",
-        })
-        return cls(**dict(data))
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,22 +150,7 @@ class ChaosSpec:
     http: HttpChaos = HttpChaos()
 
     def __post_init__(self) -> None:
-        try:
-            object.__setattr__(self, "seed", int(self.seed))
-        except (TypeError, ValueError):
-            raise ChaosSpecError(
-                f"seed must be an integer, got {self.seed!r}"
-            ) from None
-        for name, cls in (("worker", WorkerChaos),
-                          ("storage", StorageChaos), ("http", HttpChaos)):
-            value = getattr(self, name)
-            if isinstance(value, Mapping):
-                object.__setattr__(self, name, cls.from_dict(value))
-            elif not isinstance(value, cls):
-                raise ChaosSpecError(
-                    f"{name} must be a {cls.__name__} or mapping, "
-                    f"got {value!r}"
-                )
+        conform(self, error=ChaosSpecError, where="")
 
     def active(self) -> bool:
         """Whether this spec injects anything at all."""
@@ -257,36 +158,20 @@ class ChaosSpec:
                 or self.http.active())
 
     def with_seed(self, seed: int) -> "ChaosSpec":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "worker": self.worker.to_dict(),
-            "storage": self.storage.to_dict(),
-            "http": self.http.to_dict(),
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ChaosSpec":
-        _reject_unknown("chaos spec", data,
-                        {"seed", "worker", "storage", "http"})
-        return cls(
-            seed=data.get("seed", 0),
-            worker=WorkerChaos.from_dict(data.get("worker", {})),
-            storage=StorageChaos.from_dict(data.get("storage", {})),
-            http=HttpChaos.from_dict(data.get("http", {})),
-        )
+        return load(cls, data, error=ChaosSpecError, where="chaos spec")
 
     @classmethod
     def from_json(cls, text: str) -> "ChaosSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChaosSpecError(f"chaos spec is not JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise ChaosSpecError("chaos spec must be a JSON object")
-        return cls.from_dict(data)
+        return cls.from_dict(
+            parse_json(text, error=ChaosSpecError, what="chaos spec")
+        )
 
     def canonical_json(self) -> str:
         """Stable serialization — equal specs, equal strings."""
@@ -296,5 +181,5 @@ class ChaosSpec:
 
 def load_chaos_spec(path: str) -> ChaosSpec:
     """Read and validate a :class:`ChaosSpec` JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return ChaosSpec.from_json(fh.read())
+    return load_file(path, ChaosSpec.from_dict, error=ChaosSpecError,
+                     what="chaos spec")

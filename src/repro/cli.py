@@ -35,8 +35,9 @@ import time
 from .apps import BENCHMARK_PROCESSOR, benchmark, benchmark_suite
 from .graph.dot import to_dot
 from .errors import SimulationError
-from .explore.executor import measure
-from .machine import ProcessorSpec
+from .explore.executor import SweepOptions, measure
+from .machine import NocModel, ProcessorSpec
+from .records import defaults, load_file
 from .transform import CompileOptions, compile_application
 
 __all__ = ["main"]
@@ -99,10 +100,12 @@ def _add_noc_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mesh", type=int, default=None, dest="noc_mesh",
                    help="force the NoC mesh side length (requires --noc; "
                         "default: smallest square that fits)")
-    p.add_argument("--hop-cycles", type=float, default=4.0,
-                   dest="hop_cycles",
+    noc = defaults(NocModel)
+    p.add_argument("--hop-cycles", type=float,
+                   default=noc["per_hop_cycles"], dest="hop_cycles",
                    help="router/link traversal cycles per hop")
-    p.add_argument("--ser-cycles", type=float, default=1.0,
+    p.add_argument("--ser-cycles", type=float,
+                   default=noc["serialization_cycles_per_element"],
                    dest="ser_cycles",
                    help="link serialization cycles per payload element")
 
@@ -584,13 +587,11 @@ def cmd_chaos(args: argparse.Namespace) -> int:
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
-    with open(args.spec, "r", encoding="utf-8") as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            print(f"error: sweep spec {args.spec!r} is not JSON: {exc}",
-                  file=sys.stderr)
-            return 2
+    from .explore import ExploreError
+
+    # The document as written: the service holds it to the declarations.
+    spec = load_file(args.spec, lambda document: document,
+                     error=ExploreError, what="sweep spec")
     client = _serve_client(args)
     run = client.submit(spec, priority=args.priority, tenant=args.tenant)
     if args.json:
@@ -737,7 +738,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (0 = serial in-process, "
                         "-1 = one per CPU but one, which is left to "
                         "the parent)")
-    p.add_argument("--retries", type=int, default=2,
+    p.add_argument("--retries", type=int,
+                   default=defaults(SweepOptions)["retries"],
                    help="extra attempts for transient job failures")
     p.add_argument("--cache-dir", default=".explore-cache",
                    help="content-addressed result cache directory")
@@ -754,8 +756,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="machine-readable summary output")
 
-    from .serve import DEFAULT_PORT
+    from .serve import DEFAULT_PORT, ServiceConfig
 
+    service = defaults(ServiceConfig)
     p = sub.add_parser(
         "serve",
         help="run the resident multi-tenant sweep service "
@@ -767,10 +770,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data-dir", default=".repro-serve", dest="data_dir",
                    help="durable state: sharded cache, JSONL store, "
                         "run registry, event logs")
-    p.add_argument("--workers", type=int, default=2,
+    p.add_argument("--workers", type=int, default=service["workers"],
                    help="concurrent jobs across all runs (each in its "
                         "own crash-isolated worker process)")
-    p.add_argument("--retries", type=int, default=2,
+    p.add_argument("--retries", type=int, default=service["retries"],
                    help="extra attempts for transient job failures")
     p.add_argument("--retry-timeouts", action="store_true",
                    dest="retry_timeouts",
@@ -779,7 +782,8 @@ def build_parser() -> argparse.ArgumentParser:
                    dest="heartbeat_s", metavar="SECONDS",
                    help="watchdog: kill workers whose heartbeat file goes "
                         "stale for this long (default: off)")
-    p.add_argument("--quarantine-after", type=int, default=3,
+    p.add_argument("--quarantine-after", type=int,
+                   default=service["quarantine_after"],
                    dest="quarantine_after", metavar="N",
                    help="park a job fingerprint after N consecutive "
                         "crashes instead of retrying forever (0 = off)")

@@ -6,22 +6,26 @@ job is a *plain-data* description — app name plus parameter dicts — so it
 crosses process boundaries trivially and its identity can be computed
 without running anything.
 
-Axis keys route automatically by name:
+Axis keys route automatically by name, and every value is held to the
+type of the declaration it configures (docs/explore.md "What a spec may
+contain" lists them all):
 
-* ``clock_mhz``, ``memory_words``, ``read_cycles_per_element``,
-  ``write_cycles_per_element`` configure the
-  :class:`~repro.machine.ProcessorSpec`;
-* ``mapping``, ``parallelize``, ``fuse_pipelines``, ``utilization_target``,
-  ``alignment_policy`` configure :class:`~repro.transform.CompileOptions`;
+* the fields of :class:`~repro.machine.ProcessorSpec` (``clock_hz`` is
+  spelled ``clock_mhz``) and of :class:`~repro.transform.CompileOptions`
+  configure the processor and the compile; their values are validated
+  once per spec and copied into the job as the caller wrote them;
 * ``frames`` configures the simulation; ``telemetry`` (bool) additionally
   collects :mod:`repro.obs` telemetry and carries a critical-path summary
-  in the result record;
-* ``noc`` (bool or ``{"per_hop_cycles", "serialization_cycles_per_element",
-  "mesh"}``) attaches the :mod:`repro.machine.noc` timing model;
+  in the result record; ``replay`` (bool) runs the replay engine;
+* ``noc`` (bool or an object of :func:`~repro.machine.build_noc_model`'s
+  knobs) attaches the :mod:`repro.machine.noc` timing model;
   ``placement`` (``"row-major"``/``"energy"``/``"makespan"``) selects how
   the NoC placement is produced and requires ``noc``;
-* everything else is passed to the application builder (validated against
-  its signature at expansion time, so typos fail before any job runs).
+* ``faults`` takes a :class:`~repro.faults.FaultSpec` object and
+  ``fault_seed`` sets its seed;
+* everything else is passed to the application builder (names and types
+  validated against its signature at expansion time, so typos fail
+  before any job runs).
 
 The **fingerprint** is the job's content address: a sha256 over the
 canonical JSON of the *built application graph* (when it serializes —
@@ -39,7 +43,8 @@ import hashlib
 import inspect
 import itertools
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, make_dataclass, replace
 from typing import Any, Callable, Mapping
 
 from ..apps import (
@@ -56,7 +61,18 @@ from ..faults import FaultSpec
 from ..graph.app import ApplicationGraph
 from ..graph.serialize import FINGERPRINT_SCHEMA
 from ..graph.serialize import fingerprint as graph_fingerprint
+from ..machine.noc import NocModel
+from ..machine.placement import build_noc_model
 from ..machine.processor import ProcessorSpec
+from ..records import (
+    checker,
+    conform,
+    defaults,
+    dump,
+    load,
+    load_file,
+    parse_json,
+)
 from ..transform.compile import CompileOptions, compile_application
 
 __all__ = [
@@ -75,20 +91,35 @@ class ExploreError(BlockParallelError):
     """A malformed sweep specification or job."""
 
 
-PROCESSOR_KEYS = frozenset({
-    "clock_mhz", "memory_words",
-    "read_cycles_per_element", "write_cycles_per_element",
-})
-OPTION_KEYS = frozenset({
-    "mapping", "parallelize", "fuse_pipelines",
-    "utilization_target", "alignment_policy", "spare_processors",
-})
+#: One signature per builder, string annotations resolved: what an app
+#: parameter or a NoC knob may be is what its builder's signature says.
+_signature = functools.lru_cache(maxsize=64)(
+    functools.partial(inspect.signature, eval_str=True)
+)
+
+
+def _field_axes(cls: type, **renamed: str) -> dict[str, Any]:
+    """Axis name → annotation, one axis per field of ``cls``."""
+    return {renamed.get(name, name): annotation
+            for name, annotation in typing.get_type_hints(cls).items()}
+
+
+#: Axes copied into ``Job.processor`` / ``Job.options`` as written.
+PROCESSOR_AXES = _field_axes(ProcessorSpec, clock_hz="clock_mhz")
+OPTION_AXES = _field_axes(CompileOptions)
+PROCESSOR_KEYS = frozenset(PROCESSOR_AXES)
+OPTION_KEYS = frozenset(OPTION_AXES)
 SIM_KEYS = frozenset({"frames"})
-#: NoC knobs accepted by a ``noc`` axis mapping; ``mesh`` forces the
-#: mesh side length (default: smallest square fitting the processors).
-NOC_KEYS = frozenset({
-    "per_hop_cycles", "serialization_cycles_per_element", "mesh",
-})
+#: The object form of a ``noc`` axis value: the keywords of
+#: :func:`build_noc_model` a job may set, each defaulting to the
+#: :class:`NocModel` field of its name; ``mesh`` forces the mesh side
+#: length (default ``None``: the smallest square fitting the processors).
+NocKnobs = make_dataclass("NocKnobs", [
+    (name, parameter.annotation, defaults(NocModel).get(name))
+    for name, parameter in _signature(build_noc_model).parameters.items()
+    if parameter.kind is parameter.KEYWORD_ONLY and name != "placement"
+], frozen=True)
+NOC_KEYS = frozenset(defaults(NocKnobs))
 #: Placement strategies for the ``placement`` axis.  ``row-major`` is the
 #: naive fill; the other two run ``anneal_placement`` with that objective.
 PLACEMENTS = ("row-major", "energy", "makespan")
@@ -208,17 +239,11 @@ class Job:
     def build_processor(self) -> ProcessorSpec:
         overrides = dict(self.processor)
         clock_mhz = overrides.pop("clock_mhz", None)
-        kwargs: dict[str, Any] = dict(overrides)
         if clock_mhz is not None:
-            kwargs["clock_hz"] = float(clock_mhz) * 1e6
-        base = ProcessorSpec(clock_hz=20e6, memory_words=512)
-        return ProcessorSpec(**{
-            "clock_hz": base.clock_hz,
-            "memory_words": base.memory_words,
-            "read_cycles_per_element": base.read_cycles_per_element,
-            "write_cycles_per_element": base.write_cycles_per_element,
-            **kwargs,
-        })
+            overrides["clock_hz"] = clock_mhz * 1e6
+        return replace(
+            ProcessorSpec(clock_hz=20e6, memory_words=512), **overrides
+        )
 
     def build_options(self) -> CompileOptions:
         return CompileOptions(**dict(self.options))
@@ -268,24 +293,37 @@ class Job:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Job":
+        data = _table(data, "job", ExploreError)
+
+        def take(key: str, annotation: Any, default: Any = None) -> Any:
+            return checker(annotation)(data.get(key, default), key,
+                                       ExploreError)
+
+        def table(key: str) -> tuple[tuple[str, Any], ...]:
+            return _freeze(_table(data.get(key, {}), key, ExploreError))
+
+        noc = _canonical_noc(data.get("noc"))
         return cls(
-            sweep=data.get("sweep", ""),
-            app=data["app"],
-            params=_freeze(data.get("params", {})),
-            processor=_freeze(data.get("processor", {})),
-            options=_freeze(data.get("options", {})),
-            frames=_frames(data.get("frames", 3)),
-            timeout_s=float(data.get("timeout_s", 300.0)),
-            inject=_freeze(data.get("inject", {})),
+            sweep=take("sweep", str, ""),
+            app=take("app", str),
+            params=table("params"),
+            processor=table("processor"),
+            options=table("options"),
+            frames=_frames(data.get("frames", cls.frames)),
+            timeout_s=take("timeout_s", float, cls.timeout_s),
+            inject=table("inject"),
             faults=_canonical_faults(data.get("faults")),
-            telemetry=bool(data.get("telemetry", False)),
-            noc=_canonical_noc(data.get("noc")),
-            placement=_canonical_placement(
-                data.get("placement", ""), bool(data.get("noc"))
-            ),
-            replay=bool(data.get("replay", False)),
-            _fingerprint=data.get("fingerprint", ""),
+            telemetry=take("telemetry", bool, False),
+            noc=noc,
+            placement=_placement(take("placement", JOB_AXES["placement"]),
+                                 noc),
+            replay=take("replay", bool, False),
+            _fingerprint=take("fingerprint", str, ""),
         )
+
+
+#: The check of a JSON object with string keys (a job, its tables).
+_table = checker(Mapping[str, Any])
 
 
 def _freeze(mapping: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
@@ -295,26 +333,24 @@ def _freeze(mapping: Mapping[str, Any]) -> tuple[tuple[str, Any], ...]:
 def _frames(value: Any) -> int:
     """A 'frames' value as it enters: a job always takes a verdict, and
     a verdict over zero frames is a vacuous pass."""
-    frames = int(value)
+    frames = checker(int)(value, "frames", ExploreError)
     if frames < 1:
         raise ExploreError(f"'frames' must be at least 1, got {value!r}")
     return frames
+
+
+def _fault_spec(data: Any) -> FaultSpec:
+    try:
+        return FaultSpec.from_dict(data)
+    except FaultSpecError as exc:
+        raise ExploreError(f"bad fault spec: {exc}") from None
 
 
 def _canonical_faults(data: Any) -> str:
     """Validate + canonicalize a fault-spec value to its identity string."""
     if data is None or data == "":
         return ""
-    if isinstance(data, FaultSpec):
-        return data.canonical_json()
-    if not isinstance(data, Mapping):
-        raise ExploreError(
-            f"'faults' must be a fault-spec object, got {type(data).__name__}"
-        )
-    try:
-        return FaultSpec.from_dict(data).canonical_json()
-    except FaultSpecError as exc:
-        raise ExploreError(f"bad fault spec: {exc}") from None
+    return _fault_spec(data).canonical_json()
 
 
 def _canonical_noc(value: Any) -> tuple[tuple[str, Any], ...]:
@@ -325,45 +361,38 @@ def _canonical_noc(value: Any) -> tuple[tuple[str, Any], ...]:
     """
     if value is None or value is False or value == ():
         return ()
-    if value is True:
-        value = {}
-    if not isinstance(value, Mapping):
-        raise ExploreError(
-            "'noc' must be a bool or an object with keys "
-            f"{sorted(NOC_KEYS)}, got {value!r}"
-        )
-    unknown = set(value) - NOC_KEYS
-    if unknown:
-        raise ExploreError(f"unknown 'noc' keys: {sorted(unknown)}")
-    mesh = value.get("mesh")
-    return _freeze({
-        "per_hop_cycles": float(value.get("per_hop_cycles", 4.0)),
-        "serialization_cycles_per_element": float(
-            value.get("serialization_cycles_per_element", 1.0)
-        ),
-        "mesh": None if mesh is None else int(mesh),
-    })
+    return _freeze(dump(checker(NocKnobs)(
+        {} if value is True else value, "noc", ExploreError
+    )))
 
 
-def _canonical_placement(value: Any, noc_on: bool) -> str:
-    if value is None or value == "":
-        return ""
-    if value not in PLACEMENTS:
-        raise ExploreError(
-            f"'placement' must be one of {list(PLACEMENTS)}, got {value!r}"
-        )
-    if not noc_on:
+def _placement(value: str | None, noc: tuple) -> str:
+    """A checked ``placement`` beside the ``noc`` value it rides on."""
+    if value and not noc:
         raise ExploreError(
             "'placement' only affects timing through the NoC model; "
             "add a 'noc' axis or fixed value"
         )
-    return str(value)
+    return value or ""
+
+
+#: Axes loaded into a typed :class:`Job` field (or the fault scenario's
+#: seed): each is held to that field's own annotation.  ``noc`` and
+#: ``faults`` are the two object-valued ones (:func:`_load_value`).
+JOB_AXES = {
+    **{name: typing.get_type_hints(Job)[name]
+       for name in ("frames", "telemetry", "replay")},
+    "fault_seed": typing.get_type_hints(FaultSpec)["seed"],
+    "placement": typing.Literal[("",) + PLACEMENTS] | None,
+}
+_LOADED_KEYS = frozenset(JOB_AXES) | {"noc", "faults"}
 
 
 def _graph_digest(build: Callable[..., ApplicationGraph],
                   params: Mapping[str, Any]) -> str | None:
+    app = build(**params)  # a builder's refusal is the caller's to see
     try:
-        return graph_fingerprint(build(**params))
+        return graph_fingerprint(app)
     except GraphError:
         # Procedural input patterns refuse to serialize; the declarative
         # spec alone is then the identity (stated in docs/explore.md).
@@ -447,154 +476,148 @@ class SweepSpec:
     explicit list of parameter dicts (a *list sweep*).
     """
 
-    name: str
     app: str
-    axes: tuple[tuple[str, tuple[Any, ...]], ...] = ()
-    fixed: tuple[tuple[str, Any], ...] = ()
-    points: tuple[tuple[tuple[str, Any], ...], ...] = ()
+    name: str = "sweep"
+    axes: Mapping[str, tuple[Any, ...]] = field(default_factory=dict)
+    fixed: Mapping[str, Any] = field(default_factory=dict)
+    points: tuple[Mapping[str, Any], ...] = ()
     frames: int = 3
     timeout_s: float = 300.0
 
+    def __post_init__(self) -> None:
+        conform(self, error=ExploreError, where="")
+        _frames(self.frames)
+        for key, values in self.axes.items():
+            if not values:
+                raise ExploreError(
+                    f"axis {key!r} must be a non-empty list, got []"
+                )
+
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepSpec":
-        unknown = set(data) - {"name", "app", "axes", "fixed", "points",
-                               "frames", "timeout_s"}
-        if unknown:
-            raise ExploreError(
-                f"unknown sweep spec keys: {sorted(unknown)}"
-            )
-        if "app" not in data:
-            raise ExploreError("sweep spec needs an 'app'")
-        axes = data.get("axes", {})
-        for key, values in axes.items():
-            if not isinstance(values, (list, tuple)) or not values:
-                raise ExploreError(
-                    f"axis {key!r} must be a non-empty list, got {values!r}"
-                )
-        return cls(
-            name=data.get("name", "sweep"),
-            app=data["app"],
-            axes=tuple(sorted((k, tuple(v)) for k, v in axes.items())),
-            fixed=_freeze(data.get("fixed", {})),
-            points=tuple(_freeze(p) for p in data.get("points", ())),
-            frames=_frames(data.get("frames", 3)),
-            timeout_s=float(data.get("timeout_s", 300.0)),
-        )
+        return load(cls, data, error=ExploreError, where="sweep spec")
 
     @classmethod
     def from_json(cls, text: str) -> "SweepSpec":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(
+            parse_json(text, error=ExploreError, what="sweep spec")
+        )
 
     def jobs(self) -> list[Job]:
         return expand(self)
 
 
+def _load_value(app: str, key: str, value: Any) -> Any:
+    """One spec value as its jobs will carry it, held to the declaration
+    it configures.
+
+    A processor or compile-option axis and a builder parameter are
+    validated, never rewritten — ``Job.to_dict()``, labels and
+    fingerprints keep the caller's ``20`` vs ``20.0``; a typed
+    :class:`Job` field is loaded (``2.0`` frames are ``2``).
+    """
+    if key == "noc":
+        return _canonical_noc(value)
+    if key == "faults":
+        return None if value is None else _fault_spec(value)
+    if key == "frames":
+        return _frames(value)
+    annotation = (JOB_AXES.get(key) or PROCESSOR_AXES.get(key)
+                  or OPTION_AXES.get(key))
+    if annotation is None:
+        parameter = _signature(APP_TEMPLATES[app].build).parameters.get(key)
+        # An unknown name is the bind's to refuse, with the whole list.
+        if parameter is None or parameter.annotation is parameter.empty:
+            return value
+        annotation = parameter.annotation
+    loaded = checker(annotation)(value, key, ExploreError)
+    return loaded if key in JOB_AXES else value
+
+
+@functools.lru_cache(maxsize=256)
+def _validate_builder_params(build: Callable[..., ApplicationGraph],
+                             app: str, names: frozenset[str]) -> None:
+    """Whether ``build`` takes ``names`` depends on the names alone, so
+    a grid asks once, not once per point."""
+    try:
+        _signature(build).bind(**dict.fromkeys(names))
+    except TypeError as exc:
+        raise ExploreError(
+            f"app {app!r} rejects parameters {sorted(names)}: {exc}"
+        ) from None
+
+
 def _route(point: Mapping[str, Any], spec: SweepSpec) -> Job:
+    """The job of one point whose values :func:`_load_value` has seen."""
     params: dict[str, Any] = {}
     processor: dict[str, Any] = {}
     options: dict[str, Any] = {}
-    frames = spec.frames
-    telemetry = False
-    noc: tuple[tuple[str, Any], ...] = ()
-    placement_raw: Any = ""
-    replay = False
-    fault_base: Mapping[str, Any] | None = None
-    fault_seed: int | None = None
+    loaded: dict[str, Any] = {}
     for key, value in point.items():
         if key in PROCESSOR_KEYS:
             processor[key] = value
         elif key in OPTION_KEYS:
             options[key] = value
-        elif key in SIM_KEYS:
-            frames = _frames(value)
-        elif key == "telemetry":
-            telemetry = bool(value)
-        elif key == "replay":
-            replay = bool(value)
-        elif key == "noc":
-            noc = _canonical_noc(value)
-        elif key == "placement":
-            placement_raw = value
-        elif key == "faults":
-            if value is not None and not isinstance(value, Mapping):
-                raise ExploreError(
-                    f"'faults' must be a fault-spec object, got {value!r}"
-                )
-            fault_base = value
-        elif key == "fault_seed":
-            fault_seed = int(value)
+        elif key in _LOADED_KEYS:
+            loaded[key] = value
         else:
             params[key] = value
-    _validate_builder_params(spec.app, params)
-    faults = ""
-    if fault_seed is not None and fault_base is None:
-        raise ExploreError(
-            "'fault_seed' needs a 'faults' scenario to seed "
-            "(add a fixed 'faults' object)"
-        )
-    if fault_base is not None:
-        merged = dict(fault_base)
-        if fault_seed is not None:
-            merged["seed"] = fault_seed
-        faults = _canonical_faults(merged)
+    _validate_builder_params(APP_TEMPLATES[spec.app].build, spec.app,
+                             frozenset(params))
+    scenario = loaded.get("faults")
+    if "fault_seed" in loaded:
+        if scenario is None:
+            raise ExploreError(
+                "'fault_seed' needs a 'faults' scenario to seed "
+                "(add a fixed 'faults' object)"
+            )
+        scenario = scenario.with_seed(loaded["fault_seed"])
+    noc = loaded.get("noc", ())
     return Job(
         sweep=spec.name,
         app=spec.app,
         params=_freeze(params),
         processor=_freeze(processor),
         options=_freeze(options),
-        frames=frames,
+        frames=loaded.get("frames", spec.frames),
         timeout_s=spec.timeout_s,
-        faults=faults,
-        telemetry=telemetry,
+        faults="" if scenario is None else scenario.canonical_json(),
+        telemetry=loaded.get("telemetry", False),
         noc=noc,
-        placement=_canonical_placement(placement_raw, bool(noc)),
-        replay=replay,
+        placement=_placement(loaded.get("placement"), noc),
+        replay=loaded.get("replay", False),
     )
-
-
-_signature = functools.lru_cache(maxsize=64)(inspect.signature)
-
-
-def _validate_builder_params(app: str, params: Mapping[str, Any]) -> None:
-    if app not in APP_TEMPLATES:
-        raise ExploreError(
-            f"unknown app {app!r}: not one of {sorted(APP_TEMPLATES)}"
-        )
-    try:
-        _signature(APP_TEMPLATES[app].build).bind(**params)
-    except TypeError as exc:
-        raise ExploreError(
-            f"app {app!r} rejects parameters {sorted(params)}: {exc}"
-        ) from None
 
 
 def expand(spec: SweepSpec) -> list[Job]:
     """Expand a sweep into its immutable job list, axes in sorted-key
-    order so the expansion order is deterministic."""
-    fixed = dict(spec.fixed)
-    jobs: list[Job] = []
-    if spec.points:
-        for point in spec.points:
-            jobs.append(_route({**fixed, **dict(point)}, spec))
+    order so the expansion order is deterministic.
+
+    A value is checked once per spec, not once per expanded point: the
+    grid multiplies jobs, not distinct values.
+    """
+    if spec.app not in APP_TEMPLATES:
+        raise ExploreError(
+            f"unknown app {spec.app!r}: not one of {sorted(APP_TEMPLATES)}"
+        )
+
+    def load_values(point: Mapping[str, Any]) -> dict[str, Any]:
+        return {key: _load_value(spec.app, key, value)
+                for key, value in point.items()}
+
+    fixed = load_values(spec.fixed)
+    jobs = [_route({**fixed, **load_values(point)}, spec)
+            for point in spec.points]
     if spec.axes or not spec.points:
-        keys = [k for k, _ in spec.axes]
-        value_lists = [v for _, v in spec.axes]
-        for combo in itertools.product(*value_lists):
-            jobs.append(_route({**fixed, **dict(zip(keys, combo))}, spec))
-    if not jobs:
-        raise ExploreError(f"sweep {spec.name!r} expanded to zero jobs")
+        keys = sorted(spec.axes)
+        columns = [[_load_value(spec.app, key, value)
+                    for value in spec.axes[key]] for key in keys]
+        jobs += [_route({**fixed, **dict(zip(keys, combo))}, spec)
+                 for combo in itertools.product(*columns)]
     return jobs
 
 
 def load_spec(path: str) -> SweepSpec:
     """Load a sweep spec from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ExploreError(f"sweep spec {path!r} is not JSON: {exc}") \
-                from None
-    if not isinstance(data, Mapping):
-        raise ExploreError(f"sweep spec {path!r} must be a JSON object")
-    return SweepSpec.from_dict(data)
+    return load_file(path, SweepSpec.from_dict, error=ExploreError,
+                     what="sweep spec")

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Mapping
 
 from ..errors import FaultSpecError
+from ..records import conform, dump, load, load_file, parse_json
 
 __all__ = [
     "TransientFaults",
@@ -45,32 +46,14 @@ __all__ = [
 ]
 
 
-def _check_probability(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise FaultSpecError(f"{name} must be a number, got {value!r}") from None
+def _check_probability(name: str, value: float) -> None:
     if not 0.0 <= value <= 1.0:
         raise FaultSpecError(f"{name} must be in [0, 1], got {value!r}")
-    return value
 
 
-def _check_non_negative(name: str, value: float) -> float:
-    try:
-        value = float(value)
-    except (TypeError, ValueError):
-        raise FaultSpecError(f"{name} must be a number, got {value!r}") from None
+def _check_non_negative(name: str, value: float) -> None:
     if value < 0:
         raise FaultSpecError(f"{name} must be non-negative, got {value!r}")
-    return value
-
-
-def _reject_unknown(what: str, data: Mapping[str, Any], known: set[str]) -> None:
-    unknown = set(data) - known
-    if unknown:
-        raise FaultSpecError(
-            f"unknown {what} keys: {sorted(unknown)} (known: {sorted(known)})"
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,41 +76,14 @@ class TransientFaults:
     schedule: tuple[tuple[str, int], ...] = ()
 
     def __post_init__(self) -> None:
+        conform(self, error=FaultSpecError, where="transient")
         _check_probability("transient.probability", self.probability)
         for entry in self.schedule:
-            if (len(entry) != 2 or not isinstance(entry[0], str)
-                    or int(entry[1]) < 0):
+            if entry[1] < 0:
                 raise FaultSpecError(
                     "transient.schedule entries must be "
                     f"(kernel, firing_index >= 0), got {entry!r}"
                 )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "probability": self.probability,
-            "kernels": list(self.kernels),
-            "schedule": [list(e) for e in self.schedule],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TransientFaults":
-        _reject_unknown("transient", data,
-                        {"probability", "kernels", "schedule"})
-        schedule = []
-        for entry in data.get("schedule", ()):
-            try:
-                kernel, index = entry
-            except (TypeError, ValueError):
-                raise FaultSpecError(
-                    "transient.schedule entries must be "
-                    f"(kernel, firing_index) pairs, got {entry!r}"
-                ) from None
-            schedule.append((str(kernel), int(index)))
-        return cls(
-            probability=float(data.get("probability", 0.0)),
-            kernels=tuple(data.get("kernels", ())),
-            schedule=tuple(schedule),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,25 +94,12 @@ class PEFailure:
     time_s: float
 
     def __post_init__(self) -> None:
-        if int(self.processor) < 0:
+        conform(self, error=FaultSpecError, where="pe_failures")
+        if self.processor < 0:
             raise FaultSpecError(
                 f"pe_failures.processor must be >= 0, got {self.processor!r}"
             )
         _check_non_negative("pe_failures.time_s", self.time_s)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"processor": self.processor, "time_s": self.time_s}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PEFailure":
-        _reject_unknown("pe_failures", data, {"processor", "time_s"})
-        if "processor" not in data or "time_s" not in data:
-            raise FaultSpecError(
-                "pe_failures entries need 'processor' and 'time_s', "
-                f"got {dict(data)!r}"
-            )
-        return cls(processor=int(data["processor"]),
-                   time_s=float(data["time_s"]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -176,35 +119,10 @@ class ChannelFaults:
     edges: tuple[tuple[str, str, str, str], ...] = ()
 
     def __post_init__(self) -> None:
+        conform(self, error=FaultSpecError, where="channel")
         _check_probability("channel.drop_probability", self.drop_probability)
         _check_probability("channel.duplicate_probability",
                            self.duplicate_probability)
-        for edge in self.edges:
-            if len(edge) != 4 or not all(isinstance(e, str) for e in edge):
-                raise FaultSpecError(
-                    "channel.edges entries must be "
-                    f"(src, src_port, dst, dst_port), got {edge!r}"
-                )
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "drop_probability": self.drop_probability,
-            "duplicate_probability": self.duplicate_probability,
-            "edges": [list(e) for e in self.edges],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChannelFaults":
-        _reject_unknown(
-            "channel", data,
-            {"drop_probability", "duplicate_probability", "edges"},
-        )
-        return cls(
-            drop_probability=float(data.get("drop_probability", 0.0)),
-            duplicate_probability=float(data.get("duplicate_probability", 0.0)),
-            edges=tuple(tuple(str(p) for p in e)
-                        for e in data.get("edges", ())),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -235,36 +153,13 @@ class RecoveryPolicy:
     shed: bool = False
 
     def __post_init__(self) -> None:
-        if int(self.max_retries) < 0:
+        conform(self, error=FaultSpecError, where="recovery")
+        if self.max_retries < 0:
             raise FaultSpecError(
                 f"recovery.max_retries must be >= 0, got {self.max_retries!r}"
             )
         _check_non_negative("recovery.backoff_cycles", self.backoff_cycles)
         _check_non_negative("recovery.migration_cycles", self.migration_cycles)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "max_retries": self.max_retries,
-            "backoff_cycles": self.backoff_cycles,
-            "migrate": self.migrate,
-            "migration_cycles": self.migration_cycles,
-            "shed": self.shed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "RecoveryPolicy":
-        _reject_unknown(
-            "recovery", data,
-            {"max_retries", "backoff_cycles", "migrate", "migration_cycles",
-             "shed"},
-        )
-        return cls(
-            max_retries=int(data.get("max_retries", 0)),
-            backoff_cycles=float(data.get("backoff_cycles", 0.0)),
-            migrate=bool(data.get("migrate", False)),
-            migration_cycles=float(data.get("migration_cycles", 0.0)),
-            shed=bool(data.get("shed", False)),
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -282,14 +177,14 @@ class FaultSpec:
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
 
     def __post_init__(self) -> None:
-        int(self.seed)  # must be integral
+        conform(self, error=FaultSpecError, where="")
         seen: set[int] = set()
         for proc, mult in self.slow_pes:
-            if int(proc) < 0:
+            if proc < 0:
                 raise FaultSpecError(
                     f"slow_pes processor must be >= 0, got {proc!r}"
                 )
-            if float(mult) <= 0:
+            if mult <= 0:
                 raise FaultSpecError(
                     f"slow_pes multiplier must be positive, got {mult!r}"
                 )
@@ -323,55 +218,20 @@ class FaultSpec:
         )
 
     def with_seed(self, seed: int) -> "FaultSpec":
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "transient": self.transient.to_dict(),
-            "pe_failures": [f.to_dict() for f in self.pe_failures],
-            "slow_pes": [list(p) for p in self.slow_pes],
-            "channel": self.channel.to_dict(),
-            "recovery": self.recovery.to_dict(),
-        }
+        return dump(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FaultSpec":
-        if not isinstance(data, Mapping):
-            raise FaultSpecError(
-                f"fault spec must be a JSON object, got {type(data).__name__}"
-            )
-        _reject_unknown(
-            "fault spec", data,
-            {"seed", "transient", "pe_failures", "slow_pes", "channel",
-             "recovery"},
-        )
-        try:
-            seed = int(data.get("seed", 0))
-        except (TypeError, ValueError):
-            raise FaultSpecError(
-                f"seed must be an integer, got {data.get('seed')!r}"
-            ) from None
-        return cls(
-            seed=seed,
-            transient=TransientFaults.from_dict(data.get("transient", {})),
-            pe_failures=tuple(
-                PEFailure.from_dict(f) for f in data.get("pe_failures", ())
-            ),
-            slow_pes=tuple(
-                (int(p), float(m)) for p, m in data.get("slow_pes", ())
-            ),
-            channel=ChannelFaults.from_dict(data.get("channel", {})),
-            recovery=RecoveryPolicy.from_dict(data.get("recovery", {})),
-        )
+        return load(cls, data, error=FaultSpecError, where="fault spec")
 
     @classmethod
     def from_json(cls, text: str) -> "FaultSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultSpecError(f"fault spec is not JSON: {exc}") from None
-        return cls.from_dict(data)
+        return cls.from_dict(
+            parse_json(text, error=FaultSpecError, what="fault spec")
+        )
 
     def canonical_json(self) -> str:
         """Stable identity string: equivalent specs fingerprint equal."""
@@ -381,12 +241,8 @@ class FaultSpec:
 
 def load_fault_spec(path: str) -> FaultSpec:
     """Load and validate a :class:`FaultSpec` from a JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return FaultSpec.from_json(text)
-    except FaultSpecError as exc:
-        raise FaultSpecError(f"{path}: {exc}") from None
+    return load_file(path, FaultSpec.from_dict, error=FaultSpecError,
+                     what="fault spec")
 
 
 @dataclass(slots=True)

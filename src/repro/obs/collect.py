@@ -26,9 +26,10 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterable, Iterator, Mapping
+from typing import Any, ClassVar, Iterable, Iterator
 
 from ..errors import SimulationError
+from ..records import conform, load
 from .metrics import DEFAULT_RESERVOIR, MetricsRegistry
 from .spans import (
     FiringSpan,
@@ -55,6 +56,7 @@ class TelemetryConfig:
     reservoir_size: int = DEFAULT_RESERVOIR
 
     def __post_init__(self) -> None:
+        conform(self, error=SimulationError, where="TelemetryConfig")
         if self.max_spans is not None and self.max_spans <= 0:
             raise SimulationError(
                 "TelemetryConfig.max_spans must be positive or None, "
@@ -71,25 +73,13 @@ class TelemetryConfig:
         """Normalize the ``SimulationOptions.telemetry`` knob.
 
         ``None``/``False`` disable telemetry; ``True`` enables it with
-        defaults; a mapping or an existing config passes through.
+        defaults; an existing config passes through and a mapping is
+        loaded field by field.
         """
         if value is None or value is False:
             return None
-        if value is True:
-            return cls()
-        if isinstance(value, cls):
-            return value
-        if isinstance(value, Mapping):
-            unknown = set(value) - {"max_spans", "reservoir_size"}
-            if unknown:
-                raise SimulationError(
-                    f"unknown telemetry config keys: {sorted(unknown)}"
-                )
-            return cls(**value)
-        raise SimulationError(
-            "SimulationOptions.telemetry must be a bool, a mapping, or a "
-            f"TelemetryConfig, got {type(value).__name__}"
-        )
+        return load(cls, {} if value is True else value,
+                    error=SimulationError, where="telemetry config")
 
 
 class _Handles:

@@ -46,7 +46,8 @@ from urllib.parse import parse_qs, urlsplit
 
 from ..chaos.inject import ChaosInjector
 from ..chaos.model import ChaosSpec
-from ..explore.spec import ExploreError
+from ..errors import BlockParallelError
+from ..records import checker, parse_json
 from .protocol import PROTOCOL_VERSION, ServeError
 from .scheduler import ServiceConfig, SweepService
 from .storage import ServiceStorage
@@ -129,7 +130,9 @@ class HttpServer:
             except _HttpError as exc:
                 await self._respond(writer, exc.status,
                                     {"error": exc.message})
-            except (ServeError, ExploreError) as exc:
+            except BlockParallelError as exc:
+                # Every refusal the loaders and builders can raise about
+                # a request is the request's fault; 500 means a bug.
                 await self._respond(writer, 400, {"error": str(exc)})
             except (ConnectionError, asyncio.IncompleteReadError):
                 pass  # client went away; nothing to answer
@@ -167,17 +170,17 @@ class HttpServer:
 
     async def _read_body(self, reader: asyncio.StreamReader,
                          headers: dict[str, str]) -> dict[str, Any]:
-        length = int(headers.get("content-length", "0") or "0")
+        declared = headers.get("content-length") or "0"
+        if not declared.isdecimal():
+            raise _HttpError(400, "Content-Length must be a non-negative "
+                                  f"integer, got {declared!r}")
+        length = int(declared)
         if length == 0:
             return {}
         if length > _MAX_BODY_BYTES:
             raise _HttpError(413, "request body too large")
-        raw = await reader.readexactly(length)
-        try:
-            data = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise _HttpError(400, f"request body is not JSON: {exc}") \
-                from None
+        data = parse_json(await reader.readexactly(length),
+                          error=ServeError, what="request body")
         if not isinstance(data, dict):
             raise _HttpError(400, "request body must be a JSON object")
         return data
@@ -251,9 +254,11 @@ class HttpServer:
                     raise _HttpError(400, "body needs a 'spec' object")
                 handle = await self.service.submit(
                     spec,
-                    tenant=str(body.get("tenant",
-                                        headers.get("x-tenant", ""))),
-                    priority=int(body.get("priority", 0)),
+                    tenant=checker(str)(
+                        body.get("tenant", headers.get("x-tenant", "")),
+                        "tenant", ServeError),
+                    priority=checker(int)(body.get("priority", 0),
+                                          "priority", ServeError),
                 )
                 await self._respond(writer, 202, {"run": handle.info()})
                 return
@@ -282,7 +287,8 @@ class HttpServer:
                 return
             raise _HttpError(404, f"no route {method} {path}")
         if path == "/v1/shutdown" and method == "POST":
-            drain = bool(body.get("drain", True))
+            drain = checker(bool)(body.get("drain", True), "drain",
+                                  ServeError)
             await self._respond(writer, 202, {"ok": True, "drain": drain})
             if self._on_shutdown is not None:
                 result = self._on_shutdown(drain)

@@ -85,6 +85,7 @@ from ..obs.collect import Telemetry, TelemetryCollector, TelemetryConfig
 from ..kernels.sources import ApplicationInput, ApplicationOutput, ConstantSource
 from ..machine.noc import NocModel, NocStats, link_name, route_path
 from ..machine.processor import ProcessorSpec
+from ..records import conform
 from ..tokens import ControlToken, EndOfFrame, EndOfLine
 from ..transform.compile import CompiledApp
 from ..transform.multiplex import Mapping as KernelMapping
@@ -179,7 +180,18 @@ class SimulationOptions:
     def __post_init__(self) -> None:
         # Validate up front: a bad knob should name itself here, not
         # surface as a baffling stall or index error deep in the event
-        # loop thousands of events later.
+        # loop thousands of events later.  Types first (a faults mapping
+        # loads as a FaultSpec on the way), then ranges.
+        if self.noc is not None and not isinstance(self.noc, NocModel):
+            # Built by build_noc_model from a compiled app, never loaded.
+            raise SimulationError(
+                "SimulationOptions.noc must be a NocModel or None, "
+                f"got {type(self.noc).__name__}"
+            )
+        object.__setattr__(
+            self, "telemetry", TelemetryConfig.coerce(self.telemetry)
+        )
+        conform(self, error=SimulationError, where="SimulationOptions")
         if self.frames < 0:
             raise SimulationError(
                 "SimulationOptions.frames must be non-negative, "
@@ -210,37 +222,6 @@ class SimulationOptions:
             raise SimulationError(
                 "SimulationOptions.max_events must be positive, "
                 f"got {self.max_events!r}"
-            )
-        if self.faults is not None and not isinstance(self.faults, FaultSpec):
-            if isinstance(self.faults, Mapping):
-                object.__setattr__(
-                    self, "faults", FaultSpec.from_dict(self.faults)
-                )
-            else:
-                raise SimulationError(
-                    "SimulationOptions.faults must be a FaultSpec, a "
-                    f"mapping, or None, got {type(self.faults).__name__}"
-                )
-        if self.telemetry is not None and not isinstance(
-            self.telemetry, TelemetryConfig
-        ):
-            object.__setattr__(
-                self, "telemetry", TelemetryConfig.coerce(self.telemetry)
-            )
-        if self.noc is not None and not isinstance(self.noc, NocModel):
-            raise SimulationError(
-                "SimulationOptions.noc must be a NocModel or None, "
-                f"got {type(self.noc).__name__}"
-            )
-        if not isinstance(self.replay, bool):
-            raise SimulationError(
-                "SimulationOptions.replay must be a bool, "
-                f"got {type(self.replay).__name__}"
-            )
-        if not isinstance(self.batch, bool):
-            raise SimulationError(
-                "SimulationOptions.batch must be a bool, "
-                f"got {type(self.batch).__name__}"
             )
 
 

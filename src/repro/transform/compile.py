@@ -28,9 +28,10 @@ from ..analysis.resources import (
     analyze_resources,
 )
 from ..analysis.validate import validate_application, validate_physical
-from ..errors import AnalysisError
+from ..errors import AnalysisError, TransformError
 from ..graph.app import ApplicationGraph
 from ..machine.processor import DEFAULT_PROCESSOR, ProcessorSpec
+from ..records import conform
 from .align import AlignmentPolicy, align_application
 from .buffering import insert_buffers
 from .multiplex import Mapping, map_greedy, map_one_to_one
@@ -58,6 +59,11 @@ class CompileOptions:
     #: Idle processing elements the mapper reserves as migration targets
     #: for fault recovery (see :mod:`repro.faults`).
     spare_processors: int = 0
+
+    def __post_init__(self) -> None:
+        # Types only; ranges are checked where they are used
+        # (``analyze_resources``, the mapper).
+        conform(self, error=TransformError, where="CompileOptions")
 
 
 @dataclass(slots=True)
