@@ -17,8 +17,12 @@
     python -m repro dash --data-dir .repro-serve  # metrics web dashboard
     python -m repro chaos --seed 7            # fault-injection scenario matrix
 
-``simulate``, ``schedule``, ``suite``, and ``explore`` take ``--json``
-for machine-readable output.
+``simulate``, ``schedule``, ``profile``, ``suite``, ``explore``,
+``chaos`` and the service client commands take ``--json`` for
+machine-readable output.  A command computes its result once and hands
+:func:`main` an :class:`Output` — exit code, ``--json`` payload and text
+— and ``main`` alone prints the one the flags ask for; only the event
+streams (``watch``, ``submit --watch``, sweep progress) print as they go.
 
 Benchmarks are addressed by their Figure 13 keys (1, 1F, 2, 2F, 3, 4, SS,
 SF, BS, BF, 5).
@@ -28,9 +32,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import sys
 import time
+from typing import Any, NamedTuple
 
 from .apps import BENCHMARK_PROCESSOR, benchmark, benchmark_suite
 from .graph.dot import to_dot
@@ -41,6 +47,15 @@ from .records import defaults, load_file
 from .transform import CompileOptions, compile_application
 
 __all__ = ["main"]
+
+
+class Output(NamedTuple):
+    """What a command hands :func:`main`: its exit code, its ``--json``
+    payload and its text.  ``None`` prints nothing in that mode."""
+
+    code: int = 0
+    payload: Any = None
+    text: str | None = None
 
 
 def _processor(args: argparse.Namespace) -> ProcessorSpec:
@@ -159,231 +174,179 @@ def _fault_spec(args: argparse.Namespace):
     return spec
 
 
-def cmd_list(args: argparse.Namespace) -> int:
-    for bench in benchmark_suite():
-        print(f"{bench.key:>3}  {bench.title}")
-    return 0
+def _telemetry_files(args: argparse.Namespace, tele, critical_path: bool):
+    """Write a telemetry run's ``--perfetto`` / ``--spans`` files; return
+    its critical path (when asked for) and the "wrote …" lines."""
+    from .obs import analyze_critical_path, write_perfetto, write_spans_jsonl
+
+    wrote = []
+    if args.perfetto:
+        write_perfetto(tele, args.perfetto, app=args.key)
+        wrote.append(f"wrote Perfetto trace to {args.perfetto}")
+    if args.spans:
+        write_spans_jsonl(tele, args.spans)
+        wrote.append(f"wrote span stream to {args.spans}")
+    return (analyze_critical_path(tele) if critical_path else None), wrote
 
 
-def cmd_describe(args: argparse.Namespace) -> int:
-    bench = benchmark(args.key)
-    print(bench.application().describe())
-    return 0
+def cmd_list(args: argparse.Namespace) -> Output:
+    return Output(text="\n".join(f"{bench.key:>3}  {bench.title}"
+                                 for bench in benchmark_suite()))
 
 
-def cmd_compile(args: argparse.Namespace) -> int:
+def cmd_describe(args: argparse.Namespace) -> Output:
+    return Output(text=benchmark(args.key).application().describe())
+
+
+def cmd_compile(args: argparse.Namespace) -> Output:
     from .analysis import compile_report
 
-    print(compile_report(_compile(args)))
-    return 0
+    return Output(text=compile_report(_compile(args)))
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> Output:
     telemetry_on = bool(args.perfetto or args.spans or args.critical_path)
     compiled, result, verdict, sim_elapsed = _measure(
         args, telemetry=telemetry_on, replay=args.replay, batch=args.batch,
     )
-    path_report = None
-    if telemetry_on:
-        from .obs import (
-            analyze_critical_path,
-            write_perfetto,
-            write_spans_jsonl,
-        )
-
-        tele = result.telemetry
-        if args.perfetto:
-            write_perfetto(tele, args.perfetto, app=args.key)
-        if args.spans:
-            write_spans_jsonl(tele, args.spans)
-        if args.critical_path:
-            path_report = analyze_critical_path(tele)
+    path_report, wrote = _telemetry_files(args, result.telemetry,
+                                          args.critical_path)
     fault_spec = result.options.faults
-    faults_active = fault_spec is not None and fault_spec.active()
-    bench_stats = {
-        "wall_s": sim_elapsed,
-        "events": result.events_processed,
-        "events_per_s": (
-            result.events_processed / sim_elapsed if sim_elapsed > 0 else 0.0
-        ),
-        "peak_heap": result.peak_heap,
+    payload = {
+        "benchmark": args.key,
+        "rate_hz": compiled.contract()["rate_hz"],
+        "frames": args.frames,
+        "processor_count": compiled.processor_count,
+        "kernel_count": compiled.kernel_count(),
+        "verdict": verdict.as_dict(),
+        "utilization": result.utilization.as_dict(),
     }
-    if args.json:
-        payload = {
-            "benchmark": args.key,
-            "rate_hz": compiled.contract()["rate_hz"],
-            "frames": args.frames,
-            "processor_count": compiled.processor_count,
-            "kernel_count": compiled.kernel_count(),
-            "verdict": verdict.as_dict(),
-            "utilization": result.utilization.as_dict(),
+    text = [verdict.describe()]
+    if fault_spec is not None and fault_spec.active():
+        payload["faults"] = result.fault_stats.as_dict()
+        text.append(result.fault_stats.describe())
+    if result.noc_stats is not None:
+        payload["noc"] = result.noc_stats.as_dict(result.makespan_s)
+        payload["makespan_s"] = result.makespan_s
+        text.append(result.noc_stats.describe())
+    text += ["", result.utilization.describe()]
+    if result.replay is not None:
+        payload["replay"] = result.replay.as_dict()
+        text += ["", result.replay.describe()]
+    if telemetry_on:
+        payload["telemetry"] = {
+            "spans": result.telemetry.span_counts(),
+            "dropped_spans": result.telemetry.dropped_spans,
         }
-        if faults_active:
-            payload["faults"] = result.fault_stats.as_dict()
-        if result.noc_stats is not None:
-            payload["noc"] = result.noc_stats.as_dict(result.makespan_s)
-            payload["makespan_s"] = result.makespan_s
-        if result.replay is not None:
-            payload["replay"] = result.replay.as_dict()
-        if telemetry_on:
-            payload["telemetry"] = {
-                "spans": result.telemetry.span_counts(),
-                "dropped_spans": result.telemetry.dropped_spans,
-            }
-        if path_report is not None:
-            payload["critical_path"] = path_report.as_dict()
-        if args.bench:
-            payload["bench"] = bench_stats
-        print(json.dumps(payload, indent=2))
-    else:
-        print(verdict.describe())
-        if faults_active:
-            print(result.fault_stats.describe())
-        if result.noc_stats is not None:
-            print(result.noc_stats.describe())
-        print()
-        print(result.utilization.describe())
-        if result.replay is not None:
-            print()
-            print(result.replay.describe())
-        if args.perfetto:
-            print(f"wrote Perfetto trace to {args.perfetto}")
-        if args.spans:
-            print(f"wrote span stream to {args.spans}")
-        if path_report is not None:
-            print()
-            print(path_report.describe())
-        if args.bench:
-            print()
-            print(
-                f"bench: {sim_elapsed * 1e3:.1f} ms wall, "
-                f"{bench_stats['events']} events, "
-                f"{bench_stats['events_per_s']:,.0f} events/s, "
-                f"peak heap {bench_stats['peak_heap']}"
-            )
+        text += wrote
+    if path_report is not None:
+        payload["critical_path"] = path_report.as_dict()
+        text += ["", path_report.describe()]
+    if args.bench:
+        bench = payload["bench"] = {
+            "wall_s": sim_elapsed,
+            "events": result.events_processed,
+            "events_per_s": (result.events_processed / sim_elapsed
+                             if sim_elapsed > 0 else 0.0),
+            "peak_heap": result.peak_heap,
+        }
+        text += ["", f"bench: {sim_elapsed * 1e3:.1f} ms wall, "
+                     f"{bench['events']} events, "
+                     f"{bench['events_per_s']:,.0f} events/s, "
+                     f"peak heap {bench['peak_heap']}"]
+    ok = verdict.meets
     if args.strict:
         # CI gate: nonzero on any real-time violation or fault the
         # recovery policy could not absorb.
-        ok = (verdict.meets and not result.violations
+        ok = (ok and not result.violations
               and result.fault_stats.unrecovered == 0)
-        return 0 if ok else 1
-    return 0 if verdict.meets else 1
+    return Output(0 if ok else 1, payload, "\n".join(text))
 
 
-def cmd_dot(args: argparse.Namespace) -> int:
+def cmd_dot(args: argparse.Namespace) -> Output:
     if args.compiled or args.mapped:
         compiled = _compile(args)
-        print(to_dot(compiled.graph,
-                     mapping=compiled.mapping if args.mapped else None))
-    else:
-        print(to_dot(benchmark(args.key).application()))
-    return 0
+        return Output(text=to_dot(
+            compiled.graph, mapping=compiled.mapping if args.mapped else None,
+        ))
+    return Output(text=to_dot(benchmark(args.key).application()))
 
 
-def cmd_schedule(args: argparse.Namespace) -> int:
+def cmd_schedule(args: argparse.Namespace) -> Output:
     from .analysis import build_static_schedule
 
     schedule = build_static_schedule(_compile(args))
-    if args.json:
-        print(json.dumps({"benchmark": args.key, **schedule.as_dict()},
-                         indent=2))
-    else:
-        print(schedule.describe())
-    return 0 if schedule.admissible else 1
+    return Output(0 if schedule.admissible else 1,
+                  {"benchmark": args.key, **schedule.as_dict()},
+                  schedule.describe())
 
 
-def cmd_energy(args: argparse.Namespace) -> int:
+def cmd_energy(args: argparse.Namespace) -> Output:
     from .machine import ManyCoreChip, anneal_placement, estimate_energy
 
     compiled, result, _, _ = _measure(args)
-    placement = None
+    placement, text = None, []
     if args.place:
         chip = ManyCoreChip(cols=args.mesh, rows=args.mesh,
                             processor=compiled.processor)
         placement = anneal_placement(
             compiled.mapping, compiled.dataflow, chip, seed=0
         )
-        print(f"annealed placement: {placement.improvement:.2f}x better "
-              "than row-major")
+        text.append(f"annealed placement: {placement.improvement:.2f}x "
+                    "better than row-major")
     report = estimate_energy(
         result, compiled.mapping, compiled.dataflow,
         processor=compiled.processor, placement=placement,
     )
-    print(report.describe())
-    return 0
+    return Output(text="\n".join([*text, report.describe()]))
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> Output:
     from .sim import gantt
 
     _, result, _, _ = _measure(args, trace=True)
-    print(gantt(result.trace, width=args.width))
-    return 0
+    return Output(text=gantt(result.trace, width=args.width))
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    from .obs import (
-        analyze_critical_path,
-        timeline,
-        write_perfetto,
-        write_spans_jsonl,
-    )
+def cmd_profile(args: argparse.Namespace) -> Output:
+    from .obs import timeline
 
     _, result, _, _ = _measure(args, telemetry=True)
     tele = result.telemetry
-    report = analyze_critical_path(tele)
-    if args.perfetto:
-        write_perfetto(tele, args.perfetto, app=args.key)
-    if args.spans:
-        write_spans_jsonl(tele, args.spans)
-    if args.json:
-        payload = {
-            "benchmark": args.key,
-            "frames": args.frames,
-            "makespan_s": result.makespan_s,
-            "telemetry": tele.as_dict(),
-            "critical_path": report.as_dict(),
-        }
-        if result.noc_stats is not None:
-            payload["noc"] = result.noc_stats.as_dict(result.makespan_s)
-        print(json.dumps(payload, indent=2))
-        return 0
-    counts = tele.span_counts()
-    print(
+    report, wrote = _telemetry_files(args, tele, True)
+    payload = {
+        "benchmark": args.key,
+        "frames": args.frames,
+        "makespan_s": result.makespan_s,
+        "telemetry": tele.as_dict(),
+        "critical_path": report.as_dict(),
+    }
+    text = [
         f"benchmark {args.key} ({benchmark(args.key).title}): "
         f"{result.makespan_s * 1e3:.3f} ms makespan, "
-        + ", ".join(f"{v} {k}" for k, v in counts.items())
-    )
-    if result.noc_stats is not None:
-        print(result.noc_stats.describe())
-    rows = [
-        (labels.get("kernel", ""), h)
-        for name, labels, h in tele.metrics.histograms()
-        if name == "firing_latency_s"
+        + ", ".join(f"{v} {k}" for k, v in tele.span_counts().items())
     ]
-    rows.sort(key=lambda kv: (-kv[1].total, kv[0]))
+    if result.noc_stats is not None:
+        payload["noc"] = result.noc_stats.as_dict(result.makespan_s)
+        text.append(result.noc_stats.describe())
+    rows = sorted(
+        ((labels.get("kernel", ""), h)
+         for name, labels, h in tele.metrics.histograms()
+         if name == "firing_latency_s"),
+        key=lambda kv: (-kv[1].total, kv[0]),
+    )
     if rows:
-        print("kernel firing latency (firings / mean / p99):")
-        for kernel, h in rows[:8]:
-            print(f"  {kernel:<24} {h.count:>7} / {h.mean * 1e6:9.2f} us "
-                  f"/ {h.quantile(0.99) * 1e6:9.2f} us")
-    print()
-    print(report.describe())
+        text.append("kernel firing latency (firings / mean / p99):")
+        text += [f"  {kernel:<24} {h.count:>7} / {h.mean * 1e6:9.2f} us "
+                 f"/ {h.quantile(0.99) * 1e6:9.2f} us"
+                 for kernel, h in rows[:8]]
+    text += ["", report.describe()]
     if args.timeline:
-        print()
-        print(timeline(tele, width=args.width))
-    if args.perfetto:
-        print(f"wrote Perfetto trace to {args.perfetto}")
-    if args.spans:
-        print(f"wrote span stream to {args.spans}")
-    return 0
+        text += ["", timeline(tele, width=args.width)]
+    return Output(0, payload, "\n".join(text + wrote))
 
 
-def cmd_suite(args: argparse.Namespace) -> int:
-    as_json = getattr(args, "json", False)
-    if not as_json:
-        print(f"{'bench':>6} | {'1:1 util':>9} | {'GM util':>9} | gain | meets")
-    gains = []
+def cmd_suite(args: argparse.Namespace) -> Output:
     rows = []
     for bench in benchmark_suite():
         utils = {}
@@ -397,38 +360,36 @@ def cmd_suite(args: argparse.Namespace) -> int:
             utils[mapping] = result.utilization.average_utilization
             counts[mapping] = compiled.processor_count
             meets = meets and verdict.meets
-        gain = utils["greedy"] / utils["1:1"]
-        gains.append(gain)
-        if as_json:
-            rows.append({
-                "benchmark": bench.key,
-                "title": bench.title,
-                "rate_hz": compiled.contract()["rate_hz"],
-                "utilization_1to1": utils["1:1"],
-                "utilization_greedy": utils["greedy"],
-                "processors_1to1": counts["1:1"],
-                "processors_greedy": counts["greedy"],
-                "gain": gain,
-                "meets": meets,
-            })
-        else:
-            print(f"{bench.key:>6} | {utils['1:1']:>9.1%} | "
-                  f"{utils['greedy']:>9.1%} | {gain:.2f}x | "
-                  f"{'yes' if meets else 'NO'}")
-    geomean = statistics.geometric_mean(gains)
-    if as_json:
-        print(json.dumps({"rows": rows, "geometric_mean_gain": geomean},
-                         indent=2))
-    else:
-        print(f"geometric-mean improvement: {geomean:.2f}x")
-    return 0
+        rows.append({
+            "benchmark": bench.key,
+            "title": bench.title,
+            "rate_hz": compiled.contract()["rate_hz"],
+            "utilization_1to1": utils["1:1"],
+            "utilization_greedy": utils["greedy"],
+            "processors_1to1": counts["1:1"],
+            "processors_greedy": counts["greedy"],
+            "gain": utils["greedy"] / utils["1:1"],
+            "meets": meets,
+        })
+    geomean = statistics.geometric_mean(row["gain"] for row in rows)
+    text = [
+        f"{'bench':>6} | {'1:1 util':>9} | {'GM util':>9} | gain | meets",
+        *(f"{row['benchmark']:>6} | {row['utilization_1to1']:>9.1%} | "
+          f"{row['utilization_greedy']:>9.1%} | {row['gain']:.2f}x | "
+          f"{'yes' if row['meets'] else 'NO'}" for row in rows),
+        f"geometric-mean improvement: {geomean:.2f}x",
+    ]
+    return Output(0, {"rows": rows, "geometric_mean_gain": geomean},
+                  "\n".join(text))
 
 
-def cmd_explore(args: argparse.Namespace) -> int:
+def cmd_explore(args: argparse.Namespace) -> Output:
     from .explore import (
+        ExploreError,
         ResultCache,
         ResultStore,
         SweepOptions,
+        completed_records,
         load_spec,
         render_event,
         run_sweep,
@@ -436,17 +397,19 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
     spec = load_spec(args.spec)
     jobs = spec.jobs()
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    store = ResultStore(args.store) if args.store else None
     resume = None
     if args.resume:
-        from .explore import completed_records
-
+        # Checked before the cache and store exist: a typo must not
+        # create a directory and re-run the whole sweep from nothing.
+        if not os.path.isfile(args.resume):
+            raise ExploreError(f"no result store at {args.resume}")
         # Resume from a previous run's JSONL store: every fingerprint
         # with a successful record there is skipped, exactly like a
         # cache hit — the same logic the service applies (see
         # docs/serving.md on resumable sweeps).
         resume = completed_records(ResultStore(args.resume))
+    cache = None if args.no_cache else ResultCache(args.cache_dir)
+    store = ResultStore(args.store) if args.store else None
     quiet = args.json or args.quiet
     result = run_sweep(
         jobs,
@@ -457,18 +420,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
         resume=resume,
     )
     report = result.report()
-    if args.json:
-        print(json.dumps({
-            "sweep": result.sweep,
-            "jobs": len(jobs),
-            "elapsed_s": result.elapsed_s,
-            "cache_hits": result.cache_hits,
-            **report.as_dict(),
-        }, indent=2))
-    else:
-        print()
-        print(report.describe())
-    return 0 if result.failed == 0 else 1
+    return Output(0 if result.failed == 0 else 1, {
+        "sweep": result.sweep,
+        "jobs": len(jobs),
+        "elapsed_s": result.elapsed_s,
+        "cache_hits": result.cache_hits,
+        **report.as_dict(),
+    }, "\n" + report.describe())
 
 
 def _serve_client(args: argparse.Namespace):
@@ -484,16 +442,19 @@ _PROGRESS_EVENTS = frozenset(
 )
 
 
-def _stream_run(client, run_id: str, as_json: bool) -> int:
+def _stream_run(client, run_id: str, as_json: bool,
+                head: str | None = None) -> Output:
     """Render a run's event stream; exit 0 iff it ends ``succeeded``.
 
     Uses the self-healing :meth:`ServiceClient.watch`: a connection
     reset mid-run resumes from the last envelope seen instead of
     silently truncating the stream (and misreporting the exit code).
-    Human output folds the same envelopes through the dashboard's
-    :class:`~repro.dash.MetricsAggregator` and prints a progress line
-    (``done/total jobs, pct, jobs/s``) after each terminal job event —
-    the fold, not raw envelope arithmetic, decides the numbers.
+    Human output opens with ``head`` and folds the same envelopes
+    through the dashboard's :class:`~repro.dash.MetricsAggregator`,
+    printing a progress line (``done/total jobs, pct, jobs/s``) after
+    each terminal job event — the fold, not raw envelope arithmetic,
+    decides the numbers.  The stream is the whole output: the returned
+    :class:`Output` carries only the exit code.
     """
     from .serve import decode_event
 
@@ -502,6 +463,8 @@ def _stream_run(client, run_id: str, as_json: bool) -> int:
         from .dash import MetricsAggregator
 
         aggregator = MetricsAggregator()
+        if head is not None:
+            print(head)
     started = time.monotonic()
     status = None
     for envelope in client.watch(run_id):
@@ -522,10 +485,10 @@ def _stream_run(client, run_id: str, as_json: bool) -> int:
                     print(f"  {line}")
         if envelope.get("event") == "RunFinished":
             status = envelope.get("status")
-    return 0 if status == "succeeded" else 1
+    return Output(0 if status == "succeeded" else 1)
 
 
-def cmd_serve(args: argparse.Namespace) -> int:
+def cmd_serve(args: argparse.Namespace) -> Output:
     from .serve import ServiceConfig, run_service
 
     chaos = None
@@ -535,7 +498,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         chaos = load_chaos_spec(args.chaos)
         if args.chaos_seed is not None:
             chaos = chaos.with_seed(args.chaos_seed)
-    return run_service(
+    return Output(run_service(
         host=args.host,
         port=args.port,
         data_dir=args.data_dir,
@@ -548,20 +511,20 @@ def cmd_serve(args: argparse.Namespace) -> int:
         ),
         chaos=chaos,
         dashboard=args.dashboard,
-    )
+    ))
 
 
-def cmd_dash(args: argparse.Namespace) -> int:
+def cmd_dash(args: argparse.Namespace) -> Output:
     from .dash import MetricsAggregator, serve_dashboard
 
     if args.snapshot:
-        aggregator = MetricsAggregator.from_data_dir(args.data_dir)
-        print(aggregator.snapshot().canonical())
-        return 0
-    return serve_dashboard(args.data_dir, host=args.host, port=args.port)
+        return Output(text=MetricsAggregator.from_data_dir(
+            args.data_dir).snapshot().canonical())
+    return Output(serve_dashboard(args.data_dir, host=args.host,
+                                  port=args.port))
 
 
-def cmd_chaos(args: argparse.Namespace) -> int:
+def cmd_chaos(args: argparse.Namespace) -> Output:
     """Run the chaos scenario matrix against live service instances."""
     # Lazy: the suite drives the full serve stack and is only needed
     # here (keeping ``import repro.chaos`` cheap and cycle-free).
@@ -575,18 +538,14 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         )
     except ValueError as exc:  # unknown scenario name
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return Output(2)
     if args.report is not None:
         write_report(report, args.report)
-    if args.json:
-        print(json.dumps(report.as_dict(), indent=2, default=str))
-    else:
-        print()
-        print(report.describe())
-    return 0 if report.ok else 1
+    return Output(0 if report.ok else 1, report.as_dict(),
+                  "\n" + report.describe())
 
 
-def cmd_submit(args: argparse.Namespace) -> int:
+def cmd_submit(args: argparse.Namespace) -> Output:
     from .explore import ExploreError
 
     # The document as written: the service holds it to the declarations.
@@ -594,49 +553,36 @@ def cmd_submit(args: argparse.Namespace) -> int:
                      error=ExploreError, what="sweep spec")
     client = _serve_client(args)
     run = client.submit(spec, priority=args.priority, tenant=args.tenant)
-    if args.json:
-        # With --watch the stream itself is the machine-readable
-        # output (it opens with the RunAccepted envelope).
-        if not args.watch:
-            print(json.dumps({"run": run}, indent=2))
-            return 0
-    else:
-        print(f"accepted run {run['run']} ({run['name']!r}, "
-              f"{run['total']} job(s), priority {run['priority']})")
+    accepted = (f"accepted run {run['run']} ({run['name']!r}, "
+                f"{run['total']} job(s), priority {run['priority']})")
     if args.watch:
-        return _stream_run(client, run["run"], args.json)
-    return 0
+        # With --json the stream itself is the machine-readable output
+        # (it opens with the RunAccepted envelope).
+        return _stream_run(client, run["run"], args.json, head=accepted)
+    return Output(0, {"run": run}, accepted)
 
 
-def cmd_watch(args: argparse.Namespace) -> int:
+def cmd_watch(args: argparse.Namespace) -> Output:
     return _stream_run(_serve_client(args), args.run, args.json)
 
 
-def cmd_jobs(args: argparse.Namespace) -> int:
+def cmd_jobs(args: argparse.Namespace) -> Output:
     runs = _serve_client(args).runs()
-    if args.json:
-        print(json.dumps({"runs": runs}, indent=2))
-        return 0
-    if not runs:
-        print("no runs")
-        return 0
-    print(f"{'run':>12} | {'name':>16} | {'state':>9} | {'status':>9} "
-          f"| done | cached")
-    for run in runs:
-        print(f"{run['run']:>12} | {run['name']:>16} "
-              f"| {run['state']:>9} | {run.get('status') or '-':>9} "
-              f"| {run['done']}/{run['total']} | {run['cache_hits']}")
-    return 0
+    table = [
+        f"{'run':>12} | {'name':>16} | {'state':>9} | {'status':>9} "
+        "| done | cached",
+        *(f"{run['run']:>12} | {run['name']:>16} "
+          f"| {run['state']:>9} | {run.get('status') or '-':>9} "
+          f"| {run['done']}/{run['total']} | {run['cache_hits']}"
+          for run in runs),
+    ]
+    return Output(0, {"runs": runs}, "\n".join(table) if runs else "no runs")
 
 
-def cmd_cancel(args: argparse.Namespace) -> int:
+def cmd_cancel(args: argparse.Namespace) -> Output:
     run = _serve_client(args).cancel(args.run)
-    if args.json:
-        print(json.dumps({"run": run}, indent=2))
-    else:
-        print(f"run {run['run']}: {run['state']}"
-              + (f" ({run['status']})" if run.get("status") else ""))
-    return 0
+    return Output(0, {"run": run}, f"run {run['run']}: {run['state']}"
+                  + (f" ({run['status']})" if run.get("status") else ""))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -886,8 +832,14 @@ def main(argv: list[str] | None = None) -> int:
     from .errors import BlockParallelError
 
     args = build_parser().parse_args(argv)
+    as_json = getattr(args, "json", False)
     try:
-        return _COMMANDS[args.command](args)
+        out = _COMMANDS[args.command](args)
+        shown = out.payload if as_json else out.text
+        if shown is not None:
+            print(json.dumps(shown, indent=2, default=str) if as_json
+                  else shown)
+        return out.code
     except KeyError as exc:  # unknown benchmark key
         print(f"error: {exc}", file=sys.stderr)
         return 2

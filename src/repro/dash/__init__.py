@@ -5,19 +5,21 @@ NoC surfaces in one place: :class:`MetricsAggregator` folds the typed
 event stream (live via the scheduler's observer seam, or offline from a
 data dir's NDJSON logs and JSONL store) into a deterministic
 :class:`DashSnapshot`; :mod:`~.page` renders snapshots as a single-file
-stdlib-only HTML dashboard; :mod:`~.standalone` serves both over a
-completed (or still-growing) data dir without a scheduler.
+stdlib-only HTML dashboard.
 
-The live wiring is ``repro serve --dashboard`` (``GET /v1/metrics`` and
-``GET /v1/dashboard`` on the service's own HTTP front end, gated behind
-the same ``is not None`` seam as faults/telemetry/chaos); the offline
-wiring is ``repro dash``.  See ``docs/dashboard.md``.
+Both are served by the one HTTP front end, :mod:`repro.serve.http`: live
+as ``repro serve --dashboard`` (``GET /v1/metrics`` and ``GET
+/v1/dashboard`` beside the run routes, gated behind the same ``is not
+None`` seam as faults/telemetry/chaos), offline as ``repro dash``
+(:func:`serve_dashboard`: the same server with no scheduler, re-folding
+a completed or still-growing data dir per request).  See
+``docs/dashboard.md``.
 """
 
+from ..serve.http import serve_dashboard
 from .aggregate import MetricsAggregator, telemetry_drilldown
 from .page import dashboard_page
 from .snapshot import DASH_SCHEMA, DashSnapshot, canonical_json
-from .standalone import DashServer, serve_dashboard
 
 __all__ = [
     "DASH_SCHEMA",
@@ -26,6 +28,5 @@ __all__ = [
     "canonical_json",
     "dashboard_page",
     "telemetry_drilldown",
-    "DashServer",
     "serve_dashboard",
 ]

@@ -31,6 +31,7 @@ the data dir remembers, including previous lives.
 from __future__ import annotations
 
 import os
+from pathlib import Path
 from typing import Any
 
 from .snapshot import DashSnapshot
@@ -232,16 +233,22 @@ class MetricsAggregator:
     def from_data_dir(cls, data_dir: str | os.PathLike[str],
                       ) -> "MetricsAggregator":
         """Replay a service data dir: every per-run NDJSON event log,
-        then the result store, through the same two inlets."""
-        from ..serve.storage import ServiceStorage
+        then the result store, through the same two inlets.
 
-        storage = ServiceStorage(data_dir)
+        Reads only — the :class:`~repro.serve.storage.ServiceStorage`
+        layout without its constructor, which creates the layout: a
+        missing dir folds to an empty snapshot and stays missing.
+        """
+        from ..explore.store import ResultStore, read_jsonl
+
+        root = Path(data_dir)
         aggregator = cls()
-        log_paths = sorted(storage.events_dir.glob("*.ndjson"))
-        for path in log_paths:
-            for envelope in storage.read_events(path.stem):
+        if not root.is_dir():  # ResultStore() would create it
+            return aggregator
+        for path in sorted((root / "events").glob("*.ndjson")):
+            for envelope in read_jsonl(path):
                 aggregator.envelope(envelope)
-        for record in storage.store:
+        for record in ResultStore(root / "results.jsonl"):
             aggregator.record(record)
         return aggregator
 

@@ -7,8 +7,9 @@ Figure 13 utilization bars on ``<canvas>``, and a per-run drill-down
 table.  It polls the metrics endpoint and — against a live ``repro
 serve --dashboard`` — additionally subscribes to active runs' SSE event
 streams (the existing ``/v1/runs/<id>/events`` endpoint) to refresh the
-instant something happens, falling back to polling alone against the
-standalone ``repro dash`` server, which has no event streams.
+instant something happens, falling back to polling alone against
+``repro dash`` — the same server with no scheduler, hence no event
+streams, which its ``/healthz`` says with ``"mode": "dash"``.
 
 Charts follow the repo's dataviz conventions: the first three slots of
 the validated categorical palette (all-pairs CVD-safe in both modes)

@@ -24,7 +24,14 @@ Routes::
     POST /v1/shutdown                 {"drain": true|false} then exit
 
 ``repro serve`` wires this to a :class:`~.scheduler.SweepService`; see
-``docs/serving.md`` for curl transcripts.
+``docs/serving.md`` for curl transcripts.  ``repro dash``
+(:func:`serve_dashboard`) runs the same server with no scheduler: its
+metrics re-fold a data dir per request, ``/healthz`` reports ``"mode":
+"dash"`` and every route that needs a scheduler answers 404.
+
+A request head is at most 32 KiB; anything longer — including a head
+past the stream reader's own 64 KiB limit — is a ``413``.  Every
+refusal is a 4xx; a 500 means a bug.
 
 A :class:`~repro.chaos.ChaosInjector` (optional, ``None`` by default)
 makes the *network* misbehave deterministically: GET requests can be
@@ -40,6 +47,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import os
 import signal
 from typing import Any, Awaitable, Callable
 from urllib.parse import parse_qs, urlsplit
@@ -52,7 +60,7 @@ from .protocol import PROTOCOL_VERSION, ServeError
 from .scheduler import ServiceConfig, SweepService
 from .storage import ServiceStorage
 
-__all__ = ["DEFAULT_PORT", "HttpServer", "run_service"]
+__all__ = ["DEFAULT_PORT", "HttpServer", "run_service", "serve_dashboard"]
 
 DEFAULT_PORT = 8765
 
@@ -74,10 +82,11 @@ class _HttpError(Exception):
 
 
 class HttpServer:
-    """One service instance behind one listening socket."""
+    """One service instance — or, with ``service=None``, one data dir's
+    dashboard — behind one listening socket."""
 
-    def __init__(self, service: SweepService, *, host: str = "127.0.0.1",
-                 port: int = 0,
+    def __init__(self, service: SweepService | None, *,
+                 host: str = "127.0.0.1", port: int = 0,
                  on_shutdown: Callable[[bool], Awaitable[None] | None]
                  | None = None,
                  chaos: ChaosInjector | None = None,
@@ -88,9 +97,11 @@ class HttpServer:
         self._server: asyncio.base_events.Server | None = None
         self._on_shutdown = on_shutdown
         self._chaos = chaos
-        #: The service's MetricsAggregator when the dashboard is on;
-        #: ``None`` (the default) keeps /v1/metrics and /v1/dashboard
-        #: off — the same gating seam as chaos.
+        #: Anything with ``snapshot()`` (plain or a coroutine): the
+        #: service's MetricsAggregator when the dashboard is on, or
+        #: ``repro dash``'s data-dir fold.  ``None`` (the default) keeps
+        #: /v1/metrics and /v1/dashboard off — the same gating seam as
+        #: chaos.
         self._metrics = metrics
 
     async def start(self) -> tuple[str, int]:
@@ -149,8 +160,11 @@ class HttpServer:
                 pass
 
     async def _read_head(self, reader: asyncio.StreamReader):
-        raw = await reader.readuntil(b"\r\n\r\n")
-        if len(raw) > _MAX_HEADER_BYTES:
+        try:
+            raw = await reader.readuntil(b"\r\n\r\n")
+        except asyncio.LimitOverrunError:  # past the reader's 64 KiB
+            raw = None
+        if raw is None or len(raw) > _MAX_HEADER_BYTES:
             raise _HttpError(413, "request head too large")
         lines = raw.decode("latin-1").split("\r\n")
         try:
@@ -218,15 +232,23 @@ class HttpServer:
         if path == "/healthz" and method == "GET":
             from .. import __version__
 
-            await self._respond(writer, 200, {
-                "ok": True,
-                "protocol": PROTOCOL_VERSION,
-                "version": __version__,
-                "accepting": self.service.accepting,
-                "runs": len(self.service.runs()),
-                "started_at": getattr(self.service, "started_at", None),
-                "uptime_s": getattr(self.service, "uptime_s", None),
-            })
+            if self.service is None:
+                # The page reads "mode" to poll instead of opening
+                # event streams nobody here can serve.
+                health = {"ok": True, "mode": "dash", "version": __version__,
+                          "data_dir": getattr(self._metrics, "data_dir",
+                                              None)}
+            else:
+                health = {
+                    "ok": True,
+                    "protocol": PROTOCOL_VERSION,
+                    "version": __version__,
+                    "accepting": self.service.accepting,
+                    "runs": len(self.service.runs()),
+                    "started_at": getattr(self.service, "started_at", None),
+                    "uptime_s": getattr(self.service, "uptime_s", None),
+                }
+            await self._respond(writer, 200, health)
             return
         if path == "/v1/metrics" and method == "GET":
             if self._metrics is None:
@@ -234,8 +256,10 @@ class HttpServer:
                     404, "metrics are off; start the service with "
                          "--dashboard (or use `repro dash` offline)"
                 )
-            await self._respond(writer, 200,
-                                self._metrics.snapshot().as_dict())
+            snapshot = self._metrics.snapshot()
+            if asyncio.iscoroutine(snapshot):
+                snapshot = await snapshot
+            await self._respond(writer, 200, snapshot.as_dict())
             return
         if path in ("/", "/v1/dashboard") and method == "GET":
             if self._metrics is None:
@@ -247,6 +271,8 @@ class HttpServer:
 
             await self._respond_html(writer, dashboard_page())
             return
+        if self.service is None:  # every other route needs a scheduler
+            raise _HttpError(404, f"no route {method} {path}")
         if path == "/v1/runs":
             if method == "POST":
                 spec = body.get("spec")
@@ -412,4 +438,49 @@ def run_service(*, host: str = "127.0.0.1", port: int = DEFAULT_PORT,
         await service.stop(drain=drain_mode["drain"])
 
     asyncio.run(_main())
+    return 0
+
+
+class _DataDirFold:
+    """``repro dash``'s metrics: the data dir re-folded per request (it
+    may still be growing), on a worker thread so the loop keeps
+    answering."""
+
+    def __init__(self, data_dir: str) -> None:
+        self.data_dir = data_dir
+
+    async def snapshot(self):
+        from ..dash import MetricsAggregator
+
+        return await asyncio.to_thread(
+            lambda: MetricsAggregator.from_data_dir(self.data_dir).snapshot()
+        )
+
+
+def serve_dashboard(data_dir: str | os.PathLike[str], *,
+                    host: str = "127.0.0.1", port: int = 0,
+                    announce: Callable[[str], None] | None = print) -> int:
+    """Blocking entry point behind ``repro dash``: :class:`HttpServer`
+    with no scheduler over ``data_dir``, which it only ever reads.
+
+    Useful post-mortem — point it at a completed sweep's directory — and
+    quasi-live, watching a directory another ``repro serve`` / ``repro
+    explore`` process is still writing.  Serves until SIGINT; returns 0.
+    """
+    async def _main() -> None:
+        server = HttpServer(None, host=host, port=port,
+                            metrics=_DataDirFold(str(data_dir)))
+        await server.start()
+        if announce is not None:
+            announce(f"repro dash: dashboard at {server.url}/v1/dashboard "
+                     f"(data dir {data_dir})")
+        try:
+            await asyncio.Event().wait()
+        finally:
+            await server.close()
+
+    try:
+        asyncio.run(_main())
+    except KeyboardInterrupt:
+        pass
     return 0

@@ -10,19 +10,26 @@ never reads a clock; everything time-shaped travels in the events.
 Unit tests pin the counting rules (they must match ``RunHandle``
 accounting bit for bit), the seq-dedup on replayed envelopes, and the
 authoritative ``RunFinished`` overwrite.  End-to-end tests drive the
-real service with ``--dashboard`` and the standalone ``repro dash``
-server over the same data dir.
+real service with ``--dashboard`` and ``repro dash`` — the same HTTP
+server with no scheduler — over the same data dir, which reading never
+changes.
 """
 
 import json
+import os
+import re
+import signal
+import subprocess
+import sys
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import main
 from repro.dash import (
     DASH_SCHEMA,
-    DashServer,
     MetricsAggregator,
     canonical_json,
     dashboard_page,
@@ -30,7 +37,7 @@ from repro.dash import (
 )
 from repro.serve import ServiceClient
 
-from test_serve import SPEC, _LiveService
+from test_serve import SPEC, _LiveService, tree
 
 
 def envelopes(run_id, events):
@@ -284,6 +291,32 @@ class TestLiveDashboard:
             json.loads(line)
 
 
+class _DashProcess:
+    """``python -m repro dash`` over a data dir, stopped with SIGINT."""
+
+    def __init__(self, data_dir):
+        self.argv = [sys.executable, "-m", "repro", "dash",
+                     "--data-dir", str(data_dir), "--port", "0"]
+
+    def __enter__(self):
+        env = dict(os.environ, PYTHONUNBUFFERED="1",
+                   PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+        self.proc = subprocess.Popen(self.argv, stdout=subprocess.PIPE,
+                                     text=True, env=env)
+        self.url = re.search(r"http://[\d.]+:\d+",
+                             self.proc.stdout.readline()).group(0)
+        return self
+
+    def get(self, path):
+        with urllib.request.urlopen(self.url + path, timeout=30) as resp:
+            return resp.read().decode("utf-8")
+
+    def __exit__(self, *exc):
+        self.proc.send_signal(signal.SIGINT)
+        self.code = self.proc.wait(timeout=30)
+        self.proc.stdout.close()
+
+
 class TestStandaloneDash:
     def _completed_data_dir(self, tmp_path):
         data_dir = tmp_path / "data"
@@ -296,31 +329,30 @@ class TestStandaloneDash:
 
     def test_serves_metrics_and_page_over_data_dir(self, tmp_path):
         data_dir = self._completed_data_dir(tmp_path)
-        server = DashServer(data_dir).start()
-        try:
-            with urllib.request.urlopen(server.url + "/healthz") as resp:
-                health = json.loads(resp.read())
-            assert health["ok"] is True and health["mode"] == "dash"
-            import repro
+        before = tree(data_dir)
+        with _DashProcess(data_dir) as dash:
+            health = json.loads(dash.get("/healthz"))
+            assert health == {"ok": True, "mode": "dash",
+                              "version": repro.__version__,
+                              "data_dir": str(data_dir)}
 
-            assert health["version"] == repro.__version__
-
-            with urllib.request.urlopen(server.url + "/v1/metrics") as resp:
-                snap = json.loads(resp.read())
+            snap = json.loads(dash.get("/v1/metrics"))
             assert canonical_json(snap) == MetricsAggregator \
                 .from_data_dir(data_dir).snapshot().canonical()
             (run,) = snap["runs"]
             assert run["status"] == "succeeded"
 
-            with urllib.request.urlopen(server.url + "/v1/dashboard") as r:
-                assert "/v1/metrics" in r.read().decode("utf-8")
-            with pytest.raises(urllib.error.HTTPError, match="404"):
-                urllib.request.urlopen(server.url + "/nope")
-        finally:
-            server.close()
+            assert dash.get("/v1/dashboard") == dashboard_page()
+            # No scheduler: the run routes (and anything else) are 404.
+            for path in ("/nope", "/v1/runs", f"/v1/runs/{run['run']}"):
+                with pytest.raises(urllib.error.HTTPError, match="404"):
+                    dash.get(path)
+        assert dash.code == 0  # SIGINT is a clean stop
+        assert tree(data_dir) == before  # serving read, never wrote
 
     def test_cli_snapshot_mode(self, tmp_path, capsys):
         data_dir = self._completed_data_dir(tmp_path)
+        before = tree(data_dir)
         assert main(["dash", "--data-dir", str(data_dir),
                      "--snapshot"]) == 0
         out = capsys.readouterr().out.strip()
@@ -330,10 +362,14 @@ class TestStandaloneDash:
         # Canonical form: refolding prints the same bytes.
         assert out == MetricsAggregator.from_data_dir(
             data_dir).snapshot().canonical()
+        assert tree(data_dir) == before
 
     def test_cli_snapshot_of_empty_dir_is_empty_not_an_error(
             self, tmp_path, capsys):
-        assert main(["dash", "--data-dir", str(tmp_path / "fresh"),
-                     "--snapshot"]) == 0
+        fresh = tmp_path / "fresh"
+        assert main(["dash", "--data-dir", str(fresh), "--snapshot"]) == 0
         snap = json.loads(capsys.readouterr().out)
         assert snap["runs"] == [] and snap["totals"]["runs"] == 0
+        with _DashProcess(fresh) as dash:
+            assert json.loads(dash.get("/v1/metrics")) == snap
+        assert not fresh.exists()  # reading state never creates it

@@ -26,6 +26,7 @@ import http.client
 import json
 import queue
 import re
+import socket
 import threading
 import time
 from dataclasses import fields
@@ -71,8 +72,23 @@ SPEC = {
 SUPERSET_SPEC = {**SPEC, "axes": {"rate_hz": [50.0, 100.0, 200.0]}}
 
 
+#: ``RunHandle.info()``: what ``submit`` / ``jobs`` / ``cancel --json``
+#: print per run, in this order.
+RUN_INFO_KEYS = ["protocol", "run", "name", "tenant", "priority", "created",
+                 "total", "spec_digest", "state", "status", "done",
+                 "succeeded", "failed", "cancelled", "cache_hits",
+                 "quarantined"]
+
+
 def run(coro):
     return asyncio.run(coro)
+
+
+def tree(root):
+    """Every path under ``root``, or ``None`` when it does not exist."""
+    if not root.exists():
+        return None
+    return sorted(str(path.relative_to(root)) for path in root.rglob("*"))
 
 
 def inject_jobs(modes, *, timeout_s=300.0):
@@ -837,6 +853,23 @@ class TestHttpEndToEnd:
         with pytest.raises(ServeError, match="http"):
             ServiceClient("ftp://example.com")
 
+    @pytest.mark.parametrize("pad", [40_000, 70_000])
+    def test_oversized_request_head_is_413(self, live, pad):
+        # 70 KB is past asyncio's own 64 KiB stream limit, which used to
+        # escape into the 500 handler; both sizes are the client's fault.
+        client = ServiceClient(live.url)
+        with socket.create_connection((client.host, client.port),
+                                      timeout=30) as sock:
+            sock.sendall(b"GET /healthz HTTP/1.1\r\nX-Pad: "
+                         + b"a" * pad + b"\r\n\r\n")
+            response = b""
+            while chunk := sock.recv(65536):
+                response += chunk
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 413 ")
+        assert json.loads(body) == {"error": "request head too large"}
+        assert client.health()["ok"] is True
+
     def test_cli_submit_watch_jobs_cancel(self, live, tmp_path, capsys):
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
@@ -852,7 +885,10 @@ class TestHttpEndToEnd:
         assert "service-sweep" in table and "succeeded" in table
 
         assert main(["jobs", "--url", live.url, "--json"]) == 0
-        runs = json.loads(capsys.readouterr().out)["runs"]
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["runs"]
+        runs = out["runs"]
+        assert list(runs[0]) == RUN_INFO_KEYS
         run_id = runs[0]["run"]
 
         assert main(["watch", run_id, "--url", live.url, "--json"]) == 0
@@ -865,7 +901,9 @@ class TestHttpEndToEnd:
         assert "terminal" in capsys.readouterr().out
 
         assert main(["cancel", run_id, "--url", live.url, "--json"]) == 0
-        assert json.loads(capsys.readouterr().out)["run"]["run"] == run_id
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["run"] and list(out["run"]) == RUN_INFO_KEYS
+        assert out["run"]["run"] == run_id
 
         assert main(["cancel", "nope", "--url", live.url]) == 2
         assert "unknown run" in capsys.readouterr().err
@@ -879,7 +917,10 @@ class TestHttpEndToEnd:
         spec_path.write_text(json.dumps(SPEC), encoding="utf-8")
         assert main(["submit", str(spec_path), "--url", live.url,
                      "--json"]) == 0
-        accepted = json.loads(capsys.readouterr().out)["run"]
+        out = json.loads(capsys.readouterr().out)
+        assert list(out) == ["run"]
+        accepted = out["run"]
+        assert list(accepted) == RUN_INFO_KEYS
         assert accepted["total"] == 2
 
         bad = tmp_path / "bad.json"
@@ -1045,3 +1086,17 @@ class TestExploreResume:
         assert second["jobs"] == 3
         assert second["cache_hits"] == 2  # resumed, not re-executed
         assert second["succeeded"] == 3
+
+    def test_resume_from_a_missing_store_is_refused(self, tmp_path, capsys):
+        # A typo must not create its directory and re-run every job.
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(SPEC), encoding="utf-8")
+        typo = tmp_path / "typo" / "results.jsonl"
+        before = tree(tmp_path)
+        assert main(["explore", str(spec),
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--store", str(tmp_path / "out" / "results.jsonl"),
+                     "--resume", str(typo)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: no result store at {typo}\n"
+        assert tree(tmp_path) == before
