@@ -743,8 +743,10 @@ class Kernel:
         exactly the state they would under sequential execution.
 
         The default is ``False``: kernels opt in by implementing
-        :meth:`batched_apply` (usually via a shape base class —
-        elementwise, windowed — rather than per subclass).
+        :meth:`batched_apply`.  Elementwise and windowed kernels do
+        neither by hand: they subclass the shape base
+        :class:`~repro.kernels.arithmetic.ComputeKernel`, which derives
+        both, and the per-firing body, from the kernel's one ``compute``.
         """
         return False
 

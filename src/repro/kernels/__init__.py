@@ -4,6 +4,7 @@ from .arithmetic import (
     AbsDiffKernel,
     AddKernel,
     BinaryElementwiseKernel,
+    ComputeKernel,
     IdentityKernel,
     MultiplyKernel,
     ScaleKernel,
@@ -44,6 +45,7 @@ __all__ = [
     "BinaryElementwiseKernel",
     "BufferKernel",
     "ColumnSplit",
+    "ComputeKernel",
     "ConstantSource",
     "ConvolutionKernel",
     "CountedJoin",

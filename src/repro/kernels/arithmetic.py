@@ -4,16 +4,23 @@ The subtract kernel of Figure 1 is the canonical multi-input elementwise
 kernel: both inputs are ``(1x1)[1,1]`` with offset ``[0,0]`` and one method
 triggers on data arriving on *both*.  Control tokens reaching both inputs
 are forwarded once to the output (Section II-C's two-input rule).
+
+Every kernel here, and every windowed filter built on
+:class:`~repro.kernels.filters.WindowedKernel`, states its math once, as
+:meth:`ComputeKernel.compute`.  The per-firing body and the batched one
+are derived from it, so they agree by construction.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from ..errors import FiringError
 from ..graph.kernel import Kernel
 from ..graph.methods import MethodCost
 
 __all__ = [
+    "ComputeKernel",
     "BinaryElementwiseKernel",
     "SubtractKernel",
     "AddKernel",
@@ -26,128 +33,117 @@ __all__ = [
 ]
 
 
-class BinaryElementwiseKernel(Kernel):
-    """Base for two-input, one-output per-element kernels."""
+class ComputeKernel(Kernel):
+    """Shape base: one data method maps its inputs to a ``1x1`` output.
 
-    #: Per-iteration compute cost; cheap ALU work.
-    cycles: int = 5
+    A subclass declares the shape — ``operands`` (the inputs, in
+    :meth:`compute`'s argument order), their ``width`` x ``height``
+    window, ``cycles`` and the method name ``body`` — and the math, as
+    :meth:`compute`.  ``compute`` is called two ways and must work on
+    both:
+
+    * per firing, with a float per input, or with each window flattened
+      to ``(h*w,)`` when ``windowed``; it returns one number;
+    * batched over a period's ``n`` firings, with ``(n,)`` vectors, or
+      ``(n, h*w)`` stacks when ``windowed``; it returns ``(n,)``.
+
+    Operators (``abs(a - b)``, ``(x >= level) * 1.0``), ndarray methods
+    and reductions along the last axis (``window.min(-1)``,
+    ``np.add.reduce(..., -1)``) work on both and give the same bits.
+    """
+
     timing_depends_on = "declared"
+    body = "run"
+    operands: tuple[str, ...] = ("in",)
+    width = height = 1
+    windowed = False
+    cycles: int
 
     def configure(self) -> None:
-        self.add_input("in0", 1, 1, 1, 1, 0, 0)
-        self.add_input("in1", 1, 1, 1, 1, 0, 0)
+        w, h = self.width, self.height
+        for port in self.operands:
+            self.add_input(port, w, h, 1, 1, w // 2, h // 2)
         self.add_output("out", 1, 1)
         self.add_method(
-            "run",
-            inputs=["in0", "in1"],
+            self.body,
+            inputs=list(self.operands),
             outputs=["out"],
             cost=MethodCost(cycles=self.cycles),
         )
 
-    def compute(self, a: float, b: float) -> float:
-        raise NotImplementedError
-
-    def compute_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`compute` over value vectors; bit-identical."""
+    def compute(self, *operands):
         raise NotImplementedError
 
     def run(self) -> None:
-        a = float(self.read_input("in0")[0, 0])
-        b = float(self.read_input("in1")[0, 0])
-        self.write_output("out", np.array([[self.compute(a, b)]]))
+        # ravel() and item() are the cheapest flatten and float for a
+        # contiguous window and a 1x1 chunk.
+        if self.windowed:
+            args = [self.read_input(port).ravel() for port in self.operands]
+        else:
+            args = [self.read_input(port).item() for port in self.operands]
+        self.write_output("out", np.array([[self.compute(*args)]]))
 
     def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
         # Stateless: forwards only touch token bookkeeping, never the math.
-        return (
-            method == "run"
-            and others <= {"<forward>"}
-            and type(self).compute_batch is not BinaryElementwiseKernel.compute_batch
-        )
+        return method == self.body and others <= {"<forward>"}
 
     def batched_apply(self, method, inputs):
-        n = len(inputs["in0"])
-        a = np.stack(inputs["in0"]).reshape(n)
-        b = np.stack(inputs["in1"]).reshape(n)
-        out = self.compute_batch(a, b).reshape(n, 1, 1)
+        n = len(inputs[self.operands[0]])
+        shape = (n, -1) if self.windowed else n
+        out = np.asarray(
+            self.compute(*[np.stack(inputs[port]).reshape(shape)
+                           for port in self.operands]),
+            dtype=np.float64,
+        )
+        if out.shape != (n,):
+            raise FiringError(
+                f"{self.name}: compute returned shape {out.shape} for {n} "
+                f"batched firings, expected ({n},)"
+            )
+        out = out.reshape(n, 1, 1)
         return [[("out", out[i])] for i in range(n)], None
+
+
+class BinaryElementwiseKernel(ComputeKernel):
+    """Base for two-input, one-output per-element kernels."""
+
+    #: Per-iteration compute cost; cheap ALU work.
+    cycles = 5
+    operands = ("in0", "in1")
 
 
 class SubtractKernel(BinaryElementwiseKernel):
     """Per-pixel difference ``in0 - in1`` (Figure 1's Subtract)."""
 
-    def compute(self, a: float, b: float) -> float:
-        return a - b
-
-    def compute_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def compute(self, a, b):
         return a - b
 
 
 class AddKernel(BinaryElementwiseKernel):
     """Per-pixel sum ``in0 + in1``."""
 
-    def compute(self, a: float, b: float) -> float:
-        return a + b
-
-    def compute_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def compute(self, a, b):
         return a + b
 
 
 class AbsDiffKernel(BinaryElementwiseKernel):
     """Per-pixel absolute difference ``|in0 - in1|``."""
 
-    def compute(self, a: float, b: float) -> float:
+    def compute(self, a, b):
         return abs(a - b)
-
-    def compute_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.abs(a - b)
 
 
 class MultiplyKernel(BinaryElementwiseKernel):
     """Per-pixel product ``in0 * in1``."""
 
-    def compute(self, a: float, b: float) -> float:
-        return a * b
-
-    def compute_batch(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def compute(self, a, b):
         return a * b
 
 
-class UnaryElementwiseKernel(Kernel):
+class UnaryElementwiseKernel(ComputeKernel):
     """Base for one-input, one-output per-element kernels."""
 
-    cycles: int = 4
-    timing_depends_on = "declared"
-
-    def configure(self) -> None:
-        self.add_input("in", 1, 1, 1, 1, 0, 0)
-        self.add_output("out", 1, 1)
-        self.add_method(
-            "run", inputs=["in"], outputs=["out"], cost=MethodCost(cycles=self.cycles)
-        )
-
-    def compute(self, value: float) -> float:
-        raise NotImplementedError
-
-    def compute_batch(self, values: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`compute` over a value vector; bit-identical."""
-        raise NotImplementedError
-
-    def run(self) -> None:
-        value = float(self.read_input("in")[0, 0])
-        self.write_output("out", np.array([[self.compute(value)]]))
-
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        return (
-            method == "run"
-            and others <= {"<forward>"}
-            and type(self).compute_batch is not UnaryElementwiseKernel.compute_batch
-        )
-
-    def batched_apply(self, method, inputs):
-        n = len(inputs["in"])
-        values = np.stack(inputs["in"]).reshape(n)
-        out = self.compute_batch(values).reshape(n, 1, 1)
-        return [[("out", out[i])] for i in range(n)], None
+    cycles = 4
 
 
 class ScaleKernel(UnaryElementwiseKernel):
@@ -158,11 +154,8 @@ class ScaleKernel(UnaryElementwiseKernel):
         self.bias = bias
         super().__init__(name)
 
-    def compute(self, value: float) -> float:
+    def compute(self, value):
         return self.gain * value + self.bias
-
-    def compute_batch(self, values: np.ndarray) -> np.ndarray:
-        return self.gain * values + self.bias
 
 
 class ThresholdKernel(UnaryElementwiseKernel):
@@ -172,11 +165,8 @@ class ThresholdKernel(UnaryElementwiseKernel):
         self.level = level
         super().__init__(name)
 
-    def compute(self, value: float) -> float:
-        return 1.0 if value >= self.level else 0.0
-
-    def compute_batch(self, values: np.ndarray) -> np.ndarray:
-        return (values >= self.level).astype(np.float64)
+    def compute(self, value):
+        return (value >= self.level) * 1.0
 
 
 class IdentityKernel(UnaryElementwiseKernel):
@@ -184,8 +174,5 @@ class IdentityKernel(UnaryElementwiseKernel):
 
     cycles = 1
 
-    def compute(self, value: float) -> float:
+    def compute(self, value):
         return value
-
-    def compute_batch(self, values: np.ndarray) -> np.ndarray:
-        return values

@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import FiringError
-from ..graph.kernel import Kernel
 from ..graph.methods import MethodCost
+from .arithmetic import ComputeKernel
 
 __all__ = [
     "WindowedKernel",
@@ -26,15 +26,16 @@ __all__ = [
 ]
 
 
-class WindowedKernel(Kernel):
+class WindowedKernel(ComputeKernel):
     """Base class for ``(w x h) -> 1x1`` sliding-window kernels.
 
-    Subclasses set ``cycles`` (per-iteration compute cost) before calling
-    ``super().__init__`` and implement :meth:`compute` mapping the window
-    array to a scalar.
+    Subclasses pass ``cycles`` (per-iteration compute cost) to
+    ``super().__init__`` and implement :meth:`compute` over the window
+    flattened onto the last axis: ``(h*w,)`` per firing, ``(n, h*w)``
+    batched (:class:`~repro.kernels.arithmetic.ComputeKernel`).
     """
 
-    timing_depends_on = "declared"
+    windowed = True
 
     def __init__(self, name: str, width: int, height: int, cycles: int) -> None:
         self.width = width
@@ -42,41 +43,8 @@ class WindowedKernel(Kernel):
         self.cycles = cycles
         super().__init__(name)
 
-    def configure(self) -> None:
-        self.add_input(
-            "in", self.width, self.height, 1, 1, self.width // 2, self.height // 2
-        )
-        self.add_output("out", 1, 1)
-        self.add_method(
-            "run", inputs=["in"], outputs=["out"], cost=MethodCost(cycles=self.cycles)
-        )
 
-    def compute(self, window: np.ndarray) -> float:
-        raise NotImplementedError
-
-    def compute_batch(self, windows: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`compute` over an ``(n, h, w)`` stack; must be
-        bit-identical to per-window evaluation."""
-        raise NotImplementedError
-
-    def run(self) -> None:
-        window = self.read_input("in")
-        self.write_output("out", np.array([[self.compute(window)]]))
-
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        return (
-            method == "run"
-            and others <= {"<forward>"}
-            and type(self).compute_batch is not WindowedKernel.compute_batch
-        )
-
-    def batched_apply(self, method, inputs):
-        wins = np.stack(inputs["in"])
-        out = self.compute_batch(wins).reshape(len(wins), 1, 1)
-        return [[("out", out[i])] for i in range(len(wins))], None
-
-
-class ConvolutionKernel(Kernel):
+class ConvolutionKernel(WindowedKernel):
     """A ``width x height`` convolution with a reloadable coefficient input.
 
     Mirrors Figure 6: the "in" input is ``(w x h)[1,1]`` with offset
@@ -89,7 +57,7 @@ class ConvolutionKernel(Kernel):
     wiring a coefficient source (convenient for small pipelines and tests).
     """
 
-    timing_depends_on = "declared"
+    body = "run_convolve"
 
     def __init__(
         self,
@@ -100,9 +68,8 @@ class ConvolutionKernel(Kernel):
         with_coeff_input: bool = True,
         coeff: np.ndarray | None = None,
     ) -> None:
-        self.width = width
-        self.height = height
         self._with_coeff_input = with_coeff_input
+        self.coeff: np.ndarray | None = None
         if coeff is not None:
             coeff = np.asarray(coeff, dtype=np.float64)
             if coeff.shape != (height, width):
@@ -110,21 +77,13 @@ class ConvolutionKernel(Kernel):
                     f"{name}: coefficient shape {coeff.shape} does not match "
                     f"{(height, width)}"
                 )
-        self.coeff = coeff
-        self._flipped: np.ndarray | None = None
-        super().__init__(name)
+            self._use(coeff)
+        super().__init__(name, width, height, cycles=10 + 3 * height * width)
 
     def configure(self) -> None:
-        w, h = self.width, self.height
-        self.add_input("in", w, h, 1, 1, w // 2, h // 2)
-        self.add_output("out", 1, 1)
-        self.add_method(
-            "run_convolve",
-            inputs=["in"],
-            outputs=["out"],
-            cost=MethodCost(cycles=10 + 3 * h * w),
-        )
+        super().configure()
         if self._with_coeff_input:
+            w, h = self.width, self.height
             self.add_input("coeff", w, h, w, h, w // 2, h // 2, replicated=True)
             self.add_method(
                 "load_coeff",
@@ -132,48 +91,30 @@ class ConvolutionKernel(Kernel):
                 cost=MethodCost(cycles=10 + 2 * h * w, state_words=h * w),
             )
 
-    def run_convolve(self) -> None:
-        window = self.read_input("in")
+    run_convolve = WindowedKernel.run
+
+    def compute(self, window: np.ndarray) -> np.ndarray:
         if self.coeff is None:
             raise FiringError(
                 f"{self.name}: data arrived before any coefficients; wire a "
                 "coefficient source or pass coeff= at construction"
             )
-        # The paper's loop multiplies in[x][y] by coeff[w-1-x][h-1-y]: a
-        # flipped-kernel accumulation, i.e. true convolution.  The flipped
-        # copy is cached contiguous per coefficient load — strided reversed
-        # views cost more than the multiply on 3x3 windows.
-        flipped = self._flipped
-        if flipped is None:
-            flipped = self._flipped = np.ascontiguousarray(
-                self.coeff[::-1, ::-1]
-            )
-        acc = float(np.sum(window * flipped))
-        self.write_output("out", np.array([[acc]]))
+        return np.add.reduce(window * self._flipped, -1)
 
     def load_coeff(self) -> None:
-        self.coeff = self.read_input("coeff").copy()
-        self._flipped = None
+        self._use(self.read_input("coeff").copy())
+
+    def _use(self, coeff: np.ndarray) -> None:
+        # The paper's loop multiplies in[x][y] by coeff[w-1-x][h-1-y]: a
+        # flipped-kernel accumulation, i.e. true convolution.  The flipped
+        # copy is made contiguous and flat, like the window, once per load.
+        self.coeff = coeff
+        self._flipped = coeff[::-1, ::-1].ravel()
 
     def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        # A load_coeff inside the period would change the coefficients
-        # between firings, so any period containing one stays per-firing.
-        return (
-            method == "run_convolve"
-            and others <= {"<forward>"}
-            and self.coeff is not None
-        )
-
-    def batched_apply(self, method, inputs):
-        flipped = self._flipped
-        if flipped is None:
-            flipped = self._flipped = np.ascontiguousarray(self.coeff[::-1, ::-1])
-        wins = np.stack(inputs["in"])
-        # Axis-reduction sum, NOT a matmul: np.sum(w * c, axis=(1, 2)) is
-        # bit-identical to the scalar float(np.sum(window * flipped));
-        # reshape @ ravel pairs terms in a different order and is not.
-        acc = np.sum(wins * flipped, axis=(1, 2)).reshape(len(wins), 1, 1)
-        return [[("out", acc[i])] for i in range(len(wins))], None
+        # Batching waits for the first coefficients; a load_coeff inside
+        # the period is one of the ``others`` the base declines.
+        return self.coeff is not None and super().batch_accepts(method, others)
 
 
 class MedianKernel(WindowedKernel):
@@ -185,66 +126,39 @@ class MedianKernel(WindowedKernel):
     def __init__(self, name: str, width: int, height: int) -> None:
         super().__init__(name, width, height, cycles=10 + 5 * width * height)
 
-    def compute(self, window: np.ndarray) -> float:
+    def compute(self, window: np.ndarray) -> np.ndarray:
         # Selection via partition, exactly what np.median computes (the
         # middle element for odd counts, the mean of the two middles for
         # even) without its dispatch and nan-handling overhead — this is
-        # the hottest compute in the Figure 1 pipeline.
-        flat = window.ravel()
-        n = flat.size
+        # the hottest compute in the Figure 1 pipeline.  Indexing the
+        # transpose picks element k of one window as a scalar and column
+        # k of a stack as a vector.
+        n = window.shape[-1]
         mid = n >> 1
         if n & 1:
-            return float(np.partition(flat, mid)[mid])
-        part = np.partition(flat, (mid - 1, mid))
-        return float((part[mid - 1] + part[mid]) / 2.0)
-
-    def compute_batch(self, windows: np.ndarray) -> np.ndarray:
-        flat = windows.reshape(windows.shape[0], -1)
-        n = flat.shape[1]
-        mid = n >> 1
-        if n & 1:
-            return np.partition(flat, mid, axis=1)[:, mid]
-        part = np.partition(flat, (mid - 1, mid), axis=1)
-        return (part[:, mid - 1] + part[:, mid]) / 2.0
+            return np.partition(window, mid).T[mid]
+        part = np.partition(window, (mid - 1, mid)).T
+        return (part[mid - 1] + part[mid]) / 2.0
 
 
-class SobelKernel(Kernel):
+class SobelKernel(WindowedKernel):
     """3x3 Sobel gradient magnitude (|Gx| + |Gy| approximation).
 
     A second standard windowed filter used by the multi-filter benchmark
     applications; fixed 3x3 window, centre offset.
     """
 
-    timing_depends_on = "declared"
-
     _GX = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
-    _GY = _GX.T.copy()
+    _GY = _GX.T.ravel()
+    _GX = _GX.ravel()
 
     def __init__(self, name: str) -> None:
-        super().__init__(name)
+        super().__init__(name, 3, 3, cycles=10 + 6 * 9)
 
-    def configure(self) -> None:
-        self.add_input("in", 3, 3, 1, 1, 1, 1)
-        self.add_output("out", 1, 1)
-        self.add_method(
-            "run", inputs=["in"], outputs=["out"], cost=MethodCost(cycles=10 + 6 * 9)
-        )
-
-    def run(self) -> None:
-        window = self.read_input("in")
-        gx = float(np.sum(window * self._GX))
-        gy = float(np.sum(window * self._GY))
-        self.write_output("out", np.array([[abs(gx) + abs(gy)]]))
-
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        return method == "run" and others <= {"<forward>"}
-
-    def batched_apply(self, method, inputs):
-        wins = np.stack(inputs["in"])
-        gx = np.sum(wins * self._GX, axis=(1, 2))
-        gy = np.sum(wins * self._GY, axis=(1, 2))
-        out = (np.abs(gx) + np.abs(gy)).reshape(len(wins), 1, 1)
-        return [[("out", out[i])] for i in range(len(wins))], None
+    def compute(self, window: np.ndarray) -> np.ndarray:
+        gx = np.add.reduce(window * self._GX, -1)
+        gy = np.add.reduce(window * self._GY, -1)
+        return abs(gx) + abs(gy)
 
 
 def _gaussian_coeff(width: int, height: int, sigma: float) -> np.ndarray:

@@ -23,8 +23,8 @@ class ErodeKernel(WindowedKernel):
     def __init__(self, name: str, width: int = 3, height: int = 3) -> None:
         super().__init__(name, width, height, cycles=8 + 2 * width * height)
 
-    def compute(self, window: np.ndarray) -> float:
-        return float(window.min())
+    def compute(self, window: np.ndarray) -> np.ndarray:
+        return window.min(-1)
 
 
 class DilateKernel(WindowedKernel):
@@ -33,8 +33,8 @@ class DilateKernel(WindowedKernel):
     def __init__(self, name: str, width: int = 3, height: int = 3) -> None:
         super().__init__(name, width, height, cycles=8 + 2 * width * height)
 
-    def compute(self, window: np.ndarray) -> float:
-        return float(window.max())
+    def compute(self, window: np.ndarray) -> np.ndarray:
+        return window.max(-1)
 
 
 def add_opening(

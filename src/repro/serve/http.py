@@ -172,7 +172,11 @@ class HttpServer:
         except ValueError:
             raise _HttpError(400, f"malformed request line {lines[0]!r}") \
                 from None
-        parts = urlsplit(target)
+        try:
+            parts = urlsplit(target)  # refuses e.g. an unclosed "[" host
+        except ValueError:
+            raise _HttpError(400, f"malformed request target {target!r}") \
+                from None
         headers: dict[str, str] = {}
         for line in lines[1:]:
             if not line:
@@ -188,7 +192,11 @@ class HttpServer:
         if not declared.isdecimal():
             raise _HttpError(400, "Content-Length must be a non-negative "
                                   f"integer, got {declared!r}")
-        length = int(declared)
+        # A length with more digits than the cap is over it; int() would
+        # refuse one past 4300 digits.
+        digits = declared.lstrip("0") or "0"
+        length = (int(digits) if len(digits) <= len(str(_MAX_BODY_BYTES))
+                  else _MAX_BODY_BYTES + 1)
         if length == 0:
             return {}
         if length > _MAX_BODY_BYTES:

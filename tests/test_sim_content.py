@@ -56,8 +56,8 @@ LIBRARY = [
 ]
 
 #: Shape bases: they declare for their subclasses and cannot fire.
-ABSTRACT = {"BinaryElementwiseKernel", "UnaryElementwiseKernel",
-            "WindowedKernel"}
+ABSTRACT = {"ComputeKernel", "BinaryElementwiseKernel",
+            "UnaryElementwiseKernel", "WindowedKernel"}
 
 
 def timing_plane(result) -> dict:
