@@ -154,15 +154,26 @@ class Kernel:
     #:     never correctness: its whole upstream cone computes real data.
     #: ``"position"``
     #:     its own counters and FSM only (buffers, split/join, inset/pad,
-    #:     sources, sinks).  The body always runs; it never looks inside
-    #:     a chunk, so it routes stand-ins exactly like data.
+    #:     sources, sinks).  It never looks inside a chunk, so it routes
+    #:     stand-ins exactly like data; when nobody reads its values, a
+    #:     method named in :attr:`positional_bodies` runs only its
+    #:     positional half and the rest run as they are.
     #: ``"declared"``
     #:     nothing: every firing of every method writes exactly one chunk
     #:     to each of ``method.outputs``, in that order, at
     #:     ``method.cost.cycles``, and holds no state another kernel's
-    #:     timing can see.  Only such a kernel may have its body skipped
-    #:     when nobody reads its values.
+    #:     timing can see.  Such a kernel has its bodies skipped when
+    #:     nobody reads its values.
     timing_depends_on: str = "values"
+
+    #: For a ``"position"`` kernel: data method name -> name of its
+    #: *positional body* (docs/kernels.md "Writing your own").  That
+    #: method advances exactly the state the data method advances,
+    #: through the same helper, raises what it raises, and returns how
+    #: many times the firing writes each of the method's outputs; it
+    #: stores and copies nothing.  A firing of a kernel nobody reads
+    #: runs it and emits that many shared stand-ins instead.
+    positional_bodies: Mapping[str, str] = {}
 
     #: Registry of every Kernel subclass by class name, populated by
     #: ``__init_subclass__``; the serialization module reconstructs

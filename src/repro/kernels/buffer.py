@@ -22,18 +22,58 @@ with the window overlap replicated to both halves (Figure 10); see
 
 from __future__ import annotations
 
+import functools
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
 
 from ..errors import AnalysisError, FiringError, PortError
-from ..geometry import Size2D, Step2D, iteration_grid
+from ..geometry import Size2D, Step2D, iteration_grid, shared_on_copy
 from ..graph.kernel import Kernel, TransferResult
 from ..graph.methods import MethodCost
 from ..streams import StreamInfo
 from ..tokens import EndOfFrame
 
 __all__ = ["BufferKernel"]
+
+
+@shared_on_copy
+@dataclass(frozen=True, slots=True)
+class _Lattice:
+    """Which windows a chunk completes, by where it lands.
+
+    Chunks arrive in scan order, so a window completes when its
+    bottom-right element lands: a ``chunk``-shaped ``(h, w)`` tile stored
+    at column ``x`` of row ``y`` completes the windows with origin
+    ``(py, px)`` for ``py`` in ``tops[y]`` and ``px`` in ``columns[x]``,
+    emitted row by row.  A buffer's geometry never changes, so the tables
+    are built once per geometry and shared by every copy of the kernel
+    (a graph copy does not walk them).
+    """
+
+    chunk: tuple[int, int]
+    tops: tuple[range, ...]
+    columns: tuple[range, ...]
+
+
+def _origins(first: int, last: int, size: int, stride: int) -> range:
+    """Origins, on the ``stride`` lattice, of the windows of extent
+    ``size`` whose far edge lies in ``[first, last]``."""
+    lo = max(0, first - size + 1)
+    return range(lo + (-lo) % stride, last - size + 2, stride)
+
+
+@functools.lru_cache(maxsize=256)
+def _window_lattice(region: Size2D, window: Size2D, step: Step2D,
+                    chunk: Size2D) -> _Lattice:
+    return _Lattice(
+        (chunk.h, chunk.w),
+        tuple(_origins(y, y + chunk.h - 1, window.h, step.y)
+              for y in range(region.h)),
+        tuple(_origins(x, x + chunk.w - 1, window.w, step.x)
+              for x in range(region.w)),
+    )
 
 
 class BufferKernel(Kernel):
@@ -55,6 +95,7 @@ class BufferKernel(Kernel):
     data_parallel = False
     compiler_inserted = True
     timing_depends_on = "position"
+    positional_bodies = {"store": "count_windows"}
 
     #: Cycles charged per stored input chunk (pointer arithmetic + wrap).
     STORE_CYCLES = 4
@@ -100,6 +141,9 @@ class BufferKernel(Kernel):
         #: Circular row store: two window-heights of rows (double buffering).
         self.storage_rows = 2 * window_h
         self._store = np.zeros((self.storage_rows, region_w), dtype=np.float64)
+        self._lattice = _window_lattice(
+            Size2D(region_w, region_h), Size2D(window_w, window_h),
+            Step2D(step_x, step_y), Size2D(in_chunk_w, in_chunk_h))
         self._x = 0
         self._y = 0
         super().__init__(name)
@@ -147,54 +191,64 @@ class BufferKernel(Kernel):
     def store(self) -> None:
         chunk = self.read_input("in")
         ch, cw = chunk.shape
-        if self._y + ch > self.region_h or self._x + cw > self.region_w:
+        x, y, tops, columns = self._advance(chunk.shape)
+        rows = self.storage_rows
+        if ch == 1:
+            # Scan-order elements and row chunks land here.
+            self._store[y % rows, x : x + cw] = chunk[0]
+        else:
+            for dy in range(ch):
+                self._store[(y + dy) % rows, x : x + cw] = chunk[dy]
+        if not columns:
+            return
+        h, w = self.window_h, self.window_w
+        write = self.write_output
+        for py in tops:
+            r0 = py % rows
+            if r0 + h <= rows:
+                # Common case: the window's rows are physically contiguous
+                # in the circular store, so one basic-slice view serves
+                # every window of this row (copied per emission below).
+                block = self._store[r0 : r0 + h]
+            else:
+                block = self._store[[(py + dy) % rows for dy in range(h)]]
+            for px in columns:
+                write("out", block[:, px : px + w].copy())
+
+    def count_windows(self) -> int:
+        """:meth:`store`'s positional body (:attr:`positional_bodies`):
+        the same cursor, region check and window lattice, nothing stored
+        and nothing copied — how many windows the chunk completes."""
+        _, _, tops, columns = self._advance(self.read_input("in").shape)
+        return len(tops) * len(columns)
+
+    def _advance(self, shape: tuple[int, int]) -> tuple[int, int, range, range]:
+        """The position half of :meth:`store`, shared by both its bodies.
+
+        Checks that a chunk of ``shape`` is the declared chunk and fits
+        the declared region, steps the fill cursor past it and returns
+        ``(x, y, tops, columns)``: where the chunk lands, and the
+        windows it completes (:class:`_Lattice`).
+        """
+        ch, cw = shape
+        x, y = self._x, self._y
+        lattice = self._lattice
+        if shape != lattice.chunk:
+            raise FiringError(
+                f"{self.name}: expects {self.in_chunk_w}x{self.in_chunk_h} "
+                f"chunks, got {cw}x{ch}"
+            )
+        if y + ch > self.region_h:
             raise FiringError(
                 f"{self.name}: received more data than the declared "
                 f"{self.region_w}x{self.region_h} region"
             )
-        # Emit every window whose bottom-right element just arrived.  Chunks
-        # arrive in scan order, so completion is a per-row watermark.
-        if ch == 1:
-            # Scan-order elements and row chunks land here.
-            self._store[self._y % self.storage_rows,
-                        self._x : self._x + cw] = chunk[0]
-            self._emit_completed(self._y, self._x, self._x + cw - 1)
+        if x + cw < self.region_w:
+            self._x = x + cw
         else:
-            for dy in range(ch):
-                row = (self._y + dy) % self.storage_rows
-                self._store[row, self._x : self._x + cw] = chunk[dy]
-            for dy in range(ch):
-                y = self._y + dy
-                self._emit_completed(y, self._x, self._x + cw - 1)
-        self._x += cw
-        if self._x >= self.region_w:
             self._x = 0
-            self._y += ch
-
-    def _emit_completed(self, y: int, x_first: int, x_last: int) -> None:
-        h, w = self.window_h, self.window_w
-        if y < h - 1 or (y - (h - 1)) % self.step_y != 0:
-            return
-        py = y - (h - 1)
-        # Window columns px on the step lattice whose right edge lies in
-        # the newly stored span.
-        first = max(0, x_first - (w - 1))
-        last = min(x_last - (w - 1), self.region_w - w)
-        if last < first:
-            return
-        start = first + (-first) % self.step_x
-        r0 = py % self.storage_rows
-        if r0 + h <= self.storage_rows:
-            # Common case: the window's rows are physically contiguous in
-            # the circular store, so one basic-slice view serves every
-            # window of this row (copied per emission below).
-            block = self._store[r0 : r0 + h]
-        else:
-            rows = [(py + dy) % self.storage_rows for dy in range(h)]
-            block = self._store[rows]
-        write = self.write_output
-        for px in range(start, last + 1, self.step_x):
-            write("out", block[:, px : px + w].copy())
+            self._y = y + ch
+        return x, y, lattice.tops[y], lattice.columns[x]
 
     def end_frame(self) -> None:
         """End-of-frame: rewind the fill position for the next frame."""

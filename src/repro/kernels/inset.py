@@ -39,6 +39,7 @@ class InsetKernel(Kernel):
     data_parallel = False
     compiler_inserted = True
     timing_depends_on = "position"
+    positional_bodies = {"filter_elem": "advance"}
 
     def __init__(
         self,
@@ -79,19 +80,25 @@ class InsetKernel(Kernel):
             cost=MethodCost(cycles=2), forward_token=True,
         )
 
-    def _keeps(self, x: int, y: int) -> bool:
+    def filter_elem(self) -> None:
+        chunk = self.read_input("in")
+        if self.advance():
+            self.write_output("out", chunk)
+
+    def advance(self) -> bool:
+        """The position half of :meth:`filter_elem`, and its positional
+        body (:attr:`positional_bodies`): steps the cursor past one
+        element and returns whether the trim keeps it — as a count, how
+        many times the firing writes ``out``."""
+        x, y = self._x, self._y
+        if x + 1 < self.region_w:
+            self._x = x + 1
+        else:
+            self._x = 0
+            self._y = y + 1
         left, top, right, bottom = self.trim
         return (left <= x < self.region_w - right
                 and top <= y < self.region_h - bottom)
-
-    def filter_elem(self) -> None:
-        chunk = self.read_input("in")
-        if self._keeps(self._x, self._y):
-            self.write_output("out", chunk)
-        self._x += 1
-        if self._x >= self.region_w:
-            self._x = 0
-            self._y += 1
 
     def end_line(self) -> None:
         token = self.read_token()

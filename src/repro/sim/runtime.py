@@ -179,33 +179,47 @@ class RuntimeKernel:
         self._bound: dict[str, object] = {}
 
     def skip_bodies(self) -> None:
-        """Bind every method to an emitter of its declared outputs.
+        """Bind the bodies of a kernel nobody reads to stand-in emitters.
 
-        For a ``"declared"`` kernel nobody reads (:func:`live_kernels`):
-        each firing writes a :func:`stand_in` of the port's shape to each
-        of ``method.outputs`` instead of computing, so :meth:`execute`
-        charges, counts and emits exactly what the body would have,
-        through the table it already consults.  Methods fed only by
-        *replicated* inputs keep their bodies: those load configuration
-        (coefficients, bin edges) once in a while, and whether it has
-        arrived is state the batching protocol asks about
-        (:meth:`ConvolutionKernel.batch_accepts`).
+        For a kernel outside the value-demand slice
+        (:func:`live_kernels`), through the table :meth:`execute`
+        already consults, so it charges, counts and emits exactly what
+        the body would have:
+
+        * ``"declared"``: each firing writes a :func:`stand_in` of the
+          port's shape to each of ``method.outputs`` instead of
+          computing;
+        * ``"position"``: each method named in
+          :attr:`Kernel.positional_bodies` runs that positional body —
+          cursors, checks, no array writes — and writes the stand-ins
+          as many times as it returns.  Other methods run as they are.
+
+        Methods fed only by *replicated* inputs keep their bodies: those
+        load configuration (coefficients, bin edges) once in a while,
+        and whether it has arrived is state the batching protocol asks
+        about (:meth:`ConvolutionKernel.batch_accepts`).
         """
         kernel = self.kernel
+        declared = kernel.timing_depends_on == "declared"
+        positional = kernel.positional_bodies
         for method in kernel.methods.values():
-            if method.data_inputs and all(
-                kernel.input_spec(port).replicated
-                for port in method.data_inputs
-            ):
+            if (not declared and method.name not in positional) or (
+                method.data_inputs and all(
+                    kernel.input_spec(port).replicated
+                    for port in method.data_inputs)):
                 continue
             writes = tuple(
                 (port, stand_in(kernel.output_spec(port).window))
                 for port in method.outputs
             )
+            if declared:
+                def emit(writes=writes) -> None:
+                    kernel._ctx.writes.extend(writes)
+            else:
+                count = getattr(kernel, positional[method.name])
 
-            def emit(writes=writes) -> None:
-                kernel._ctx.writes.extend(writes)
-
+                def emit(writes=writes, count=count) -> None:
+                    kernel._ctx.writes.extend(writes * count())
             self._bound[method.name] = emit
 
     def _prime(self) -> tuple:

@@ -816,8 +816,7 @@ class Simulator:
                 self.graph, self.content, everything=fault_spec is not None
             )
             for name in dead:
-                if runtimes[name].kernel.timing_depends_on == "declared":
-                    runtimes[name].skip_bodies()
+                runtimes[name].skip_bodies()
 
         violations: list[_Violation] = []
 

@@ -12,22 +12,26 @@ are pinned here:
   exactly its method's declared outputs at its declared cost;
 * the slice is *exact* — the live set is the upstream cone of what was
   asked for plus every value-dependent kernel, bodies outside it never
-  run, and no timing observable can tell.
+  run, and no timing observable can tell;
+* a ``"position"`` kernel outside the slice that runs its positional
+  body (``Kernel.positional_bodies``) fires exactly as its live body
+  does, firing by firing.
 
 The randomized half of the proof is the content axis of
 ``test_sim_differential.py``.
 """
 
 import collections
+import functools
 
 import networkx as nx
 import numpy as np
 import pytest
 
 import repro.kernels as library
-from repro.apps import benchmark, benchmark_suite
+from repro.apps import benchmark, benchmark_suite, build_buffer_test_app
 from repro.apps.suite import BENCHMARK_PROCESSOR
-from repro.errors import SimulationError
+from repro.errors import FiringError, SimulationError
 from repro.explore import SweepSpec, execute_job, executor
 from repro.graph import ApplicationGraph, Kernel, MethodCost
 from repro.kernels import (
@@ -35,6 +39,8 @@ from repro.kernels import (
     AddKernel,
     ApplicationOutput,
     BlockMatchKernel,
+    BufferKernel,
+    DownsampleKernel,
     GaussianKernel,
     MedianKernel,
     MultiplyKernel,
@@ -110,16 +116,22 @@ def declared_firings(monkeypatch):
     return seen
 
 
+@functools.lru_cache(maxsize=None)
+def suite_app(key: str, mapping: str):
+    return compile_application(benchmark(key).application(),
+                               BENCHMARK_PROCESSOR,
+                               CompileOptions(mapping=mapping))
+
+
+SUITE_KEYS = [bench.key for bench in benchmark_suite()]
+
+
 def test_declared_kernels_write_exactly_their_declared_outputs(
         declared_firings):
     # Untimed: what a firing writes does not depend on when it fires.
-    for bench in benchmark_suite():
+    for key in SUITE_KEYS:
         for mapping in ("1:1", "greedy"):
-            run_functional(
-                compile_application(bench.application(), BENCHMARK_PROCESSOR,
-                                    CompileOptions(mapping=mapping)).graph,
-                frames=1,
-            )
+            run_functional(suite_app(key, mapping).graph, frames=1)
     for ctor, _window, _step in PALETTE:
         simulate(compile_application(single_kernel_app(ctor(0), 10, 8),
                                      SMALL_PROC),
@@ -140,6 +152,111 @@ def test_declared_kernels_write_exactly_their_declared_outputs(
                 if cls.timing_depends_on == "declared"} - ABSTRACT
     assert expected <= set(declared_firings), (
         expected - set(declared_firings))
+
+
+# ---------------------------------------------------------------------------
+# (b) Positional bodies fire as the live ones do
+
+
+@pytest.fixture
+def footprints(monkeypatch):
+    """Log each firing's timing-plane footprint; returns ``(log, dead)``.
+
+    A footprint is ``(kernel, label, cycles, elements read, elements
+    written, data-emission ports)``.  ``dead`` counts, per kernel class,
+    the firings that ran a positional body: a method named in
+    ``positional_bodies`` whose body-table entry
+    :meth:`RuntimeKernel.skip_bodies` rebound away from the kernel's
+    own method.
+    """
+    log = []
+    dead = collections.Counter()
+    execute = RuntimeKernel.execute
+
+    def logged(self, firing):
+        result = execute(self, firing)
+        log.append((self.name, result.label, result.cycles,
+                    result.elements_read, result.elements_written,
+                    tuple(port for port, item in result.emissions
+                          if not isinstance(item, ControlToken))))
+        body = self._bound.get(result.label)
+        if (result.label in self.kernel.positional_bodies
+                and getattr(body, "__self__", None) is not self.kernel):
+            dead[type(self.kernel).__name__] += 1
+        return result
+
+    monkeypatch.setattr(RuntimeKernel, "execute", logged)
+    return log, dead
+
+
+def multi_row_app():
+    """``Input -> rows -> med -> Out``, ``rows`` cutting the 12x8 frame
+    into full-width two-row chunks, so the compiler buffers ``med``'s
+    input with a full-width multi-row-chunk buffer."""
+    app = ApplicationGraph("rows")
+    app.add_input("Input", 12, 8, 100.0)
+    app.add_kernel(BufferKernel("rows", region_w=12, region_h=8,
+                                window_w=12, window_h=2, step_x=12, step_y=2))
+    app.add_kernel(MedianKernel("med", 3, 3))
+    app.add_kernel(ApplicationOutput("Out"))
+    for src_name, dst_name in (("Input", "rows"), ("rows", "med"),
+                               ("med", "Out")):
+        app.connect(src_name, "out", dst_name, "in")
+    return compile_application(app, BIG_PROC)
+
+
+def test_dead_position_kernels_fire_as_their_live_bodies(footprints):
+    log, dead = footprints
+    cases = [(suite_app(key, mapping), 1) for key in SUITE_KEYS
+             for mapping in ("1:1", "greedy")]
+    cases += [
+        # A 64-wide frame under a 5x5 window: a column-split buffer pair.
+        (compile_application(build_buffer_test_app(64, 12, 50.0, window=5),
+                             BENCHMARK_PROCESSOR), 2),
+        # 2x2 windows at step 2.
+        (compile_application(single_kernel_app(DownsampleKernel("down", 2),
+                                               10, 8), SMALL_PROC), 2),
+        (multi_row_app(), 2),
+    ]
+    buffers = collections.Counter()
+    for compiled, frames in cases:
+        for k in compiled.graph.kernels.values():
+            if isinstance(k, BufferKernel):
+                buffers["step > 1"] += k.step_x > 1
+                buffers["multi-row"] += k.in_chunk_h > 1
+        options = SimulationOptions(frames=frames)
+        simulate(compiled, options)
+        full = list(log)
+        log.clear()
+        simulate(compiled, options, content=())
+        assert log == full, compiled.graph.name
+        log.clear()
+    assert buffers["step > 1"] and buffers["multi-row"]
+    # Non-vacuity: every library class that declares a positional body
+    # ran it.
+    expected = {cls.__name__ for cls in LIBRARY if cls.positional_bodies}
+    assert expected == {"BufferKernel", "InsetKernel"}
+    assert expected <= set(dead), expected - set(dead)
+
+
+def test_a_dead_buffer_still_overflows():
+    """The region check is the position half of ``store``, so a buffer
+    nobody reads that is fed past its declared region fails the same."""
+    def overfed():
+        compiled = compile_application(
+            single_kernel_app(MedianKernel("med", 3, 3), 10, 8), SMALL_PROC)
+        buf, = (k for k in compiled.graph.kernels.values()
+                if isinstance(k, BufferKernel))
+        buf.region_h -= 2  # the stream still carries 8 rows
+        return compiled
+
+    messages = []
+    for content in (None, ()):
+        with pytest.raises(FiringError, match="more data than the declared "
+                           r"10x6 region") as failure:
+            simulate(overfed(), SimulationOptions(frames=1), content=content)
+        messages.append(str(failure.value))
+    assert messages[0] == messages[1]
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +369,27 @@ def test_fresh_compiles_replay_and_batch_the_same_firings(key):
 
     bare, full = run(content=()), run()
     assert full.replay.engaged and full.replay.firings_batched > 0
+    assert bare.replay.as_dict() == full.replay.as_dict()
+    assert timing_plane(bare) == timing_plane(full)
+
+
+#: The ``sim_steady`` bench workload's kinds: (suite key, frames).
+SIM_STEADY = (("5", 12), ("5", 4), ("BF", 1), ("3", 2), ("4", 2),
+              ("1", 12), ("2", 12))
+
+
+@pytest.mark.parametrize(
+    "key, frames",
+    list(dict.fromkeys(SIM_STEADY + tuple((key, 2) for key in SUITE_KEYS))),
+    ids=lambda value: str(value))
+def test_the_replay_ledger_never_saw_content(key, frames):
+    """Dead buffers and insets emit one shared stand-in object per shape,
+    and the batch walk checks channel heads by identity; nothing reads
+    them, so the ledger and the timing plane are the full run's."""
+    compiled = suite_app(key, "greedy")
+    options = SimulationOptions(frames=frames, replay=True)
+    bare, full = simulate(compiled, options, content=()), simulate(
+        compiled, options)
     assert bare.replay.as_dict() == full.replay.as_dict()
     assert timing_plane(bare) == timing_plane(full)
 
@@ -423,5 +561,23 @@ def test_stand_ins_are_shared_and_read_only():
     compiled = compile_application(
         single_kernel_app(Scribbler("scribble"), 6, 4), BIG_PROC)
     simulate(compiled, SimulationOptions(frames=1))  # real pixels: its own
+    with pytest.raises(ValueError, match="read-only"):
+        simulate(compiled, SimulationOptions(frames=1), content=())
+
+
+class PositionalScribbler(Scribbler):
+    """The same, with a positional body that scribbles too."""
+
+    positional_bodies = {"run": "scribble"}
+
+    def scribble(self):
+        self.read_input("in")[0, 0] += 1.0
+        return 1
+
+
+def test_a_positional_body_cannot_write_into_a_stand_in():
+    compiled = compile_application(
+        single_kernel_app(PositionalScribbler("scribble"), 6, 4), BIG_PROC)
+    simulate(compiled, SimulationOptions(frames=1))
     with pytest.raises(ValueError, match="read-only"):
         simulate(compiled, SimulationOptions(frames=1), content=())

@@ -51,6 +51,7 @@ use this harness to bisect a divergence to its first mismatched period.
 
 from __future__ import annotations
 
+import collections
 import json
 import random
 
@@ -63,7 +64,7 @@ from test_random_pipelines import PALETTE, pipelines
 
 from repro.geometry import Size2D, Step2D, iteration_grid
 from repro.graph import ApplicationGraph
-from repro.kernels import ApplicationOutput
+from repro.kernels import ApplicationOutput, BufferKernel
 from repro.faults import FaultSpec
 from repro.machine import NocModel, ProcessorSpec, fit_chip, row_major_placement
 from repro.obs import span_as_dict, spans_digest
@@ -117,10 +118,22 @@ def _canonical(result) -> str:
     return json.dumps(result.as_dict(), sort_keys=True)
 
 
-def test_differential_reference_fast_replay():
+def test_differential_reference_fast_replay(monkeypatch):
     engaged = 0
     events_replayed = 0
     firings_batched = 0
+    # Firings of a buffer nobody reads (its positional body), per way
+    # through a content=() run, and dead buffers the batch walk took.
+    dead_stores = collections.Counter()
+    dead_batched = 0
+    count_windows = BufferKernel.count_windows
+    stores = collections.Counter()
+
+    def counted(self):
+        stores["dead"] += 1
+        return count_windows(self)
+
+    monkeypatch.setattr(BufferKernel, "count_windows", counted)
     for case in range(N_CASES):
         seed = _SEED0 + case
         app, frames = _build_case(random.Random(seed))
@@ -170,7 +183,9 @@ def test_differential_reference_fast_replay():
         elif case % 8 == 4:
             ways.append(("no-batch", scalar))
         for way, full in ways:
+            before = stores["dead"]
             bare = simulate(compiled, full.options, content=())
+            dead_stores[way] += stores["dead"] - before
             where = f"{way}, content=() (case {case}, seed {seed:#x})"
             want = full.as_dict()
             want["outputs"]["Out"]["sha256"] = None
@@ -178,6 +193,9 @@ def test_differential_reference_fast_replay():
             assert bare.outputs == {}, where
             if full.replay is not None:
                 assert bare.replay.as_dict() == full.replay.as_dict(), where
+                dead_batched += sum(
+                    isinstance(compiled.graph.kernels[name], BufferKernel)
+                    for name in bare.replay.batched_kernels)
 
         stats = rep.replay
         assert stats is not None and stats.eligible
@@ -210,6 +228,13 @@ def test_differential_reference_fast_replay():
         "no fuzzed pipeline batched a single firing — the batch axis of "
         "the differential proof is vacuous; retune the generator"
     )
+    # ... and the content axis covers a buffer nobody reads under the
+    # interpreted loop and both replay ways, including buffers the batch
+    # walk took (its head check is by identity, and every stand-in of a
+    # shape is one object).
+    assert all(dead_stores[way] > 0
+               for way in ("fast", "replay", "no-batch")), dead_stores
+    assert dead_batched > 0
 
 
 @given(pipelines())
