@@ -1,34 +1,27 @@
 """Simulator hot-path benchmark: optimized loop vs the frozen seed loop.
 
-Times ``repro.sim.simulate`` (interpreted *and* quasi-static replay,
-``SimulationOptions(replay=True)``, with and without batched period
-execution) against ``repro.sim.reference_simulate`` on the five
-Figure 13 applications at two chip sizes, and writes the results to
-``BENCH_sim.json`` at the repository root (events/sec, wall time, peak
-event-heap occupancy, speedups, replay engagement, batch coverage).
-Run with::
+Times ``repro.sim.simulate`` against ``repro.sim.reference_simulate``
+on the five Figure 13 applications at two chip sizes, and writes the
+results to ``BENCH_sim.json`` at the repository root (events/sec, wall
+time, peak event-heap occupancy, speedups).  Run with::
 
     PYTHONPATH=src python -m pytest benchmarks/test_sim_hotpath.py -q
 
 Timing methodology: the application is compiled *once* outside the
 timed region; each loop is then timed best-of-``ROUNDS`` around the
 ``simulate`` call alone with ``time.perf_counter``.  Best-of (not mean)
-because scheduler noise is strictly additive.  Two acceptance bars are
+because scheduler noise is strictly additive.  An acceptance bar is
 asserted on the headline entry (the Figure 1 image pipeline, suite key
 ``5``, at the 64-processor chip) so regressions fail CI's benchmark job
-rather than silently shipping: the interpreted loop must beat the seed
-loop by ``HEADLINE_MIN_SPEEDUP``, and the replay engine must beat it by
-``REPLAY_MIN_SPEEDUP`` while actually engaging (a replay engine that
-silently never locks a period would otherwise "pass" at interpreted
-speed).  Kernel execution — these runs ask for every output's content,
-so every pixel is computed — is about half the replay-mode wall time,
-which is what bounds the replay bar well below the event-dispatch
-savings alone; the ``content`` entry times what a run that asks for no
-content (``simulate(..., content=())``, every sweep job) saves.
+rather than silently shipping: the event loop must beat the seed loop
+by ``HEADLINE_MIN_SPEEDUP``.  The ``telemetry`` entry times what
+collecting telemetry costs, and the ``content`` entry what a run that
+asks for no content (``simulate(..., content=())``, every sweep job)
+saves.
 
-See ``docs/performance.md`` for what each engine changes and
+See ``docs/performance.md`` for what the loop does and
 ``tests/test_sim_conformance.py`` / ``tests/test_sim_differential.py``
-for the proof that all three are observably identical.
+for the proof that it and the seed loop are observably identical.
 """
 
 from __future__ import annotations
@@ -67,7 +60,7 @@ CHIPS = {
 }
 
 #: Timed repetitions per loop; best-of is reported.  Five rounds, not
-#: three: the headline entries assert ratio floors, and a single noisy
+#: three: the headline entries assert ratio bars, and a single noisy
 #: round on the wrong side of the ratio shifts it by ±25% on a shared
 #: runner.  Noise is additive, so more rounds only tightens the best.
 ROUNDS = 5
@@ -75,42 +68,6 @@ ROUNDS = 5
 #: The acceptance bars on the headline entry (app "5" on the 64-PE chip).
 HEADLINE = ("5", "64")
 HEADLINE_MIN_SPEEDUP = 2.0
-
-#: Replay's own headline runs the same app at a longer horizon
-#: (steady state: the detector's warmup — interpreted events spent
-#: finding the period — is amortized away, and the longer timed region
-#: shrinks relative scheduler noise).  Three bars, together raising the
-#: effective hot-path floor above the interpreted loop's 2x:
-#: replay must keep the 2x-vs-seed win, must not lose to the
-#: interpreted loop it was compiled from (measured 0.94-1.02x; ratios
-#: between the two in-process engines are stable where ratios against
-#: the seed loop swing ±25% with runner load), and must demonstrably
-#: engage (measured ~71% of events replayed at this horizon — an
-#: engine that never locks a period would otherwise "pass" at
-#: interpreted speed).  Kernel execution — every pixel, since these
-#: runs ask for all content — is about half the replay-mode wall time,
-#: which is what Amdahl-bounds the vs-seed ratio near 2.4x rather than
-#: the dispatch-only savings.
-HEADLINE_FRAMES = 12
-REPLAY_MIN_SPEEDUP = 2.0
-REPLAY_VS_INTERPRETED_MAX = 1.05
-REPLAY_MIN_ENGAGEMENT = 0.60
-
-#: Batched quasi-static execution (``repro.sim.batch``) bars, same
-#: methodology as the replay bars: the vs-seed ratio swings ±25% with
-#: runner load, so the *defended* floor is the stable in-process ratio —
-#: the batched walk must beat the per-firing walk it specializes
-#: (measured ~0.83x wall) — plus a coverage floor proving the batch
-#: compiler still vectorizes the bulk of the period (measured ~86% of
-#: replayed firings batched; an executor that silently fell back to
-#: scalar would otherwise "pass" at no-batch speed).  The vs-seed floor
-#: is kept above the replay bar so the batch win registers against the
-#: frozen loop too (measured 2.7-3.4x best-of on a loaded runner;
-#: interpreted demotion gaps Amdahl-bound it well below the
-#: batched-region savings).
-BATCH_MIN_SPEEDUP = 2.4
-BATCH_VS_NOBATCH_MAX = 0.95
-BATCH_MIN_COVERAGE = 0.50
 
 #: Telemetry-on wall time may cost at most this factor over telemetry-off
 #: (measured ~1.7x on the headline entry since the collector binds its
@@ -132,8 +89,6 @@ CONTENT_MAX_RATIO = 0.75
 _entries: list[dict] = []
 _telemetry_entry: dict = {}
 _content_entry: dict = {}
-_replay_headline: dict = {}
-_batch_headline: dict = {}
 
 
 @lru_cache(maxsize=None)
@@ -199,10 +154,6 @@ def _write_bench_json():
         },
         "entries": _entries,
     }
-    if _replay_headline:
-        payload["replay_headline"] = _replay_headline
-    if _batch_headline:
-        payload["batch_headline"] = _batch_headline
     if _telemetry_entry:
         payload["telemetry"] = _telemetry_entry
     if _content_entry:
@@ -221,24 +172,17 @@ def test_sim_hotpath(benchmark, key, chip_name):
     )
 
     options = SimulationOptions(frames=bench.frames)
-    replay_options = SimulationOptions(frames=bench.frames, replay=True)
-    (opt_wall, rep_wall, ref_wall), (opt, rep, ref) = _best_of_each([
+    (opt_wall, ref_wall), (opt, ref) = _best_of_each([
         lambda: simulate(compiled, options),
-        lambda: simulate(compiled, replay_options),
         lambda: reference_simulate(compiled, options),
     ])
     # Sanity only — full observational identity lives in the
     # conformance and differential suites.
     assert opt.events_processed == ref.events_processed
-    assert rep.events_processed == ref.events_processed
-    rstats = rep.replay
-    assert rstats is not None and rstats.eligible
 
     once(benchmark, lambda: simulate(compiled, options))
 
     speedup = ref_wall / opt_wall
-    replay_speedup = ref_wall / rep_wall
-    engagement = rstats.events_replayed / max(1, rep.events_processed)
     _entries.append({
         "app": key,
         "title": bench.title,
@@ -264,18 +208,6 @@ def test_sim_hotpath(benchmark, key, chip_name):
             "peak_heap": ref.peak_heap,
         },
         "speedup": speedup,
-        "replay": {
-            "wall_s": rep_wall,
-            "events_per_s": rep.events_processed / rep_wall,
-            "speedup": replay_speedup,
-            "engaged": rstats.engaged,
-            "engagement": engagement,
-            "events_replayed": rstats.events_replayed,
-            "periods_compiled": rstats.periods_compiled,
-            "periods_replayed": rstats.periods_replayed,
-            "period_firings": rstats.period_firings,
-            "demotions": dict(rstats.demotions),
-        },
     })
 
     if (key, chip_name) == HEADLINE:
@@ -283,150 +215,6 @@ def test_sim_hotpath(benchmark, key, chip_name):
             f"hot path regressed: {speedup:.2f}x < "
             f"{HEADLINE_MIN_SPEEDUP}x on the Figure 1 pipeline"
         )
-
-
-def test_replay_headline_steady_state(benchmark):
-    """The raised hot-path bar: quasi-static replay at steady state.
-
-    Runs the Figure 1 pipeline (app "5", 64-PE chip) for
-    ``HEADLINE_FRAMES`` frames — long enough that the detector's warmup
-    is amortized — and asserts the replay engine (a) keeps the 2x win
-    over the frozen seed loop, (b) is at least as fast as the
-    interpreted hot path it demotes to, and (c) replays a majority of
-    all events.  See the bar constants above for why the vs-interpreted
-    ratio, not a bigger vs-seed multiple, is the stable raised floor.
-    """
-    bench, compiled = _compiled(*HEADLINE)
-    options = SimulationOptions(frames=HEADLINE_FRAMES)
-    replay_options = SimulationOptions(frames=HEADLINE_FRAMES, replay=True)
-    (opt_wall, rep_wall, ref_wall), (opt, rep, ref) = _best_of_each([
-        lambda: simulate(compiled, options),
-        lambda: simulate(compiled, replay_options),
-        lambda: reference_simulate(compiled, options),
-    ])
-    assert rep.events_processed == opt.events_processed == ref.events_processed
-    rstats = rep.replay
-    assert rstats is not None and rstats.eligible
-
-    once(benchmark, lambda: simulate(compiled, replay_options))
-
-    replay_speedup = ref_wall / rep_wall
-    vs_interpreted = rep_wall / opt_wall
-    engagement = rstats.events_replayed / max(1, rep.events_processed)
-    _replay_headline.update({
-        "app": HEADLINE[0],
-        "chip": HEADLINE[1],
-        "frames": HEADLINE_FRAMES,
-        "events": rep.events_processed,
-        "wall_s": rep_wall,
-        "interpreted_wall_s": opt_wall,
-        "reference_wall_s": ref_wall,
-        "speedup": replay_speedup,
-        "vs_interpreted": vs_interpreted,
-        "engagement": engagement,
-        "periods_replayed": rstats.periods_replayed,
-        "period_firings": rstats.period_firings,
-        "demotions": dict(rstats.demotions),
-        "bars": {
-            "min_speedup": REPLAY_MIN_SPEEDUP,
-            "vs_interpreted_max": REPLAY_VS_INTERPRETED_MAX,
-            "min_engagement": REPLAY_MIN_ENGAGEMENT,
-        },
-    })
-    assert replay_speedup >= REPLAY_MIN_SPEEDUP, (
-        f"replay engine regressed: {replay_speedup:.2f}x < "
-        f"{REPLAY_MIN_SPEEDUP}x vs the seed loop on the Figure 1 pipeline"
-    )
-    assert vs_interpreted <= REPLAY_VS_INTERPRETED_MAX, (
-        f"replay lost to the interpreted loop it was compiled from: "
-        f"{vs_interpreted:.3f}x wall (> {REPLAY_VS_INTERPRETED_MAX}x); "
-        f"stats: {rstats.as_dict()}"
-    )
-    assert rstats.engaged and engagement >= REPLAY_MIN_ENGAGEMENT, (
-        f"replay engagement collapsed on the headline entry: "
-        f"{engagement:.0%} of events replayed "
-        f"(< {REPLAY_MIN_ENGAGEMENT:.0%}); stats: {rstats.as_dict()}"
-    )
-
-
-def test_batch_headline_steady_state(benchmark):
-    """Batched quasi-static execution vs the per-firing walk and the seed.
-
-    Runs the Figure 1 pipeline (app "5", 64-PE chip) for
-    ``HEADLINE_FRAMES`` frames under three engines — replay with batched
-    execution (the default), replay with ``batch=False`` (the
-    per-firing walk the batch executor specializes), and the frozen
-    seed loop — and asserts the three bars documented at
-    ``BATCH_MIN_SPEEDUP`` above.  The byte-identity of the three runs is
-    proven by the conformance and differential suites; here only a
-    cheap event-count cross-check plus the strategy-ledger invariant
-    (batched + scalar firings exactly cover the no-batch run's scalar
-    count) guard against benchmarking two different schedules.
-    """
-    bench, compiled = _compiled(*HEADLINE)
-    options = SimulationOptions(frames=HEADLINE_FRAMES)
-    batch_options = SimulationOptions(frames=HEADLINE_FRAMES, replay=True)
-    scalar_options = SimulationOptions(
-        frames=HEADLINE_FRAMES, replay=True, batch=False
-    )
-    (bat_wall, sca_wall, ref_wall), (bat, sca, ref) = _best_of_each([
-        lambda: simulate(compiled, batch_options),
-        lambda: simulate(compiled, scalar_options),
-        lambda: reference_simulate(compiled, options),
-    ])
-    assert bat.events_processed == sca.events_processed == ref.events_processed
-    bstats = bat.replay
-    sstats = sca.replay
-    assert bstats is not None and bstats.eligible and bstats.engaged
-    assert sstats.firings_batched == 0
-    assert bstats.firings_batched > 0, (
-        f"batched executor never engaged on the headline entry: "
-        f"{bstats.as_dict()}"
-    )
-    assert (bstats.firings_batched + bstats.firings_scalar
-            == sstats.firings_scalar), (
-        f"strategy ledger mismatch: {bstats.as_dict()} vs {sstats.as_dict()}"
-    )
-
-    once(benchmark, lambda: simulate(compiled, batch_options))
-
-    speedup = ref_wall / bat_wall
-    vs_nobatch = bat_wall / sca_wall
-    walked = bstats.firings_batched + bstats.firings_scalar
-    coverage = bstats.firings_batched / walked
-    _batch_headline.update({
-        "app": HEADLINE[0],
-        "chip": HEADLINE[1],
-        "frames": HEADLINE_FRAMES,
-        "events": bat.events_processed,
-        "wall_s": bat_wall,
-        "nobatch_wall_s": sca_wall,
-        "reference_wall_s": ref_wall,
-        "speedup": speedup,
-        "vs_nobatch": vs_nobatch,
-        "firings_batched": bstats.firings_batched,
-        "firings_scalar": bstats.firings_scalar,
-        "coverage": coverage,
-        "batched_kernels": list(bstats.batched_kernels),
-        "bars": {
-            "min_speedup": BATCH_MIN_SPEEDUP,
-            "vs_nobatch_max": BATCH_VS_NOBATCH_MAX,
-            "min_coverage": BATCH_MIN_COVERAGE,
-        },
-    })
-    assert speedup >= BATCH_MIN_SPEEDUP, (
-        f"batched replay regressed: {speedup:.2f}x < {BATCH_MIN_SPEEDUP}x "
-        f"vs the seed loop on the Figure 1 pipeline"
-    )
-    assert vs_nobatch <= BATCH_VS_NOBATCH_MAX, (
-        f"batched execution lost to the per-firing walk it specializes: "
-        f"{vs_nobatch:.3f}x wall (> {BATCH_VS_NOBATCH_MAX}x); "
-        f"stats: {bstats.as_dict()}"
-    )
-    assert coverage >= BATCH_MIN_COVERAGE, (
-        f"batch coverage collapsed: {coverage:.0%} of replayed firings "
-        f"batched (< {BATCH_MIN_COVERAGE:.0%}); stats: {bstats.as_dict()}"
-    )
 
 
 def test_telemetry_overhead(benchmark):

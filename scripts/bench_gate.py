@@ -11,11 +11,10 @@ baseline and fails (exit 1) when either:
 * any per-app entry's ``events_per_s`` regresses by more than
   ``--max-regression`` (default 15%) against the baseline entry with the
   same ``(app, chip)`` key, or
-* a headline block (``replay_headline``, ``batch_headline``,
-  ``telemetry``, ``content``) in the fresh payload breaks one of its own
-  published bars — the floors live in the payload, written by the
-  benchmark harness, so the gate and the harness can never disagree
-  about what the floor is, or
+* a ratio block (``telemetry``, ``content``) in the fresh payload
+  breaks its own published ceiling — the ceilings live in the payload,
+  written by the benchmark harness, so the gate and the harness can
+  never disagree about what the ceiling is, or
 * ``telemetry.overhead`` (telemetry-on wall over telemetry-off wall) or
   ``content.ratio`` (no-content wall over full-content wall) rises by
   more than ``--max-regression`` over the baseline's: each a ratio of
@@ -34,7 +33,7 @@ entry for a baseline key fails: silently dropping an app from the
 benchmark is itself a regression.
 
 The gate is deliberately asymmetric with the harness's own assertions:
-the harness asserts ratio floors (stable across runner classes), the
+the harness asserts ratio bars (stable across runner classes), the
 gate additionally pins absolute throughput against the baseline from
 the same runner class, which is what catches a slow creep that keeps
 every ratio intact.
@@ -48,32 +47,13 @@ import os
 import pathlib
 import sys
 
-#: Headline blocks gated against their own published bars:
-#: block key -> ((metric, bar, comparison), ...) where comparison
-#: "min" means metric must be >= bar and "max" means <= bar.  Bars sit
-#: under the block's ``bars`` key, or beside the metric when it has none.
-HEADLINE_BARS = {
-    "replay_headline": (
-        ("speedup", "min_speedup", "min"),
-        ("vs_interpreted", "vs_interpreted_max", "max"),
-        ("engagement", "min_engagement", "min"),
-    ),
-    "batch_headline": (
-        ("speedup", "min_speedup", "min"),
-        ("vs_nobatch", "vs_nobatch_max", "max"),
-        ("coverage", "min_coverage", "min"),
-    ),
-    "telemetry": (
-        ("overhead", "max_overhead", "max"),
-    ),
-    "content": (
-        ("ratio", "max_ratio", "max"),
-    ),
+#: Same-process wall ratios, lower is better: block key -> (metric, the
+#: key of its published ceiling beside it).  Each is gated against its
+#: ceiling and against the baseline's value.
+RATIOS = {
+    "telemetry": ("overhead", "max_overhead"),
+    "content": ("ratio", "max_ratio"),
 }
-
-#: Same-process wall ratios additionally gated against the baseline's
-#: value: (block, metric), lower is better.
-GATED_RATIOS = (("telemetry", "overhead"), ("content", "ratio"))
 
 
 def _entries_by_key(payload: dict) -> dict[tuple[str, str], dict]:
@@ -128,7 +108,7 @@ def gate(
                 f"-{max_regression:.0%})"
             )
 
-    for block, checks in HEADLINE_BARS.items():
+    for block, (metric, ceiling) in RATIOS.items():
         head = fresh.get(block)
         if head is None:
             if block in baseline:
@@ -137,29 +117,21 @@ def gate(
                     f"the fresh run"
                 )
             continue
-        bars = head.get("bars", head)
-        for metric, bar_key, kind in checks:
-            if bar_key not in bars:
-                continue
-            value, bar = head[metric], bars[bar_key]
-            ok = value >= bar if kind == "min" else value <= bar
-            rel = ">=" if kind == "min" else "<="
-            status = "ok" if ok else "**below floor**" if kind == "min" \
-                else "**above ceiling**"
-            lines.append(
-                f"| {block} | — | {metric} {rel} {bar:g} | {value:.3f} "
-                f"| — | {status} |"
+        value, bar = head[metric], head[ceiling]
+        ok = value <= bar
+        status = "ok" if ok else "**above ceiling**"
+        lines.append(
+            f"| {block} | — | {metric} <= {bar:g} | {value:.3f} "
+            f"| — | {status} |"
+        )
+        if not ok:
+            failures.append(
+                f"{block}.{metric} = {value:.3f} violates the "
+                f"published bar ({metric} <= {bar:g})"
             )
-            if not ok:
-                failures.append(
-                    f"{block}.{metric} = {value:.3f} violates the "
-                    f"published bar ({metric} {rel} {bar:g})"
-                )
-
-    for block, metric in GATED_RATIOS:
-        if block not in baseline or block not in fresh:
+        if block not in baseline:
             continue
-        was, now = baseline[block][metric], fresh[block][metric]
+        was, now = baseline[block][metric], value
         rise = now / was - 1.0
         ok = rise <= max_regression
         status = "ok" if ok else f"**rose > {max_regression:.0%}**"

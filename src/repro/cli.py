@@ -207,8 +207,7 @@ def cmd_compile(args: argparse.Namespace) -> Output:
 def cmd_simulate(args: argparse.Namespace) -> Output:
     telemetry_on = bool(args.perfetto or args.spans or args.critical_path)
     compiled, result, verdict, sim_elapsed = _measure(
-        args, telemetry=telemetry_on, replay=args.replay, batch=args.batch,
-    )
+        args, telemetry=telemetry_on)
     path_report, wrote = _telemetry_files(args, result.telemetry,
                                           args.critical_path)
     fault_spec = result.options.faults
@@ -230,9 +229,6 @@ def cmd_simulate(args: argparse.Namespace) -> Output:
         payload["makespan_s"] = result.makespan_s
         text.append(result.noc_stats.describe())
     text += ["", result.utilization.describe()]
-    if result.replay is not None:
-        payload["replay"] = result.replay.as_dict()
-        text += ["", result.replay.describe()]
     if telemetry_on:
         payload["telemetry"] = {
             "spans": result.telemetry.span_counts(),
@@ -611,17 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_args(p)
     p.add_argument("--bench", action="store_true",
                    help="print simulator timing (wall, events/s, peak heap)")
-    p.add_argument("--replay", action=argparse.BooleanOptionalAction,
-                   default=False,
-                   help="detect the periodic steady state and replay whole "
-                        "periods as a quasi-static schedule (bit-identical "
-                        "results; see docs/performance.md)")
-    p.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                   default=True,
-                   help="with --replay, execute a period's vectorizable "
-                        "kernel firings as one batched call per kernel "
-                        "(bit-identical results; --no-batch forces "
-                        "per-firing replay)")
     _add_fault_args(p, see="; see docs/robustness.md")
     p.add_argument("--strict", action="store_true",
                    help="exit nonzero on real-time violations or "

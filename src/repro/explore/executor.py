@@ -242,7 +242,7 @@ def measure(
     ``per_hop_cycles``, ``serialization_cycles_per_element``) and
     ``placement`` go to :func:`~repro.machine.build_noc_model`.
     ``sim_options`` are further :class:`~repro.sim.SimulationOptions`
-    fields (``telemetry``, ``trace``, ``replay``, ``batch``).  The
+    fields (``telemetry``, ``trace``, ``replay``).  The
     verdict is taken on the compiled graph's own
     :meth:`~repro.transform.CompiledApp.contract`, with shedding allowed
     exactly when the fault scenario's recovery policy sheds.
@@ -326,8 +326,7 @@ def execute_job(job: Job) -> dict[str, Any]:
             **result.noc_stats.as_dict(result.makespan_s),
         }
     if result.replay is not None:
-        # Execution-strategy accounting rides along so a replay axis
-        # reports its engagement next to the events/s it bought.
+        # A replay-on record carries the run's (all-zero) replay ledger.
         stats["replay"] = result.replay.as_dict()
     if result.telemetry is not None:
         from ..obs import analyze_critical_path

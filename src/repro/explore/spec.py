@@ -16,7 +16,8 @@ contain" lists them all):
   once per spec and copied into the job as the caller wrote them;
 * ``frames`` configures the simulation; ``telemetry`` (bool) additionally
   collects :mod:`repro.obs` telemetry and carries a critical-path summary
-  in the result record; ``replay`` (bool) runs the replay engine;
+  in the result record; ``replay`` (bool) selects nothing since the
+  replay engine was removed, but stays accepted and keyed;
 * ``noc`` (bool or an object of :func:`~repro.machine.build_noc_model`'s
   knobs) attaches the :mod:`repro.machine.noc` timing model;
   ``placement`` (``"row-major"``/``"energy"``/``"makespan"``) selects how
@@ -189,8 +190,9 @@ class Job:
     noc: tuple[tuple[str, Any], ...] = ()
     #: Placement strategy when ``noc`` is on ("" means row-major).
     placement: str = ""
-    #: Run the simulator's quasi-static replay engine (bit-identical
-    #: results by construction; sweeps use it purely for wall time).
+    #: Passed to ``SimulationOptions.replay``, which selects nothing (the
+    #: replay engine was removed); kept so existing specs and their
+    #: fingerprints stay valid.
     replay: bool = False
     _fingerprint: str = field(default="", compare=False, repr=False)
 
@@ -430,9 +432,9 @@ def compute_fingerprint(job: Job) -> str:
         payload["noc"] = dict(job.noc)
         if job.placement:
             payload["placement"] = job.placement
-    # Replay is observably identical by construction, but the result
-    # record differs (engagement stats, wall time), so replay-on jobs
-    # get their own cache identity.  Only when on: pre-replay
+    # Replay-on jobs keep the cache identity they had while a replay
+    # engine existed (their record carries the replay ledger), so
+    # existing caches keep answering.  Only when on: pre-replay
     # fingerprints stay valid for the default-off configuration.
     if job.replay:
         payload["replay"] = True

@@ -38,7 +38,7 @@ import numpy as np
 from ..errors import FiringError, MethodError, PortError, RateError
 from ..geometry import Inset, Region, Size2D, iteration_grid, output_extent
 from ..streams import StreamInfo
-from ..tokens import ControlToken, token_rate_per_frame
+from ..tokens import ControlToken, EndOfFrame, EndOfLine, token_rate_per_frame
 from .methods import MethodCost, MethodSpec, TokenTrigger
 from .ports import InputSpec, OutputSpec, make_input, make_output
 
@@ -459,8 +459,6 @@ class Kernel:
         precisely ``iteration_count`` EOLs per frame.  End-of-frame tokens
         always forward (and reset the per-frame line counters).
         """
-        from ..tokens import EndOfFrame, EndOfLine
-
         if isinstance(token, EndOfFrame):
             self._eol_seen.pop(method.name, None)
             return True
@@ -734,54 +732,6 @@ class Kernel:
             raise FiringError(f"{self._name}: emit_token outside a firing")
         self.output_spec(name)
         self._ctx.token_writes.append((name, token))
-
-    # ------------------------------------------------------------------
-    # Batched execution protocol (quasi-static replay, repro.sim.batch)
-    # ------------------------------------------------------------------
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        """Whether ``method`` firings may execute batched across one period.
-
-        The replay engine's batch compiler asks this once per compiled
-        period.  ``others`` names every *other* kind of firing this kernel
-        performs inside the period: token-method names, plus the sentinel
-        ``"<forward>"`` when automatic token forwards occur.  A kernel must
-        decline when any of those interacts with the state ``method`` reads
-        (an ``end_frame`` that rewinds cursors mid-period invalidates a
-        precomputed position sequence; a coefficient reload invalidates a
-        precomputed convolution).  Token methods that only *read* state are
-        safe: batched firings commit their state mutations one op at a
-        time, in schedule order, so interleaved scalar firings observe
-        exactly the state they would under sequential execution.
-
-        The default is ``False``: kernels opt in by implementing
-        :meth:`batched_apply`.  Elementwise and windowed kernels do
-        neither by hand: they subclass the shape base
-        :class:`~repro.kernels.arithmetic.ComputeKernel`, which derives
-        both, and the per-firing body, from the kernel's one ``compute``.
-        """
-        return False
-
-    def batched_apply(self, method: str, inputs: Mapping[str, list]):
-        """Execute a whole period's firings of ``method`` at once.
-
-        ``inputs`` maps each consumed port to the list of chunks the n
-        firings would pop, in firing order (all ``float64`` ndarrays of
-        the port's window shape — the engine validates this).  Returns
-        ``(emissions, commit)`` or ``None`` to fall back to per-firing
-        execution for the period:
-
-        * ``emissions``: one list per firing of ``(port, ndarray)`` pairs,
-          byte-identical to what sequential execution would emit;
-        * ``commit``: ``None``, or a callable ``commit(i)`` applying firing
-          ``i``'s state mutation.  The engine invokes it when firing ``i``
-          actually executes, so state stays sequentially exact even when
-          the period demotes to the interpreter halfway through.
-
-        Implementations must not mutate kernel state here — all mutation
-        belongs in ``commit`` — because the engine may discard the batch
-        (and re-execute per firing) at any point before a firing runs.
-        """
-        return None
 
     # ------------------------------------------------------------------
     # Lifecycle

@@ -7,15 +7,13 @@ are forwarded once to the output (Section II-C's two-input rule).
 
 Every kernel here, and every windowed filter built on
 :class:`~repro.kernels.filters.WindowedKernel`, states its math once, as
-:meth:`ComputeKernel.compute`.  The per-firing body and the batched one
-are derived from it, so they agree by construction.
+:meth:`ComputeKernel.compute`; the per-firing body is derived from it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import FiringError
 from ..graph.kernel import Kernel
 from ..graph.methods import MethodCost
 
@@ -39,17 +37,10 @@ class ComputeKernel(Kernel):
     A subclass declares the shape — ``operands`` (the inputs, in
     :meth:`compute`'s argument order), their ``width`` x ``height``
     window, ``cycles`` and the method name ``body`` — and the math, as
-    :meth:`compute`.  ``compute`` is called two ways and must work on
-    both:
-
-    * per firing, with a float per input, or with each window flattened
-      to ``(h*w,)`` when ``windowed``; it returns one number;
-    * batched over a period's ``n`` firings, with ``(n,)`` vectors, or
-      ``(n, h*w)`` stacks when ``windowed``; it returns ``(n,)``.
-
-    Operators (``abs(a - b)``, ``(x >= level) * 1.0``), ndarray methods
-    and reductions along the last axis (``window.min(-1)``,
-    ``np.add.reduce(..., -1)``) work on both and give the same bits.
+    :meth:`compute`.  ``compute`` is called once per firing, with a float
+    per input, or with each window flattened to ``(h*w,)`` when
+    ``windowed``, and returns one number; the per-firing body ``run``
+    writes it as the ``1x1`` output.
     """
 
     timing_depends_on = "declared"
@@ -82,26 +73,6 @@ class ComputeKernel(Kernel):
         else:
             args = [self.read_input(port).item() for port in self.operands]
         self.write_output("out", np.array([[self.compute(*args)]]))
-
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        # Stateless: forwards only touch token bookkeeping, never the math.
-        return method == self.body and others <= {"<forward>"}
-
-    def batched_apply(self, method, inputs):
-        n = len(inputs[self.operands[0]])
-        shape = (n, -1) if self.windowed else n
-        out = np.asarray(
-            self.compute(*[np.stack(inputs[port]).reshape(shape)
-                           for port in self.operands]),
-            dtype=np.float64,
-        )
-        if out.shape != (n,):
-            raise FiringError(
-                f"{self.name}: compute returned shape {out.shape} for {n} "
-                f"batched firings, expected ({n},)"
-            )
-        out = out.reshape(n, 1, 1)
-        return [[("out", out[i])] for i in range(n)], None
 
 
 class BinaryElementwiseKernel(ComputeKernel):

@@ -255,88 +255,6 @@ class BufferKernel(Kernel):
         self._x = 0
         self._y = 0
 
-    # ------------------------------------------------------------------
-    # Batched execution (repro.sim.batch)
-    # ------------------------------------------------------------------
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        # Scan-order 1x1 stores are a pure function of the fill cursor, so
-        # a period's worth of positions — and the windows they complete —
-        # can be computed up front.  Forwarded line tokens only touch token
-        # bookkeeping; an end_frame rewind mid-period cannot be predicted.
-        return (
-            method == "store"
-            and others <= {"<forward>"}
-            and self.in_chunk_w == 1
-            and self.in_chunk_h == 1
-        )
-
-    def batched_apply(self, method, inputs):
-        items = inputs["in"]
-        n = len(items)
-        W = self.region_w
-        h, w = self.window_h, self.window_w
-        sy, sx = self.step_y, self.step_x
-        x, y = self._x, self._y
-        x0, y0 = x, y
-        p0 = y0 * W + x0
-        if (p0 + n - 1) // W >= self.region_h:
-            return None  # overflow: the scalar path raises mid-period
-        hm1 = h - 1
-        wm1 = w - 1
-        xs_l: list[int] = []
-        ys_l: list[int] = []
-        eidx: list[int] = []
-        for i in range(n):
-            xs_l.append(x)
-            ys_l.append(y)
-            if (
-                y >= hm1
-                and x >= wm1
-                and (y - hm1) % sy == 0
-                and (x - wm1) % sx == 0
-            ):
-                eidx.append(i)
-            x += 1
-            if x == W:
-                x = 0
-                y += 1
-        vals = np.stack(items).reshape(n)
-        emissions: list[list] = [[] for _ in range(n)]
-        if eidx:
-            # Assemble the scan region the period touches: rows already in
-            # the circular store (the last h-1 rows stay live) plus the
-            # batch's values laid out flat at their scan positions.  Cells
-            # past the last store are never read by any completed window.
-            lo = max(0, y0 - hm1)
-            region = np.empty((ys_l[-1] - lo + 1, W))
-            rows = self.storage_rows
-            for r in range(lo, y0):
-                region[r - lo] = self._store[r % rows]
-            if x0:
-                region[y0 - lo, :x0] = self._store[y0 % rows, :x0]
-            region.reshape(-1)[p0 - lo * W : p0 - lo * W + n] = vals
-            wins = np.lib.stride_tricks.sliding_window_view(region, (h, w))[
-                [ys_l[i] - hm1 - lo for i in eidx],
-                [xs_l[i] - wm1 for i in eidx],
-            ]
-            for j, i in enumerate(eidx):
-                emissions[i] = [("out", wins[j])]
-        store = self._store
-        rows = self.storage_rows
-
-        def commit(i: int) -> None:
-            xc = xs_l[i]
-            yc = ys_l[i]
-            store[yc % rows, xc] = vals[i]
-            if xc + 1 >= W:
-                self._x = 0
-                self._y = yc + 1
-            else:
-                self._x = xc + 1
-                self._y = yc
-
-        return emissions, commit
-
     def reset(self) -> None:
         super().reset()
         self._store = np.zeros((self.storage_rows, self.region_w), dtype=np.float64)

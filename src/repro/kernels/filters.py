@@ -31,8 +31,7 @@ class WindowedKernel(ComputeKernel):
 
     Subclasses pass ``cycles`` (per-iteration compute cost) to
     ``super().__init__`` and implement :meth:`compute` over the window
-    flattened onto the last axis: ``(h*w,)`` per firing, ``(n, h*w)``
-    batched (:class:`~repro.kernels.arithmetic.ComputeKernel`).
+    flattened to ``(h*w,)`` (:class:`~repro.kernels.arithmetic.ComputeKernel`).
     """
 
     windowed = True
@@ -111,11 +110,6 @@ class ConvolutionKernel(WindowedKernel):
         self.coeff = coeff
         self._flipped = coeff[::-1, ::-1].ravel()
 
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        # Batching waits for the first coefficients; a load_coeff inside
-        # the period is one of the ``others`` the base declines.
-        return self.coeff is not None and super().batch_accepts(method, others)
-
 
 class MedianKernel(WindowedKernel):
     """A ``width x height`` median filter (the 3x3 median of Figure 1).
@@ -130,14 +124,12 @@ class MedianKernel(WindowedKernel):
         # Selection via partition, exactly what np.median computes (the
         # middle element for odd counts, the mean of the two middles for
         # even) without its dispatch and nan-handling overhead — this is
-        # the hottest compute in the Figure 1 pipeline.  Indexing the
-        # transpose picks element k of one window as a scalar and column
-        # k of a stack as a vector.
-        n = window.shape[-1]
+        # the hottest compute in the Figure 1 pipeline.
+        n = window.size
         mid = n >> 1
         if n & 1:
-            return np.partition(window, mid).T[mid]
-        part = np.partition(window, (mid - 1, mid)).T
+            return np.partition(window, mid)[mid]
+        part = np.partition(window, (mid - 1, mid))
         return (part[mid - 1] + part[mid]) / 2.0
 
 

@@ -106,30 +106,6 @@ class HistogramKernel(Kernel):
         self.bin_edges = self.read_input("bins").ravel().copy()
         self.counts[:] = 0.0
 
-    # ------------------------------------------------------------------
-    # Batched execution (repro.sim.batch)
-    # ------------------------------------------------------------------
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        # Bin lookups depend only on the (stable) edges, so they vectorize;
-        # the increments themselves replay one commit per firing in
-        # schedule order, so an interleaved finish_count flush observes
-        # exactly the sequential counts.  configure_bins would change the
-        # edges mid-period, so such periods stay per-firing.
-        return method == "count" and others <= {"finish_count", "<forward>"}
-
-    def batched_apply(self, method, inputs):
-        n = len(inputs["in"])
-        vals = np.stack(inputs["in"]).reshape(n)
-        idx = np.minimum(
-            np.searchsorted(self.bin_edges, vals, side="right"), self.bins - 1
-        ).tolist()
-        counts = self.counts
-
-        def commit(i: int) -> None:
-            counts[idx[i]] += 1.0
-
-        return [[] for _ in range(n)], commit
-
     def reset(self) -> None:
         super().reset()
         self.counts = np.zeros(self.bins, dtype=np.float64)

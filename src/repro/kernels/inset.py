@@ -116,48 +116,6 @@ class InsetKernel(Kernel):
         self._x = 0
         self._y = 0
 
-    # ------------------------------------------------------------------
-    # Batched execution (repro.sim.batch)
-    # ------------------------------------------------------------------
-    def batch_accepts(self, method: str, others: frozenset[str]) -> bool:
-        # end_line only *reads* the cursor, so line-period interleaving is
-        # safe; an end_frame rewind mid-period would invalidate the
-        # precomputed position sequence, so such periods stay per-firing.
-        return method == "filter_elem" and others <= {"end_line", "<forward>"}
-
-    def batched_apply(self, method, inputs):
-        items = inputs["in"]
-        n = len(items)
-        W = self.region_w
-        left, top, right, bottom = self.trim
-        p = self._y * W + self._x + np.arange(n)
-        xs = p % W
-        ys = p // W
-        keep = (
-            (xs >= left)
-            & (xs < W - right)
-            & (ys >= top)
-            & (ys < self.region_h - bottom)
-        )
-        keep_l = keep.tolist()
-        # Kept chunks pass through unchanged — the same object sequential
-        # execution would emit (write_output of a float64 array is a no-op
-        # conversion).
-        emissions = [[("out", items[i])] if keep_l[i] else [] for i in range(n)]
-        xs_l = xs.tolist()
-        ys_l = ys.tolist()
-
-        def commit(i: int) -> None:
-            x = xs_l[i] + 1
-            if x >= W:
-                self._x = 0
-                self._y = ys_l[i] + 1
-            else:
-                self._x = x
-                self._y = ys_l[i]
-
-        return emissions, commit
-
     def transfer(self, inputs: Mapping[str, StreamInfo]) -> TransferResult:
         s = inputs["in"]
         if (s.extent.w, s.extent.h) != (self.region_w, self.region_h):

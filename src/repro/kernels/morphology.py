@@ -24,7 +24,7 @@ class ErodeKernel(WindowedKernel):
         super().__init__(name, width, height, cycles=8 + 2 * width * height)
 
     def compute(self, window: np.ndarray) -> np.ndarray:
-        return window.min(-1)
+        return window.min()
 
 
 class DilateKernel(WindowedKernel):
@@ -34,7 +34,7 @@ class DilateKernel(WindowedKernel):
         super().__init__(name, width, height, cycles=8 + 2 * width * height)
 
     def compute(self, window: np.ndarray) -> np.ndarray:
-        return window.max(-1)
+        return window.max()
 
 
 def add_opening(

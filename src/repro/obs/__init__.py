@@ -31,7 +31,6 @@ from .spans import (
     StallSpan,
     TransferSpan,
     WaitSpan,
-    firing_pattern_digest,
     span_as_dict,
     spans_digest,
 )
@@ -62,6 +61,5 @@ __all__ = [
     "IdleSpan",
     "Span",
     "span_as_dict",
-    "firing_pattern_digest",
     "spans_digest",
 ]

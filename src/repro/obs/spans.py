@@ -56,7 +56,6 @@ __all__ = [
     "rows_digest",
     "span_as_dict",
     "spans_digest",
-    "firing_pattern_digest",
 ]
 
 
@@ -290,27 +289,6 @@ def span_as_dict(span: Span) -> dict:
     elif isinstance(span, IdleSpan):
         d.update(duration_s=span.duration_s, processor=span.processor)
     return d
-
-
-def firing_pattern_digest(pattern: Sequence[tuple[str, str]]) -> str:
-    """sha256 fingerprint of a ``(kernel, method-label)`` firing sequence.
-
-    This is the structural identity of a schedule phase: the same ordered
-    kernels firing the same methods share a digest regardless of absolute
-    time.  :class:`FiringSpan` streams reduce to exactly this pair via
-    ``(span.kernel, span.method)``, and the quasi-static replay engine
-    (:mod:`repro.sim.replay`) uses the digest to name the steady-state
-    period it detected — so a period fingerprint reported by a replay run
-    can be cross-checked against the telemetry spans of a traced run of
-    the same application.
-    """
-    h = hashlib.sha256()
-    for kernel, label in pattern:
-        h.update(kernel.encode())
-        h.update(b"\x00")
-        h.update(label.encode())
-        h.update(b"\n")
-    return h.hexdigest()
 
 
 # -- the canonical row serializer --------------------------------------

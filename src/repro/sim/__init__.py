@@ -1,19 +1,14 @@
 """Timing-accurate functional simulator and untimed golden executor.
 
-One discrete-event loop lives here (:mod:`.simulator`).  Quasi-static
-schedule replay (:mod:`.replay`, opt-in via
-``SimulationOptions(replay=True)``) is a recorder that loop reports to
-and a period executor it hands locked periods to — not a second loop —
-with batched kernel bodies in :mod:`.batch` and the op vocabulary the
-three share in :mod:`.plan`.  The frozen seed implementation
-(:mod:`.reference`) is the oracle: the conformance and differential
-suites prove replay-on, replay-off and the oracle observably identical;
-the benchmark suite measures speedups against it.
+One discrete-event loop lives here (:mod:`.simulator`); every run,
+``SimulationOptions(replay=True)`` included, is that loop.  The frozen
+seed implementation (:mod:`.reference`) is the oracle: the conformance
+and differential suites prove the loop and the oracle observably
+identical; the benchmark suite measures speedups against it.
 """
 
 from .functional import FunctionalResult, run_functional
 from .reference import ReferenceSimulator, reference_simulate
-from .replay import ReplayStats
 from .runtime import Channel, RuntimeKernel, build_runtime
 from .simulator import (
     BudgetOverrun,
@@ -22,7 +17,12 @@ from .simulator import (
     Simulator,
     simulate,
 )
-from .stats import ProcessorStats, RealTimeVerdict, UtilizationSummary
+from .stats import (
+    ProcessorStats,
+    RealTimeVerdict,
+    ReplayStats,
+    UtilizationSummary,
+)
 from .trace import (
     TraceEvent,
     busy_time_by_processor,

@@ -195,9 +195,8 @@ class RuntimeKernel:
           as many times as it returns.  Other methods run as they are.
 
         Methods fed only by *replicated* inputs keep their bodies: those
-        load configuration (coefficients, bin edges) once in a while,
-        and whether it has arrived is state the batching protocol asks
-        about (:meth:`ConvolutionKernel.batch_accepts`).
+        load configuration (coefficients, bin edges) once in a while, so
+        the kernel holds the configuration a live run would.
         """
         kernel = self.kernel
         declared = kernel.timing_depends_on == "declared"

@@ -49,11 +49,8 @@ One loop
 ``push`` closure owns channel accounting for every deliver variant, and
 :meth:`Simulator._result` assembles the result.  Faults, telemetry, NoC
 timing and tracing are ``is not None`` checks on precomputed locals.
-Quasi-static replay (:mod:`.replay`) attaches through the same kind of
-seam: a ``record`` callable the loop reports each event to at its record
-points, and an ``enter`` callable — the period executor — it offers a
-pop to when ``record`` flagged a period boundary.  When the detector
-gives up, the loop drops the recorder and runs bare.
+``SimulationOptions(replay=True)`` runs this same loop and attaches a
+zero :class:`~.stats.ReplayStats` ledger to the result.
 
 Two planes
 ----------
@@ -73,7 +70,7 @@ import heapq
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -90,17 +87,6 @@ from ..tokens import ControlToken, EndOfFrame, EndOfLine
 from ..transform.compile import CompiledApp
 from ..transform.multiplex import Mapping as KernelMapping
 from .functional import source_items
-from .plan import (
-    OP_EMPTY,
-    OP_EXEC,
-    OP_FIN,
-    OP_IO,
-    OP_PARK,
-    OP_RUN,
-    OP_SRC,
-    REC_ENTER,
-    REC_OFF,
-)
 from .runtime import (
     FORWARD_CYCLES,
     Channel,
@@ -110,11 +96,13 @@ from .runtime import (
     live_kernels,
     stand_in,
 )
-from .stats import ProcessorStats, RealTimeVerdict, UtilizationSummary
+from .stats import (
+    ProcessorStats,
+    RealTimeVerdict,
+    ReplayStats,
+    UtilizationSummary,
+)
 from .trace import TraceEvent, trace_digest
-
-if TYPE_CHECKING:  # pragma: no cover - type-only import, avoids a cycle
-    from .replay import ReplayStats
 
 __all__ = ["BudgetOverrun", "SimulationOptions", "SimulationResult",
            "Simulator", "simulate"]
@@ -162,19 +150,14 @@ class SimulationOptions:
     #: ``is not None`` hook seam as ``faults``/``telemetry``: off means
     #: the hot path is observably identical to the seed loop.
     noc: NocModel | None = None
-    #: Quasi-static schedule replay (see :mod:`repro.sim.replay`): detect
-    #: the steady-state firing period online and execute whole periods
-    #: per step instead of one event at a time.  Off (the default) leaves
-    #: :meth:`Simulator.run` on the exact event loop below; on, the
-    #: replay engine runs whenever the configuration is eligible (no
-    #: trace/faults/telemetry/NoC/bounded channels) and falls back to
-    #: this loop otherwise.  Either way the observable result is
-    #: bit-identical — only :attr:`SimulationResult.replay` differs.
+    #: Selects nothing: the quasi-static replay engine it used to turn on
+    #: was removed, and every run is the event loop below.  Still
+    #: accepted so callers that set it keep working; a run with it on
+    #: also returns the zero :class:`~.stats.ReplayStats` ledger as
+    #: :attr:`SimulationResult.replay`.
     replay: bool = False
-    #: Batched quasi-static kernel execution inside replayed periods
-    #: (``repro.sim.batch``).  Inert without :attr:`replay`.  On by
-    #: default because it is observation-free: batched and per-firing
-    #: execution produce byte-identical results; only wall time differs.
+    #: Selects nothing: it chose batched execution inside replayed
+    #: periods.  Still accepted, like :attr:`replay`.
     batch: bool = True
 
     def __post_init__(self) -> None:
@@ -300,12 +283,10 @@ class SimulationResult:
     telemetry: Telemetry | None = None
     #: Interconnect accounting (None unless options.noc was set).
     noc_stats: NocStats | None = None
-    #: Replay-engine accounting (None unless options.replay was set).
-    #: Like ``peak_heap`` this is an execution-strategy counter, not an
-    #: observable of the simulated schedule, so it is excluded from
-    #: :meth:`as_dict` — replay-on and replay-off runs must produce the
-    #: same conformance surface.
-    replay: "ReplayStats | None" = None
+    #: The zero replay ledger (None unless options.replay was set).
+    #: Like ``peak_heap`` it is not an observable of the simulated
+    #: schedule, so it is excluded from :meth:`as_dict`.
+    replay: ReplayStats | None = None
 
     def frame_completions(self, output: str, chunks_per_frame: int) -> list[float]:
         """Completion time of each full frame at ``output``."""
@@ -529,8 +510,7 @@ class _KernelState:
 
     __slots__ = ("rk", "name", "proc", "running", "out", "wake",
                  "out_channels", "max_emissions", "is_output", "output_times",
-                 "ready", "execute", "attempts", "fault_since",
-                 "finish_time", "finish_result")
+                 "ready", "execute", "attempts", "fault_since")
 
     def __init__(self, rk: RuntimeKernel, proc: _ProcState | None) -> None:
         self.rk = rk
@@ -551,48 +531,33 @@ class _KernelState:
         self.max_emissions = rk.kernel.max_emissions_per_firing
         self.is_output = isinstance(rk.kernel, ApplicationOutput)
         self.output_times: list[float] = []
-        #: Where the period executor (:mod:`.replay`) parks this kernel's
-        #: in-flight completion while it bypasses the heap: one firing is
-        #: in flight per kernel at most (``running`` gates the next), so
-        #: a pair of slots stands in for the pending ``_FINISH`` entry.
-        self.finish_time: float | None = None
-        self.finish_result = None
 
 
 class _Source:
     """One source cursor: ``head`` is the next undelivered ``(time, item)``.
 
     The event loop keeps one ``_DELIVER`` event per cursor on the heap
-    and pulls from ``it``.  The rest belongs to the period executor: a
-    prefetched period (``buf``/``pos``), and what a demotion hands back
-    (``pushback``, which ``it`` then drains ahead of ``base``).
+    and pulls the rest from ``it``.
     """
 
-    __slots__ = ("idx", "st", "base", "it", "head", "buf", "pos", "pushback")
+    __slots__ = ("idx", "st", "it", "head")
 
     def __init__(self, idx: int, st: _KernelState,
                  it: Iterator[tuple[float, Item]]) -> None:
         self.idx = idx
         self.st = st
-        self.base = self.it = it
+        self.it = it
         self.head = next(it, None)
-        self.buf: list | tuple = ()
-        self.pos = 0
-        self.pushback: Iterator = iter(())
 
 
 class _Run:
-    """What one simulation mutates, built once by :meth:`Simulator._setup`.
-
-    The event loop, the deliver closures and the period executor of
-    :mod:`.replay` all advance the run through this one record, so there
-    is one set-up and one result assembly whichever of them did the work.
-    """
+    """What one simulation mutates, built once by :meth:`Simulator._setup`
+    and advanced by the event loop and its deliver closures."""
 
     __slots__ = ("runtimes", "channels", "states", "proc_states", "sources",
                  "horizon", "events", "queued_polls", "next_seq", "violations",
                  "budget_overruns", "trace", "injector", "fstats", "tele",
-                 "nstats", "push", "deliver", "land", "on_dead")
+                 "nstats", "deliver", "land", "on_dead")
 
     def __init__(self, **state) -> None:
         for name, value in state.items():
@@ -709,14 +674,11 @@ class Simulator:
 
     # ------------------------------------------------------------------
     def run(self) -> SimulationResult:
-        # Replay is a recorder attached to the one event loop below, not
-        # a second loop; :mod:`.replay` decides eligibility and is never
-        # imported when the option is off.
+        result = self._run_des()
         if self.options.replay:
-            from .replay import run_with_replay
-
-            return run_with_replay(self)
-        return self._run_des()
+            result.replay = ReplayStats(
+                events_interpreted=result.events_processed)
+        return result
 
     # ------------------------------------------------------------------
     def _setup(self) -> _Run:
@@ -843,8 +805,8 @@ class Simulator:
                  checked: bool) -> None:
             """Land one item on its channel: stamp, count, track occupancy,
             flag an unstallable input overrunning its consumer.  The one
-            owner of channel accounting — every deliver variant below and
-            the period executor's go through it."""
+            owner of channel accounting — every deliver variant below goes
+            through it."""
             items = ch.items
             items.append(item)
             counter = ch.seq
@@ -1047,7 +1009,7 @@ class Simulator:
                         new.pending.append(kst)
                 ps.pending.clear()
                 # Sorted for determinism: set order varies across
-                # processes (hash randomization), replays must not.
+                # processes (hash randomization), reruns must not.
                 for name in sorted(ps.kernels):
                     kst = states[name]
                     kst.proc = new
@@ -1100,7 +1062,7 @@ class Simulator:
             violations=violations, budget_overruns=[], trace=[],
             injector=injector, fstats=fstats, tele=tele,
             nstats=nstats if noc is not None else None,
-            push=push, deliver=deliver, land=land, on_dead=on_dead,
+            deliver=deliver, land=land, on_dead=on_dead,
         )
 
     def _result(self, run: _Run, makespan: float, processed: int,
@@ -1141,18 +1103,8 @@ class Simulator:
             noc_stats=run.nstats,
         )
 
-    def _run_des(self, attach=None) -> SimulationResult:
-        """The discrete-event loop proper (one heap pop per event).
-
-        ``attach``, when given, is called with the run state and returns
-        the replay seam ``(record, enter)``: the loop reports every event
-        to ``record`` at its record points (an op code from
-        :mod:`.plan`, the time relation to the previous event, the event
-        count, and who/what fired), and offers the pop ``record``
-        flagged as a period boundary to ``enter``, which executes whole
-        periods against the same run state and hands back
-        ``(time, events processed)`` — or None to keep interpreting.
-        """
+    def _run_des(self) -> SimulationResult:
+        """The discrete-event loop proper (one heap pop per event)."""
         run = self._setup()
         opts = self.options
         events, queued_polls, next_seq = (
@@ -1165,11 +1117,6 @@ class Simulator:
         trace_on = opts.trace
         heappush = heapq.heappush
         heappop = heapq.heappop
-
-        record = enter = None
-        if attach is not None:
-            record, enter = attach(run)
-        mode = rel = 0
 
         # --- main loop ---------------------------------------------------
         makespan = 0.0
@@ -1194,18 +1141,6 @@ class Simulator:
                     "the application is likely livelocked"
                 )
             time, kind, _, payload = heappop(events)
-
-            if record is not None:
-                if mode == REC_OFF:
-                    # The detector gave up: interpret clean from here on.
-                    record = None
-                elif mode == REC_ENTER and time > makespan:
-                    mode = 0
-                    resumed = enter(time, kind, payload, makespan, processed)
-                    if resumed is not None:
-                        makespan, processed = resumed
-                        continue
-                rel = 1 if time > makespan else 0
             makespan = time  # heap pops are time-ordered: last pop wins
 
             if kind == _POLL:
@@ -1216,15 +1151,12 @@ class Simulator:
                 # cannot precede this pop in heap order.
                 queued_polls.pop(st, None)
                 if st.running:
-                    if record is not None:
-                        mode = record(OP_RUN, rel, processed, st)
                     continue
                 ps = st.proc
                 if ps is None:
                     # Off-chip boundary kernel: executes instantly.
                     st_ready = st.ready
                     st_execute = st.execute
-                    fired = []
                     while True:
                         firing = st_ready()
                         if firing is None:
@@ -1246,10 +1178,6 @@ class Simulator:
                                 times_out.append(time)
                         for port, item in result.emissions:
                             deliver(time, st, port, item)
-                        if record is not None:
-                            fired.append((firing, result))
-                    if record is not None:
-                        mode = record(OP_IO, rel, processed, st, fired)
                 else:
                     if (injector is not None and ps.dead_at is not None
                             and time >= ps.dead_at):
@@ -1261,8 +1189,6 @@ class Simulator:
                         pending = ps.pending
                         if st not in pending:
                             pending.append(st)
-                        if record is not None:
-                            mode = record(OP_PARK, rel, processed, st)
                         continue
                     firing = st.ready()
                     if firing is None:
@@ -1272,8 +1198,6 @@ class Simulator:
                                 and _resync_shed(st, fstats, tele, time)):
                             firing = st.ready()
                         if firing is None:
-                            if record is not None:
-                                mode = record(OP_EMPTY, rel, processed, st)
                             continue
                     if bounded:
                         me = st.max_emissions
@@ -1415,9 +1339,6 @@ class Simulator:
                     heappush(events,
                              (time + duration, _FINISH, next_seq(),
                               (st, result)))
-                    if record is not None:
-                        mode = record(OP_EXEC, rel, processed, st, firing,
-                                      result)
 
             elif kind == _FINISH:
                 processed += 1
@@ -1440,8 +1361,6 @@ class Simulator:
                             queued_polls[other] = time
                             heappush(events, (time, _POLL, next_seq(), other))
                     pending.clear()
-                if record is not None:
-                    mode = record(OP_FIN, rel, processed, st)
 
             elif kind == _ARRIVE:
                 # NoC arrival: a routed transfer reaches its consumer.
@@ -1455,18 +1374,13 @@ class Simulator:
                 st = source.st
                 it = source.it
                 head = source.head
-                batch = []
                 while head is not None and head[0] == time:
                     processed += 1
                     deliver(time, st, "out", head[1])
-                    if record is not None:
-                        batch.append(head[1])
                     head = next(it, None)
                 source.head = head
                 if head is not None:
                     heappush(events, (head[0], _DELIVER, payload, payload))
-                if record is not None:
-                    mode = record(OP_SRC, rel, processed, source, batch)
 
         return self._result(run, makespan, processed, peak_heap)
 

@@ -8,10 +8,11 @@ steady-state throughput at the application outputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Mapping
 
-__all__ = ["ProcessorStats", "UtilizationSummary", "RealTimeVerdict"]
+__all__ = ["ProcessorStats", "UtilizationSummary", "RealTimeVerdict",
+           "ReplayStats"]
 
 
 @dataclass(slots=True)
@@ -154,3 +155,28 @@ class RealTimeVerdict:
             + (f", {self.frames_shed} frames shed" if self.frames_shed else "")
             + (f" ({self.reason})" if self.reason else "")
         )
+
+
+@dataclass(slots=True)
+class ReplayStats:
+    """The ledger a ``SimulationOptions(replay=True)`` run returns.
+
+    The quasi-static replay engine this described was removed: a
+    replay run is the event loop, so every event is interpreted and
+    every replay and batch counter is zero.  The ledger stays because
+    callers built on it read these fields.  Attached as
+    :attr:`SimulationResult.replay`, never part of ``as_dict()``.
+    """
+
+    #: Events the event loop processed: all of them.
+    events_interpreted: int = 0
+    reason: str = "replay engine removed: the event loop ran every event"
+    events_replayed: int = 0
+    firings_batched: int = 0
+    firings_scalar: int = 0
+    periods_compiled: int = 0
+    restarts: int = 0
+    demotions: dict[str, int] = field(default_factory=dict)
+
+    def as_dict(self) -> dict:
+        return asdict(self)

@@ -17,8 +17,8 @@ help text or a ``--json`` payload changes **on purpose**, never to make
 a refactor pass.
 
 The corpus: ``simulate 5`` plain, with ``--noc --placement energy``,
-with ``--faults`` on the scenario of ``examples/fault_sweep.json``, with
-``--replay``, with ``--critical-path`` and with ``--bench`` (minus its
+with ``--faults`` on the scenario of ``examples/fault_sweep.json``,
+with ``--critical-path`` and with ``--bench`` (minus its
 wall-clock keys); ``profile 5``; ``schedule <key>`` for every suite key;
 and ``1F`` at 2 MHz, which misses and is not admissible, under
 ``simulate --strict`` and ``schedule`` for their exit codes.
@@ -52,7 +52,6 @@ def corpus() -> list[list[str]]:
         ["simulate", "5", "--json"],
         ["simulate", "5", "--json", "--noc", "--placement", "energy"],
         ["simulate", "5", "--json", "--faults", FAULTS],
-        ["simulate", "5", "--json", "--replay"],
         ["simulate", "5", "--json", "--critical-path"],
         ["simulate", "5", "--json", "--bench"],
         ["simulate", "5", "--json", "--strict"],

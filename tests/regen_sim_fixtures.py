@@ -10,17 +10,16 @@ five Figure 13 applications and writes each golden ``as_dict()`` record to
 (``tests/test_sim_conformance.py``) asserts the optimized simulator
 reproduces these records exactly.
 
-Three further fixture families pin the quasi-static replay engine:
+Three further fixture families:
 
 * ``app_<key>_replay.json`` — the reference loop *without* trace
-  recording (trace is a replay-ineligibility trigger, so the replay-on
-  conformance surface must be trace-off).  The suite asserts a
-  ``SimulationOptions(replay=True)`` run reproduces every field.
+  recording.  The suite asserts a ``SimulationOptions(replay=True)`` run
+  reproduces every field.
 * ``app_5_faulted.json`` — an *active* fault scenario.  The frozen
   reference has no fault seam, so the golden here is the optimized loop
   (pinned against itself across commits); the suite asserts replay-on
-  matches it exactly and reports itself ineligible (reason "faults").
-* ``app_2_noc.json`` — same shape for a NoC-timed run (reason "noc").
+  matches it exactly.
+* ``app_2_noc.json`` — same shape for a NoC-timed run.
 
 A fourth family pins :mod:`repro.obs` telemetry, which the reference
 loop cannot produce: ``app_<key>_telemetry.json`` for the five apps plus
@@ -36,22 +35,10 @@ Only rerun this when the *observable* simulation semantics intentionally
 change (new cost model, new stat, ...) — never to paper over a divergence
 introduced by a hot-path optimization.  Review the fixture diff: every
 changed field is a behaviour change the PR must justify.
-
-The faulted and NoC goldens are produced by the *optimized* loop, which
-since the batched replay executor landed runs with ``batch=True`` by
-default.  To keep a batching bug from being silently baked into those
-goldens, the script refuses to regenerate them while batching is enabled
-unless every reference-engine fixture (``app_<key>.json`` and
-``app_<key>_replay.json``) is byte-for-byte unchanged by the regen: an
-unchanged base proves the observable semantics did not move, so any
-optimized-loop golden diff would be a real (intended) scenario change,
-not a batch divergence.  If the base fixtures *did* change, rerun with
-``--no-batch`` first, review that diff, commit it, then rerun plain.
 """
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import pathlib
@@ -76,8 +63,8 @@ APP_KEYS = ("1", "2", "3", "4", "5")
 
 FIXTURE_DIR = pathlib.Path(__file__).resolve().parent / "fixtures" / "sim_conformance"
 
-#: The faulted conformance scenario: deterministic (seed-driven), and
-#: *active* so replay must refuse to engage.
+#: The faulted conformance scenario: deterministic (seed-driven) and
+#: *active*.
 FAULTED_APP = "5"
 FAULT_SPEC = dict(seed=7, slow_pes=((3, 2.0),))
 
@@ -133,26 +120,25 @@ def build_replay_fixture(key: str) -> dict:
     }
 
 
-def faulted_options(batch: bool = True, **extra) -> SimulationOptions:
+def faulted_options(**extra) -> SimulationOptions:
     return SimulationOptions(
         frames=benchmark(FAULTED_APP).frames, faults=FaultSpec(**FAULT_SPEC),
-        batch=batch, **extra
+        **extra
     )
 
 
-def noc_options(batch: bool = True, **extra) -> SimulationOptions:
+def noc_options(**extra) -> SimulationOptions:
     bench, compiled = _compiled(NOC_APP)
     chip = ManyCoreChip(
         cols=NOC_MESH[0], rows=NOC_MESH[1], processor=BENCHMARK_PROCESSOR
     )
     noc = NocModel(placement=row_major_placement(compiled.mapping, chip))
-    return SimulationOptions(frames=bench.frames, noc=noc, batch=batch,
-                             **extra)
+    return SimulationOptions(frames=bench.frames, noc=noc, **extra)
 
 
-def build_faulted_fixture(batch: bool = True) -> dict:
+def build_faulted_fixture() -> dict:
     bench, compiled = _compiled(FAULTED_APP)
-    result = simulate(compiled, faulted_options(batch))
+    result = simulate(compiled, faulted_options())
     return {
         "key": bench.key,
         "title": bench.title,
@@ -168,9 +154,9 @@ def build_faulted_fixture(batch: bool = True) -> dict:
     }
 
 
-def build_noc_fixture(batch: bool = True) -> dict:
+def build_noc_fixture() -> dict:
     bench, compiled = _compiled(NOC_APP)
-    result = simulate(compiled, noc_options(batch))
+    result = simulate(compiled, noc_options())
     return {
         "key": bench.key,
         "title": bench.title,
@@ -186,21 +172,21 @@ def build_noc_fixture(batch: bool = True) -> dict:
 
 
 #: Telemetry conformance scenarios: fixture stem -> (app key, the base
-#: fixture the telemetry-on run must reproduce on every other key, the
-#: options of that run given ``batch``).
+#: fixture the telemetry-on run must reproduce on every other key, a
+#: function building the options of that run).
 TELEMETRY_SCENARIOS = {
     **{
         key: (key, f"app_{key}_replay.json",
-              lambda batch, key=key: SimulationOptions(
+              lambda key=key: SimulationOptions(
                   frames=benchmark(key).frames, telemetry=True))
         for key in APP_KEYS
     },
     f"{NOC_APP}_noc": (
         NOC_APP, f"app_{NOC_APP}_noc.json",
-        lambda batch: noc_options(batch, telemetry=True)),
+        lambda: noc_options(telemetry=True)),
     f"{FAULTED_APP}_faulted": (
         FAULTED_APP, f"app_{FAULTED_APP}_faulted.json",
-        lambda batch: faulted_options(batch, telemetry=True)),
+        lambda: faulted_options(telemetry=True)),
 }
 
 
@@ -216,13 +202,12 @@ def telemetry_golden(telemetry) -> dict:
     }
 
 
-def build_telemetry_fixture(scenario: str, base_golden: dict,
-                            batch: bool = True) -> dict | None:
+def build_telemetry_fixture(scenario: str, base_golden: dict) -> dict | None:
     """The scenario's telemetry pin, or None when collecting telemetry
     moved the simulated result off ``base_golden``."""
     key, _, options = TELEMETRY_SCENARIOS[scenario]
     bench, compiled = _compiled(key)
-    result = simulate(compiled, options(batch))
+    result = simulate(compiled, options())
     observed = json.loads(json.dumps(result.as_dict()))
     observed.pop("telemetry")
     if observed != base_golden:
@@ -239,78 +224,31 @@ def _serialize(fixture: dict) -> str:
     return json.dumps(fixture, indent=2, sort_keys=True) + "\n"
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="Regenerate the simulator conformance fixtures."
-    )
-    parser.add_argument(
-        "--no-batch",
-        dest="batch",
-        action="store_false",
-        help=(
-            "regenerate the optimized-loop goldens (faulted, noc) with "
-            "batched replay execution disabled; required when the "
-            "reference-engine fixtures are changing in the same regen"
-        ),
-    )
-    args = parser.parse_args(argv)
-
+def main() -> int:
     FIXTURE_DIR.mkdir(parents=True, exist_ok=True)
-
-    # Build the reference-engine (base) fixtures first and diff them
-    # against what is on disk *before* writing anything.
-    base: dict[str, str] = {}
     for key in APP_KEYS:
-        base[f"app_{key}.json"] = _serialize(build_fixture(key))
-        base[f"app_{key}_replay.json"] = _serialize(build_replay_fixture(key))
-    changed = []
-    for name, text in base.items():
-        path = FIXTURE_DIR / name
-        if not path.exists() or path.read_text() != text:
-            changed.append(name)
-
-    if args.batch and changed:
-        print(
-            "refusing to regenerate the optimized-loop goldens with "
-            "batched execution enabled: the reference-engine fixtures "
-            "are not byte-unchanged by this regen:",
-            file=sys.stderr,
-        )
-        for name in changed:
-            print(f"  {name}", file=sys.stderr)
-        print(
-            "An unchanged base is the proof that an optimized-loop golden "
-            "diff is an intended scenario change rather than a batched-"
-            "execution divergence.  Rerun with --no-batch, review and "
-            "commit that diff, then rerun plain to confirm batching "
-            "reproduces it.",
-            file=sys.stderr,
-        )
-        return 1
-
-    for key in APP_KEYS:
-        text = base[f"app_{key}.json"]
+        fixture = build_fixture(key)
         path = FIXTURE_DIR / f"app_{key}.json"
-        path.write_text(text)
-        golden = json.loads(text)["golden"]
+        path.write_text(_serialize(fixture))
+        golden = fixture["golden"]
         print(
             f"app {key}: {golden['events']} events, "
             f"{golden['trace']['events']} trace events -> {path}"
         )
     for key in APP_KEYS:
-        text = base[f"app_{key}_replay.json"]
+        fixture = build_replay_fixture(key)
         path = FIXTURE_DIR / f"app_{key}_replay.json"
-        path.write_text(text)
+        path.write_text(_serialize(fixture))
         print(
             f"app {key} (replay surface): "
-            f"{json.loads(text)['golden']['events']} events -> {path}"
+            f"{fixture['golden']['events']} events -> {path}"
         )
-    fixture = build_faulted_fixture(batch=args.batch)
+    fixture = build_faulted_fixture()
     path = FIXTURE_DIR / f"app_{FAULTED_APP}_faulted.json"
     path.write_text(_serialize(fixture))
     print(f"app {FAULTED_APP} (faulted): {fixture['golden']['events']} "
           f"events -> {path}")
-    fixture = build_noc_fixture(batch=args.batch)
+    fixture = build_noc_fixture()
     path = FIXTURE_DIR / f"app_{NOC_APP}_noc.json"
     path.write_text(_serialize(fixture))
     print(f"app {NOC_APP} (noc): {fixture['golden']['events']} "
@@ -321,8 +259,7 @@ def main(argv: list[str] | None = None) -> int:
     telemetry: dict[str, str] = {}
     for scenario, (_, base_name, _) in TELEMETRY_SCENARIOS.items():
         base_golden = json.loads((FIXTURE_DIR / base_name).read_text())
-        fixture = build_telemetry_fixture(
-            scenario, base_golden["golden"], batch=args.batch)
+        fixture = build_telemetry_fixture(scenario, base_golden["golden"])
         if fixture is None:
             print(
                 f"refusing to write the telemetry goldens: scenario "

@@ -3,7 +3,7 @@
 The gate is the CI step that keeps ``BENCH_sim.json`` honest; this suite
 is the demonstration required to trust it: an injected synthetic
 regression must fail, real (committed) numbers must pass, tolerated
-drift must stay quiet, and every headline bar published in the payload
+drift must stay quiet, and every ratio ceiling published in the payload
 must be enforced from the payload itself.
 """
 
@@ -37,26 +37,6 @@ def _payload() -> dict:
                 "events_per_s": 250_000.0,
             },
         ],
-        "replay_headline": {
-            "speedup": 2.4,
-            "vs_interpreted": 0.95,
-            "engagement": 0.71,
-            "bars": {
-                "min_speedup": 2.0,
-                "vs_interpreted_max": 1.05,
-                "min_engagement": 0.60,
-            },
-        },
-        "batch_headline": {
-            "speedup": 2.9,
-            "vs_nobatch": 0.83,
-            "coverage": 0.86,
-            "bars": {
-                "min_speedup": 2.4,
-                "vs_nobatch_max": 0.95,
-                "min_coverage": 0.50,
-            },
-        },
         "telemetry": {
             "overhead": 1.8,
             "max_overhead": 2.5,
@@ -91,22 +71,6 @@ def test_tolerated_drift_stays_quiet():
     fresh["entries"][1]["events_per_s"] *= 1.30  # improvements never gate
     _, failures = bench_gate.gate(base, fresh, 0.15)
     assert failures == []
-
-
-def test_headline_floor_breach_fails():
-    base = _payload()
-    fresh = copy.deepcopy(base)
-    fresh["batch_headline"]["speedup"] = 1.9  # below its own 2.4 floor
-    _, failures = bench_gate.gate(base, fresh, 0.15)
-    assert any("batch_headline.speedup" in f for f in failures)
-
-
-def test_headline_ceiling_breach_fails():
-    base = _payload()
-    fresh = copy.deepcopy(base)
-    fresh["batch_headline"]["vs_nobatch"] = 1.10  # lost to no-batch
-    _, failures = bench_gate.gate(base, fresh, 0.15)
-    assert any("batch_headline.vs_nobatch" in f for f in failures)
 
 
 def test_telemetry_ceiling_breach_fails():
@@ -197,14 +161,6 @@ def test_missing_entry_fails_and_new_entry_does_not():
     _, failures = bench_gate.gate(base, fresh, 0.15)
     assert len(failures) == 1
     assert dropped["app"] in failures[0] and "missing" in failures[0]
-
-
-def test_missing_headline_block_fails():
-    base = _payload()
-    fresh = copy.deepcopy(base)
-    del fresh["batch_headline"]
-    _, failures = bench_gate.gate(base, fresh, 0.15)
-    assert any("batch_headline" in f and "missing" in f for f in failures)
 
 
 def test_committed_baseline_passes_against_itself():

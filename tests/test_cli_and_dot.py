@@ -124,39 +124,6 @@ class TestMappedDot:
         assert "gantt over" in out
 
 
-class TestBatchCli:
-    """The batched-execution escape hatch: ``--replay`` batches by
-    default, ``--no-batch`` must be observation-free (identical JSON
-    payload, only the execution-strategy ledger differs)."""
-
-    def test_no_batch_is_observation_free(self, capsys):
-        import json
-
-        assert main(["simulate", "5", "--frames", "4", "--replay",
-                     "--json"]) == 0
-        batched = json.loads(capsys.readouterr().out)
-        assert main(["simulate", "5", "--frames", "4", "--replay",
-                     "--no-batch", "--json"]) == 0
-        scalar = json.loads(capsys.readouterr().out)
-        bstats = batched.pop("replay")
-        sstats = scalar.pop("replay")
-        assert batched == scalar, "batching changed a CLI observable"
-        assert bstats["firings_batched"] > 0
-        assert bstats["batched_kernels"]
-        assert sstats["firings_batched"] == 0
-        assert sstats["batched_kernels"] == []
-        assert (bstats["firings_batched"] + bstats["firings_scalar"]
-                == sstats["firings_scalar"])
-
-    def test_no_batch_without_replay_is_accepted(self, capsys):
-        import json
-
-        assert main(["simulate", "2", "--frames", "2", "--no-batch",
-                     "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert "replay" not in payload
-
-
 class TestTelemetryCli:
     """The observability surface: simulate flags, profile, trace errors."""
 

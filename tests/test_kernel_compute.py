@@ -1,12 +1,10 @@
-"""A kernel's math is declared once: per-firing and batched bodies agree.
+"""A kernel's math is declared once, as ``compute``.
 
 Every elementwise and windowed kernel states its math as one
 ``compute`` on :class:`~repro.kernels.ComputeKernel`; the base derives
-the per-firing body (``run``) and the batched one (``batched_apply``)
-from it.  These tests hold the two paths to byte equality on random
-chunks, for every concrete kernel the library builds on the base, and
-check that the batched path reaches real pipelines (erode and dilate
-batch under replay).
+the per-firing body (``run``) from it.  These tests hold that body to a
+plain-numpy statement of each kernel's math on random chunks, for every
+concrete kernel the library builds on the base.
 """
 
 from __future__ import annotations
@@ -19,12 +17,10 @@ from hypothesis.extra.numpy import arrays
 
 import repro.kernels as library
 from repro.errors import FiringError
-from repro.graph import ApplicationGraph
 from repro.graph.kernel import FiringContext
 from repro.kernels import (
     AbsDiffKernel,
     AddKernel,
-    ApplicationOutput,
     ComputeKernel,
     ConvolutionKernel,
     DilateKernel,
@@ -38,13 +34,7 @@ from repro.kernels import (
     SubtractKernel,
     ThresholdKernel,
     WindowedKernel,
-    add_closing,
-    add_opening,
 )
-from repro.sim import SimulationOptions, simulate
-from repro.transform import compile_application
-
-from helpers import SMALL_PROC
 
 ELEMENTS = (st.floats(-1e3, 1e3, allow_nan=False)
             | st.integers(-3, 3).map(float))
@@ -100,42 +90,66 @@ def test_every_concrete_compute_kernel_is_covered():
     assert concrete == set(KERNELS)
 
 
+def _median(k, w):
+    return np.median(w)
+
+
+def _convolve(k, w):
+    return (w * k.coeff[::-1, ::-1]).sum()
+
+
+def _sobel(k, w):
+    gx = np.array([[-1.0, 0.0, 1.0], [-2.0, 0.0, 2.0], [-1.0, 0.0, 1.0]])
+    return abs((w * gx).sum()) + abs((w * gx.T).sum())
+
+
+#: Each kernel's math in plain numpy, over its operands' chunks.
+REFERENCE = {
+    SubtractKernel: lambda k, a, b: a - b,
+    AddKernel: lambda k, a, b: a + b,
+    AbsDiffKernel: lambda k, a, b: abs(a - b),
+    MultiplyKernel: lambda k, a, b: a * b,
+    ScaleKernel: lambda k, x: k.gain * x + k.bias,
+    ThresholdKernel: lambda k, x: (x >= k.level) * 1.0,
+    IdentityKernel: lambda k, x: x,
+    MedianKernel: _median,
+    SobelKernel: _sobel,
+    ConvolutionKernel: _convolve,
+    GaussianKernel: _convolve,
+    ErodeKernel: lambda k, w: w.min(),
+    DilateKernel: lambda k, w: w.max(),
+}
+
+
 @st.composite
-def periods(draw):
-    """A kernel and the chunks ``n`` firings of its body would consume."""
+def firings(draw):
+    """A kernel and the chunks one firing of its body consumes."""
     kernel = draw(st.one_of(*KERNELS.values()))
-    n = draw(st.integers(1, 6))
     method = kernel.methods[kernel.body]
     chunks = {
-        port: [draw(arrays(np.float64, (spec.window.h, spec.window.w),
-                           elements=ELEMENTS)) for _ in range(n)]
+        port: draw(arrays(np.float64, (spec.window.h, spec.window.w),
+                          elements=ELEMENTS))
         for port in method.data_inputs
         for spec in [kernel.input_spec(port)]
     }
-    return kernel, n, chunks
+    return kernel, chunks
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
-@given(periods())
-def test_per_firing_equals_batched_byte_for_byte(period):
-    kernel, n, chunks = period
-    scalar = [
-        fire(kernel, kernel.body, {p: chunks[p][i] for p in chunks})
-        for i in range(n)
-    ]
-    assert kernel.batch_accepts(kernel.body, frozenset({"<forward>"}))
-    emissions, commit = kernel.batched_apply(kernel.body, chunks)
-    assert commit is None and len(emissions) == n
-    for want, got in zip(scalar, emissions):
-        assert [port for port, _ in got] == [port for port, _ in want]
-        for (_, a), (_, b) in zip(want, got):
-            assert a.dtype == b.dtype == np.float64
-            assert a.shape == b.shape == (1, 1)
-            assert a.tobytes() == b.tobytes()
+@given(firings())
+def test_per_firing_body_computes_the_declared_math(firing):
+    kernel, chunks = firing
+    (port, got), = fire(kernel, kernel.body, chunks)
+    assert port == "out"
+    assert got.dtype == np.float64 and got.shape == (1, 1)
+    operands = [chunks[p] if kernel.windowed else chunks[p].item()
+                for p in kernel.operands]
+    want = REFERENCE[type(kernel)](kernel, *operands)
+    np.testing.assert_allclose(got.item(), want, rtol=1e-12, atol=1e-9)
 
 
 class _Unreduced(WindowedKernel):
-    """Forgets to reduce its window: the wrong shape on both paths."""
+    """Forgets to reduce its window: the wrong output shape."""
 
     def __init__(self, name: str) -> None:
         super().__init__(name, 3, 3, cycles=1)
@@ -149,35 +163,12 @@ def test_a_compute_of_the_wrong_shape_names_the_kernel():
     window = np.ones((3, 3))
     with pytest.raises(FiringError, match=r"^sloppy: output 'out' expects"):
         fire(kernel, "run", {"in": window})
-    with pytest.raises(FiringError,
-                       match=r"^sloppy: compute returned shape \(2, 9\)"):
-        kernel.batched_apply("run", {"in": [window, window]})
 
 
-def test_convolution_batches_only_once_coefficients_arrived():
+def test_convolution_runs_only_once_coefficients_arrived():
     kernel = ConvolutionKernel("conv", 3, 3)
-    assert not kernel.batch_accepts("run_convolve", frozenset())
     with pytest.raises(FiringError, match="before any coefficients"):
         fire(kernel, "run_convolve", {"in": np.ones((3, 3))})
     fire(kernel, "load_coeff", {"coeff": np.ones((3, 3))})
-    assert kernel.batch_accepts("run_convolve", frozenset())
-    # A reload inside the period would change the math between firings.
-    assert not kernel.batch_accepts("run_convolve",
-                                    frozenset({"load_coeff"}))
-
-
-@pytest.mark.parametrize("compose", [add_opening, add_closing])
-def test_erode_and_dilate_batch_under_replay(compose):
-    app = ApplicationGraph(compose.__name__)
-    source = app.add_input("Input", 12, 10, 100.0)
-    source._pattern = np.random.default_rng(1).uniform(0, 255, (10, 12))
-    first, last = compose(app, "m", 3, 3)
-    app.add_kernel(ApplicationOutput("Out", 1, 1))
-    app.connect("Input", "out", first.name, "in")
-    app.connect(last.name, "out", "Out", "in")
-    compiled = compile_application(app, SMALL_PROC)
-
-    replayed = simulate(compiled, SimulationOptions(frames=3, replay=True))
-    interpreted = simulate(compiled, SimulationOptions(frames=3))
-    assert {"m_erode", "m_dilate"} <= set(replayed.replay.batched_kernels)
-    assert replayed.as_dict() == interpreted.as_dict()
+    (_, out), = fire(kernel, "run_convolve", {"in": np.ones((3, 3))})
+    assert out.item() == 9.0

@@ -414,8 +414,7 @@ class TestSimulatorProperties:
     @given(pipelines(), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
     def test_replay_off_is_observation_free(self, case, frames):
-        """replay=False (the default) must leave the fast path untouched:
-        no detector, no recording rings, no stats section — the result
+        """replay=False (the default) attaches no ledger, and the result
         dict is byte-identical to a run that never heard of replay."""
         app, extent, rate = case
         compiled = self._compile(app)
@@ -430,10 +429,9 @@ class TestSimulatorProperties:
     @given(pipelines(), st.integers(1, 3))
     @settings(max_examples=10, deadline=None)
     def test_replay_never_changes_observables(self, case, frames):
-        """Whatever the detector does — locks a period, thrashes between
-        aliases, gives up entirely — the *semantics* are pinned: verdict,
-        event count, makespan, outputs, and the whole ``as_dict()``
-        surface match the interpreted run exactly."""
+        """replay=True runs the same loop: verdict, event count,
+        makespan, and the whole ``as_dict()`` surface match the plain
+        run exactly."""
         app, extent, rate = case
         compiled = self._compile(app)
         plain = simulate(compiled, SimulationOptions(frames=frames))
@@ -453,7 +451,7 @@ class TestSimulatorProperties:
             ).as_dict()
         )
         stats = rep.replay
-        assert stats is not None and stats.eligible
+        assert stats is not None
         # Conservation: every event was either replayed or interpreted.
         assert (
             stats.events_replayed + stats.events_interpreted
@@ -463,10 +461,9 @@ class TestSimulatorProperties:
     @given(pipelines(), st.integers(0, 2**31 - 1))
     @settings(max_examples=10, deadline=None)
     def test_replay_preserves_fault_accounting(self, case, seed):
-        """With an *active* fault spec, replay=True must demote to the
-        interpreted loop (ineligible, reason "faults") and reproduce the
-        fault accounting bit for bit — injections are stateful RNG draws
-        that a replayed period would skip."""
+        """With an *active* fault spec, replay=True reproduces the fault
+        accounting bit for bit — injections are stateful RNG draws, and
+        the one loop makes every one of them."""
         from repro.faults import FaultSpec
 
         app, extent, rate = case
@@ -486,5 +483,4 @@ class TestSimulatorProperties:
         assert rep.fault_stats.as_dict() == plain.fault_stats.as_dict()
         stats = rep.replay
         assert stats is not None
-        assert not stats.eligible and stats.reason == "faults"
         assert stats.events_replayed == 0

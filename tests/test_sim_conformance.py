@@ -116,15 +116,15 @@ def test_reference_matches_golden_fixture():
 
 
 # ----------------------------------------------------------------------
-# 2b. Replay conformance: the quasi-static engine against the same pins
+# 2b. Replay conformance: replay-on against the same pins
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("key", APP_KEYS)
 def test_replay_matches_golden_fixture(key):
     """Replay-on must reproduce the trace-off reference golden exactly.
 
-    These fixtures are trace-off because trace recording is a replay
-    ineligibility trigger — the replay conformance surface is everything
-    *except* the trace (stats, output times, verdicts, channel counters).
+    These fixtures were recorded trace-off while a replay engine existed
+    (trace kept it off); ``replay=True`` now runs the event loop, and the
+    fixtures stay as they are — reference-loop output.
     """
     fixture = json.loads((FIXTURE_DIR / f"app_{key}_replay.json").read_text())
     bench, compiled = compiled_app(key)
@@ -138,65 +138,33 @@ def test_replay_matches_golden_fixture(key):
     assert set(got) == set(golden)
     for field in golden:
         assert got[field] == golden[field], (
-            f"app {key}: {field!r} diverged under replay "
-            f"({result.replay.as_dict()})"
+            f"app {key}: {field!r} diverged under replay"
         )
-    stats = result.replay
-    assert stats is not None and stats.eligible
-    # Apps 1/2/4/5 engage replay; app 3's period exceeds the detector
-    # window so it runs the bounded fallback (detection shuts itself off).
-    if key != "3":
-        assert stats.engaged, f"app {key} no longer engages replay"
-        assert stats.events_replayed > 0
-        assert stats.periods_replayed > 0
 
 
-#: Root cause (see "Known divergence" in repro/sim/replay.py and
-#: docs/simulator.md): an ``order`` demotion at an OP_FIN the plan
-#: recorded as strictly later, whose live completion is *coincident* with
-#: the current time, is discovered only after the poll ops between the
-#: two completions have run — so a kernel both completions wake is
-#: polled twice where the heap would process both completions first and
-#: dedup to one poll.  ``BF`` is the only suite app with ``order``
-#: demotions; only ``events`` moves (+1 per frame).  strict: the fix must
-#: drop this mark (and bench/'s KNOWN_EVENTS_DELTA) in the same change.
-_BF_EXTRA_POLL = pytest.mark.xfail(
-    strict=True,
-    reason="replay double-polls at a coincident completion after an "
-           "'order' demotion: events +1 per frame on BF",
-)
-
-
-@pytest.mark.parametrize(
-    "key",
-    [
-        pytest.param(b.key, marks=_BF_EXTRA_POLL) if b.key == "BF" else b.key
-        for b in benchmark_suite()
-    ],
-)
+@pytest.mark.parametrize("key", [b.key for b in benchmark_suite()])
 def test_replay_matches_event_loop_on_whole_suite(key):
-    """Replay-on == replay-off on every suite app, not only the five
-    with fixtures (two frames: enough to cross a frame boundary)."""
+    """Replay-on == replay-off on every suite app, ``events`` included,
+    not only the five with fixtures (two frames: enough to cross a frame
+    boundary)."""
     _, compiled = compiled_app(key)
     plain = simulate(compiled, SimulationOptions(frames=2))
     replayed = simulate(compiled, SimulationOptions(frames=2, replay=True))
-    assert replayed.replay.eligible and replayed.replay.restarts == 0
     got, want = replayed.as_dict(), plain.as_dict()
     for field in want:
         assert got[field] == want[field], (
-            f"app {key}: {field!r} diverged under replay "
-            f"({replayed.replay.as_dict()})"
+            f"app {key}: {field!r} diverged under replay"
         )
     assert set(got) == set(want)
+    assert replayed.replay.events_interpreted == plain.events_processed
 
 
 def test_replay_faulted_pins_demotion_ineligibility():
-    """An *active* fault spec must force replay-off semantics exactly.
+    """An *active* fault spec under replay-on is replay-off exactly.
 
     The frozen reference has no fault seam, so the golden pins the
-    optimized loop against itself across commits.  Replay-on must (a)
-    reproduce it bit-for-bit and (b) report itself ineligible rather
-    than silently engaging on a perturbed schedule.
+    optimized loop against itself across commits.  Replay-on must
+    reproduce it bit-for-bit and report that the loop ran every event.
     """
     from repro.faults import FaultSpec
 
@@ -218,14 +186,12 @@ def test_replay_faulted_pins_demotion_ineligibility():
     assert canonical(replayed.as_dict()) == canonical(plain.as_dict())
     stats = replayed.replay
     assert stats is not None
-    assert not stats.eligible
-    assert stats.reason == "faults"
     assert stats.events_replayed == 0
     assert stats.events_interpreted == replayed.events_processed
 
 
 def test_replay_noc_pins_demotion_ineligibility():
-    """NoC-timed runs are replay-ineligible; semantics must be untouched."""
+    """NoC-timed runs under replay-on: semantics must be untouched."""
     from repro.machine import ManyCoreChip
     from repro.machine.noc import NocModel, row_major_placement
 
@@ -244,9 +210,8 @@ def test_replay_noc_pins_demotion_ineligibility():
     assert canonical(replayed.as_dict()) == canonical(plain.as_dict())
     stats = replayed.replay
     assert stats is not None
-    assert not stats.eligible
-    assert stats.reason == "noc"
     assert stats.events_replayed == 0
+    assert stats.events_interpreted == replayed.events_processed
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +232,7 @@ def test_telemetry_matches_golden_fixture(scenario):
     base = json.loads((FIXTURE_DIR / base_name).read_text())["golden"]
     _, compiled = compiled_app(key)
 
-    result = simulate(compiled, options(batch=True))
+    result = simulate(compiled, options())
     got = telemetry_golden(result.telemetry)
     for field, want in fixture["golden"].items():
         assert got[field] == want, f"{scenario}: telemetry {field!r} diverged"

@@ -356,10 +356,10 @@ def test_live_set_is_the_value_dependent_kernels_upstream_cone(wrote):
 
 @pytest.mark.parametrize("key", ["1", "2", "5"])
 def test_fresh_compiles_replay_and_batch_the_same_firings(key):
-    """A kernel that was never run holds no coefficients yet, and the
-    batching protocol asks (``ConvolutionKernel.batch_accepts``): the
-    configuration loads keep their bodies in a run nobody reads, so the
-    same kernels batch and ``ReplayStats`` is the same ledger."""
+    """A kernel that was never run holds no coefficients yet; the
+    configuration loads keep their bodies in a run nobody reads, so a
+    fresh compile's ``content=()`` run has the full run's timing plane
+    and ``ReplayStats`` is the same ledger."""
     def run(**kwargs):
         return simulate(
             compile_application(benchmark(key).application(),
@@ -368,7 +368,6 @@ def test_fresh_compiles_replay_and_batch_the_same_firings(key):
             SimulationOptions(frames=6, replay=True), **kwargs)
 
     bare, full = run(content=()), run()
-    assert full.replay.engaged and full.replay.firings_batched > 0
     assert bare.replay.as_dict() == full.replay.as_dict()
     assert timing_plane(bare) == timing_plane(full)
 
@@ -383,9 +382,9 @@ SIM_STEADY = (("5", 12), ("5", 4), ("BF", 1), ("3", 2), ("4", 2),
     list(dict.fromkeys(SIM_STEADY + tuple((key, 2) for key in SUITE_KEYS))),
     ids=lambda value: str(value))
 def test_the_replay_ledger_never_saw_content(key, frames):
-    """Dead buffers and insets emit one shared stand-in object per shape,
-    and the batch walk checks channel heads by identity; nothing reads
-    them, so the ledger and the timing plane are the full run's."""
+    """Dead buffers and insets emit one shared stand-in object per shape;
+    nothing reads them, so the ledger and the timing plane are the full
+    run's."""
     compiled = suite_app(key, "greedy")
     options = SimulationOptions(frames=frames, replay=True)
     bare, full = simulate(compiled, options, content=()), simulate(

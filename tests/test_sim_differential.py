@@ -1,52 +1,30 @@
-"""Randomized differential testing: four ways through a run, one observable.
+"""Randomized differential testing: the fast loop against the seed loop.
 
 The conformance suite pins the five Figure 13 applications; this harness
 complements it with *generated* programs.  A seed-deterministic fuzzer
 builds random linear pipelines from the same kernel palette as
-``test_random_pipelines`` and runs each through:
-
-* the frozen seed loop (``repro.sim.reference``),
-* the optimized event loop (``repro.sim.simulate``),
-* that loop with the quasi-static replay recorder attached
-  (``SimulationOptions(replay=True)``), which batches period firings by
-  default (``repro.sim.batch``), and
-* the same with batching disabled (``batch=False``),
-
-then asserts the four ``SimulationResult.as_dict()`` canonical forms,
-makespans, and raw output buffers are identical.  Any divergence the
-replay engine's per-op verification fails to catch lands here as a
+``test_random_pipelines`` and runs each through the frozen seed loop
+(``repro.sim.reference``) and the optimized event loop
+(``repro.sim.simulate``) — every ``REPLAY_STRIDE``-th case also with
+``SimulationOptions(replay=True)``, which runs the same loop — then
+asserts the ``SimulationResult.as_dict()`` canonical forms, makespans,
+and raw output buffers are identical.  A divergence lands here as a
 digest mismatch with the case's generator seed in the message, so a
 failure reproduces with ``_build_case(random.Random(seed))``.
 
-The batch axis also pins the execution-strategy ledger: with batching
-off every replayed firing is scalar, and the batched run must account
-for exactly the same firings (``firings_batched + firings_scalar``
-equal to the no-batch run's scalar count) — batching may only change
-*how* a planned firing runs, never *whether* it runs.
-
-Two aggregate checks keep the harness honest: if the replay engine
-never compiled and replayed a single period across the whole fuzz
-corpus the differential proof would be vacuous (replay-on would just be
-the event loop twice), and if no corpus case ever batched a firing the
-batch axis would be vacuous too.
-
 The *content* axis rides the same corpus: every case re-runs the event
-loop, and every fourth one of the two replay ways, with ``content=()``
-— nobody reads a pixel, so every compute kernel emits stand-ins — and
-must reproduce the full run on everything but the pixel digests,
-``ReplayStats`` included; a strided sample grows a second output off a random stage, so
-a random subset of the outputs keeps a prefix of the pipeline computing
-and leaves the rest dead, under both replay ways, with bounded
-channels and with a NoC model under telemetry.
+loop with ``content=()`` — nobody reads a pixel, so every compute kernel
+emits stand-ins — and must reproduce the full run on everything but the
+pixel digests; a strided sample grows a second output off a random
+stage, so a random subset of the outputs keeps a prefix of the pipeline
+computing and leaves the rest dead, with bounded channels and with a
+NoC model under telemetry.
 
 A sample of the same corpus also runs under :mod:`repro.obs` telemetry
 (alone, with a NoC model, with seeded faults, and with a span cap):
 the collector records flat rows and builds typed spans only on demand,
 so the harness holds the two views to each other and to the simulator's
 own accounting on programs no fixture pins.
-
-See ``docs/performance.md`` ("Debugging a replay divergence") for how to
-use this harness to bisect a divergence to its first mismatched period.
 """
 
 from __future__ import annotations
@@ -118,14 +96,13 @@ def _canonical(result) -> str:
     return json.dumps(result.as_dict(), sort_keys=True)
 
 
+#: Every ``REPLAY_STRIDE``-th corpus case also runs with ``replay=True``.
+REPLAY_STRIDE = 8
+
+
 def test_differential_reference_fast_replay(monkeypatch):
-    engaged = 0
-    events_replayed = 0
-    firings_batched = 0
-    # Firings of a buffer nobody reads (its positional body), per way
-    # through a content=() run, and dead buffers the batch walk took.
-    dead_stores = collections.Counter()
-    dead_batched = 0
+    # Firings of a buffer nobody reads (its positional body) in a
+    # content=() run.
     count_windows = BufferKernel.count_windows
     stores = collections.Counter()
 
@@ -141,133 +118,63 @@ def test_differential_reference_fast_replay(monkeypatch):
             app, _PROC, CompileOptions(mapping="greedy")
         )
         opts = SimulationOptions(frames=frames)
-        ropts = SimulationOptions(frames=frames, replay=True)
-        sopts = SimulationOptions(frames=frames, replay=True, batch=False)
 
         ref = reference_simulate(compiled, opts)
         fast = simulate(compiled, opts)
-        rep = simulate(compiled, ropts)
-        scalar = simulate(compiled, sopts)
 
         cref = _canonical(ref)
         assert _canonical(fast) == cref, (
             f"fast path diverged from reference (case {case}, seed {seed:#x})"
         )
-        assert _canonical(rep) == cref, (
-            f"replay diverged from reference (case {case}, seed {seed:#x}): "
-            f"{rep.replay.as_dict()}"
-        )
-        assert _canonical(scalar) == cref, (
-            f"no-batch replay diverged from reference "
-            f"(case {case}, seed {seed:#x}): {scalar.replay.as_dict()}"
-        )
-        assert (rep.makespan_s == ref.makespan_s == fast.makespan_s
-                == scalar.makespan_s)
+        assert ref.makespan_s == fast.makespan_s
         for name, chunks in ref.outputs.items():
-            got = rep.outputs[name]
-            got_scalar = scalar.outputs[name]
-            assert len(got) == len(chunks) == len(got_scalar), (
-                case, seed, name
-            )
-            for a, b, c in zip(chunks, got, got_scalar):
-                assert np.array_equal(a, b) and np.array_equal(a, c), (
+            got = fast.outputs[name]
+            assert len(got) == len(chunks), (case, seed, name)
+            for a, b in zip(chunks, got):
+                assert np.array_equal(a, b), (
                     f"output buffer mismatch (case {case}, seed {seed:#x}, "
                     f"output {name})"
                 )
+        if case % REPLAY_STRIDE == 0:
+            rep = simulate(compiled, SimulationOptions(frames=frames,
+                                                       replay=True))
+            assert _canonical(rep) == cref, (
+                f"replay-on diverged (case {case}, seed {seed:#x})")
+            assert rep.replay.events_interpreted == ref.events_processed
 
         # Content axis: with nobody reading the pixels every compute
         # kernel emits stand-ins, and nothing but the digests may move.
-        ways = [("fast", fast)]
-        if case % 8 == 0:
-            ways.append(("replay", rep))
-        elif case % 8 == 4:
-            ways.append(("no-batch", scalar))
-        for way, full in ways:
-            before = stores["dead"]
-            bare = simulate(compiled, full.options, content=())
-            dead_stores[way] += stores["dead"] - before
-            where = f"{way}, content=() (case {case}, seed {seed:#x})"
-            want = full.as_dict()
-            want["outputs"]["Out"]["sha256"] = None
-            assert bare.as_dict() == want, where
-            assert bare.outputs == {}, where
-            if full.replay is not None:
-                assert bare.replay.as_dict() == full.replay.as_dict(), where
-                dead_batched += sum(
-                    isinstance(compiled.graph.kernels[name], BufferKernel)
-                    for name in bare.replay.batched_kernels)
+        where = f"content=() (case {case}, seed {seed:#x})"
+        bare = simulate(compiled, opts, content=())
+        want = fast.as_dict()
+        want["outputs"]["Out"]["sha256"] = None
+        assert bare.as_dict() == want, where
+        assert bare.outputs == {}, where
 
-        stats = rep.replay
-        assert stats is not None and stats.eligible
-        # Batching changes *how* planned firings execute, never *whether*:
-        # the batched run's strategy ledger must cover exactly the firings
-        # the no-batch run executed (all scalar there, by construction).
-        sstats = scalar.replay
-        assert sstats.firings_batched == 0, (case, seed)
-        assert (stats.firings_batched + stats.firings_scalar
-                == sstats.firings_scalar), (
-            f"strategy ledger mismatch (case {case}, seed {seed:#x}): "
-            f"batched {stats.firings_batched} + scalar "
-            f"{stats.firings_scalar} != no-batch {sstats.firings_scalar}"
-        )
-        if stats.engaged:
-            engaged += 1
-            events_replayed += stats.events_replayed
-        firings_batched += stats.firings_batched
-
-    # Non-vacuity: the corpus must actually exercise the replay executor
-    # (measured: 185/200 cases engage, ~38% of all events replayed).
-    assert engaged >= 50, (
-        f"only {engaged}/{N_CASES} fuzzed pipelines engaged replay — "
-        "the differential proof is near-vacuous; retune the generator"
-    )
-    assert events_replayed > 0
-    # ... and the batched executor (measured: tens of thousands of
-    # batched firings across the corpus).
-    assert firings_batched > 0, (
-        "no fuzzed pipeline batched a single firing — the batch axis of "
-        "the differential proof is vacuous; retune the generator"
-    )
-    # ... and the content axis covers a buffer nobody reads under the
-    # interpreted loop and both replay ways, including buffers the batch
-    # walk took (its head check is by identity, and every stand-in of a
-    # shape is one object).
-    assert all(dead_stores[way] > 0
-               for way in ("fast", "replay", "no-batch")), dead_stores
-    assert dead_batched > 0
+    # Non-vacuity: the content axis covers a buffer nobody reads.
+    assert stores["dead"] > 0
 
 
 @given(pipelines())
 @settings(max_examples=15, deadline=None)
 def test_batch_axis_is_observation_free(case):
-    """Hypothesis form of the batch-axis invariants.
-
-    For arbitrary generated pipelines, disabling batched execution
-    (``SimulationOptions(batch=False)``) must change nothing observable —
-    canonical form, makespan, every output buffer — and the batched
-    run's strategy ledger must account for exactly the firings the
-    scalar run executed (``firings_batched + firings_scalar`` equal to
-    the no-batch run's all-scalar count).
-    """
+    """``batch`` selects nothing: ``replay=True, batch=False`` runs the
+    same loop as ``replay=True`` and changes nothing observable —
+    canonical form, makespan, every output buffer, the replay ledger."""
     app, extent, rate = case
     compiled = compile_application(app, _PROC, CompileOptions(mapping="greedy"))
     on = simulate(compiled, SimulationOptions(frames=2, replay=True))
     off = simulate(
         compiled, SimulationOptions(frames=2, replay=True, batch=False)
     )
-    assert _canonical(on) == _canonical(off), (
-        f"batch changed observables: on={on.replay.as_dict()} "
-        f"off={off.replay.as_dict()}"
-    )
+    assert _canonical(on) == _canonical(off)
     assert on.makespan_s == off.makespan_s
     for name, chunks in off.outputs.items():
         got = on.outputs[name]
         assert len(got) == len(chunks)
         for a, b in zip(chunks, got):
             assert np.array_equal(a, b)
-    son, soff = on.replay, off.replay
-    assert soff.firings_batched == 0
-    assert son.firings_batched + son.firings_scalar == soff.firings_scalar
+    assert on.replay.as_dict() == off.replay.as_dict()
 
 
 #: Every ``TELEMETRY_STRIDE``-th corpus case also runs observed.
@@ -367,11 +274,10 @@ def test_content_axis_partial_slices():
     Every ``TELEMETRY_STRIDE``-th case grows a second output, ``Tap``,
     off a random stage (or the input), so asking for ``Tap`` alone keeps
     a prefix of the pipeline live and leaves the suffix dead.  Each way
-    through the run — replay with and without batching, and the event
-    loop with bounded channels and with a NoC model under telemetry —
-    must agree with its own full run on every ``as_dict()`` key (the
-    telemetry section's span digest and metrics included) but the
-    digests of outputs not asked for, and on ``ReplayStats``.
+    through the run — plain, with bounded channels and with a NoC model
+    under telemetry — must agree with its own full run on every
+    ``as_dict()`` key (the telemetry section's span digest and metrics
+    included) but the digests of outputs not asked for.
     """
     proper = 0
     for case in range(0, N_CASES, TELEMETRY_STRIDE):
@@ -392,8 +298,7 @@ def test_content_axis_partial_slices():
         content = tuple(n for n in ("Out", "Tap") if rng.random() < 0.5)
         proper += len(content) == 1
         ways = {
-            "replay": {"replay": True},
-            "no-batch": {"replay": True, "batch": False},
+            "plain": {},
             "noc": {"noc": noc, "telemetry": True},
             "capacity": {"channel_capacity": 4},
         }
@@ -407,8 +312,6 @@ def test_content_axis_partial_slices():
                 want["outputs"][name]["sha256"] = None
             assert got.as_dict() == want, where
             assert set(got.outputs) == set(content), where
-            if full.replay is not None:
-                assert got.replay.as_dict() == full.replay.as_dict(), where
     # Non-vacuity: some sampled subset is a proper, non-empty one.
     assert proper > 0
 
