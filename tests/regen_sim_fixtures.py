@@ -31,6 +31,13 @@ base golden (``app_<key>_replay.json``, ``app_2_noc.json``,
 ``app_5_faulted.json``) on every non-telemetry key, so a collector that
 perturbs the simulation cannot be baked in.
 
+A fifth fixture, ``lattice.json``, pins the optimized loop across the
+option lattice (:data:`LATTICE_APPS` x :data:`LATTICE_FAULTS` x
+:data:`LATTICE_MODES`): each case stores the sha256 of its canonical
+``as_dict()``, its makespan and its fault counters, or the exception
+class and message when the run raises.  Like the faulted and NoC
+goldens it is the loop pinned against itself across commits.
+
 Only rerun this when the *observable* simulation semantics intentionally
 change (new cost model, new stat, ...) — never to paper over a divergence
 introduced by a hot-path optimization.  Review the fixture diff: every
@@ -48,6 +55,7 @@ from functools import lru_cache
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.apps.suite import BENCHMARK_PROCESSOR, benchmark  # noqa: E402
+from repro.errors import SimulationError  # noqa: E402
 from repro.faults import FaultSpec  # noqa: E402
 from repro.machine import ManyCoreChip  # noqa: E402
 from repro.machine.noc import NocModel, row_major_placement  # noqa: E402
@@ -220,6 +228,105 @@ def build_telemetry_fixture(scenario: str, base_golden: dict) -> dict | None:
     }
 
 
+#: Lattice applications: ``(key, frames)``, greedy with one spare.  ``2``
+#: compiles to one element (PE 0, spare 1) and ``5`` to four (PEs 0-3,
+#: spare 4), so the element-indexed scenarios below name PE 0.
+LATTICE_APPS = (("2", 2), ("5", 1))
+
+#: Lattice fault scenarios: name -> fault spec mapping (None: no spec).
+#: Together they drive every :class:`~repro.faults.FaultStats` counter.
+LATTICE_FAULTS = {
+    "none": None,
+    "retry": {"seed": 3, "transient": {"probability": 0.05},
+              "recovery": {"max_retries": 3, "backoff_cycles": 100.0}},
+    "shed": {"seed": 3, "transient": {"probability": 0.05},
+             "recovery": {"shed": True}},
+    "corrupt": {"seed": 3, "transient": {"probability": 0.05}},
+    "slow": {"slow_pes": [[0, 2.0]]},
+    "migrate": {"pe_failures": [{"processor": 0, "time_s": 0.001}],
+                "recovery": {"migrate": True, "migration_cycles": 1000.0}},
+    "stall": {"pe_failures": [{"processor": 0, "time_s": 0.001}]},
+    "drop": {"seed": 5, "channel": {"drop_probability": 0.01},
+             "recovery": {"shed": True}},
+    "dup": {"seed": 5, "channel": {"duplicate_probability": 0.01}},
+    "mixed": {"seed": 11, "transient": {"probability": 0.02},
+              "slow_pes": [[0, 1.5]],
+              "pe_failures": [{"processor": 0, "time_s": 0.002}],
+              "channel": {"drop_probability": 0.005,
+                          "duplicate_probability": 0.005},
+              "recovery": {"max_retries": 1, "backoff_cycles": 50.0,
+                           "migrate": True, "migration_cycles": 500.0,
+                           "shed": True}},
+}
+
+#: Lattice observer / substrate modes: name -> extra SimulationOptions.
+LATTICE_MODES = ("plain", "observed", "bounded")
+
+
+def lattice_cases() -> list[tuple[str, str, int, str, str]]:
+    """``(case id, app key, frames, fault scenario, mode)`` per case."""
+    return [
+        (f"{key}@F{frames}/{fault}/{mode}", key, frames, fault, mode)
+        for key, frames in LATTICE_APPS
+        for fault in LATTICE_FAULTS
+        for mode in LATTICE_MODES
+    ]
+
+
+@lru_cache(maxsize=None)
+def _lattice_compiled(key: str):
+    return compile_application(
+        benchmark(key).application(),
+        BENCHMARK_PROCESSOR,
+        CompileOptions(mapping="greedy", spare_processors=1),
+    )
+
+
+def lattice_options(key: str, frames: int, fault: str,
+                    mode: str) -> SimulationOptions:
+    extra: dict = {}
+    if mode != "plain":
+        extra.update(trace=True, telemetry=True)
+    if mode == "bounded":
+        chip = ManyCoreChip(cols=NOC_MESH[0], rows=NOC_MESH[1],
+                            processor=BENCHMARK_PROCESSOR)
+        extra.update(
+            channel_capacity=8,
+            noc=NocModel(placement=row_major_placement(
+                _lattice_compiled(key).mapping, chip)),
+        )
+    spec = LATTICE_FAULTS[fault]
+    return SimulationOptions(
+        frames=frames,
+        faults=None if spec is None else FaultSpec.from_dict(spec),
+        **extra,
+    )
+
+
+def lattice_record(key: str, frames: int, fault: str, mode: str) -> dict:
+    """One lattice case as the fixture stores it."""
+    compiled = _lattice_compiled(key)
+    try:
+        result = simulate(compiled, lattice_options(key, frames, fault, mode))
+    except SimulationError as exc:
+        return {"raises": type(exc).__name__, "message": str(exc)}
+    canonical = json.dumps(result.as_dict(), sort_keys=True)
+    return {
+        "sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "makespan_s": result.makespan_s,
+        "faults": result.fault_stats.as_dict(),
+    }
+
+
+def build_lattice_fixture() -> dict:
+    return {
+        "cases": {
+            case: lattice_record(key, frames, fault, mode)
+            for case, key, frames, fault, mode in lattice_cases()
+        },
+    }
+
+
 def _serialize(fixture: dict) -> str:
     return json.dumps(fixture, indent=2, sort_keys=True) + "\n"
 
@@ -253,6 +360,13 @@ def main() -> int:
     path.write_text(_serialize(fixture))
     print(f"app {NOC_APP} (noc): {fixture['golden']['events']} "
           f"events -> {path}")
+
+    fixture = build_lattice_fixture()
+    path = FIXTURE_DIR / "lattice.json"
+    path.write_text(_serialize(fixture))
+    raised = sum("raises" in case for case in fixture["cases"].values())
+    print(f"lattice: {len(fixture['cases'])} cases "
+          f"({raised} raise) -> {path}")
 
     # Telemetry pins last: each must reproduce the base golden written
     # above before its own golden is accepted.
