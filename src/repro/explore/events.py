@@ -206,9 +206,6 @@ class EventLog:
     def __call__(self, event: SweepEvent) -> None:
         self.events.append(event)
 
-    def of_type(self, cls: type) -> list[SweepEvent]:
-        return [e for e in self.events if isinstance(e, cls)]
-
 
 def render_event(event: SweepEvent,
                  write: Callable[[str], None] = print) -> None:

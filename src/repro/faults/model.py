@@ -278,13 +278,6 @@ class FaultStats:
     #: retry recoveries and migrations.
     recovery_latency_s: float = 0.0
 
-    @property
-    def activity(self) -> bool:
-        return bool(
-            self.injected or self.pe_deaths or self.transfers_dropped
-            or self.transfers_duplicated or self.data_shed or self.corrupted
-        )
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "injected": self.injected,

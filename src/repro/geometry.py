@@ -142,10 +142,6 @@ class Offset2D:
         yield self.x
         yield self.y
 
-    @property
-    def is_integral(self) -> bool:
-        return self.x.denominator == 1 and self.y.denominator == 1
-
 
 #: An inset is dimensionally identical to an offset: a (possibly fractional)
 #: displacement from the original application input's origin.

@@ -117,10 +117,3 @@ class MethodSpec:
     @property
     def is_token_method(self) -> bool:
         return self.token is not None
-
-    @property
-    def trigger_inputs(self) -> tuple[str, ...]:
-        """All inputs that can cause this method to fire."""
-        if self.token is not None:
-            return (self.token.input_name,)
-        return self.data_inputs

@@ -113,11 +113,6 @@ def calibrate(iterations: int = 200_000, *, refresh: bool = False) -> float:
     return _CALIBRATION[iterations]
 
 
-def _calibrate(iterations: int = 200_000) -> float:
-    """Backwards-compatible alias for :func:`calibrate`."""
-    return calibrate(iterations)
-
-
 def _synthetic_inputs(kernel: Kernel, method: MethodSpec,
                       rng: np.random.Generator) -> dict[str, np.ndarray]:
     inputs = {}

@@ -60,9 +60,6 @@ class ServiceStorage:
     def append_event(self, run_id: str, envelope: dict[str, Any]) -> None:
         append_jsonl(self.event_log_path(run_id), envelope)
 
-    def read_events(self, run_id: str) -> list[dict[str, Any]]:
-        return list(read_jsonl(self.event_log_path(run_id)))
-
     # -- the run registry ----------------------------------------------
 
     def register(self, entry: dict[str, Any]) -> None:

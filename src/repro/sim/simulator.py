@@ -47,8 +47,13 @@ One loop
 :meth:`Simulator._run_des` is the only interpreter outside the oracle.
 :meth:`Simulator._setup` builds the run state once (:class:`_Run`), one
 ``push`` closure owns channel accounting for every deliver variant, and
-:meth:`Simulator._result` assembles the result.  Faults, telemetry, NoC
-timing and tracing are ``is not None`` checks on precomputed locals.
+:meth:`Simulator._result` assembles the result.  Set-up also binds what
+the fault-free path does not need: the deliver variant (channel faults,
+telemetry, NoC routing), the recovery closures ``fire`` and ``resync``
+(None without an active fault spec), and each kernel's bounded channels.
+Element state is neutral by default (no death time, unit slowdown), so
+the loop tests no fault spec and no run-level mode; telemetry and
+tracing are one precomputed local each.
 ``SimulationOptions(replay=True)`` runs this same loop and attaches a
 zero :class:`~.stats.ReplayStats` ledger to the result.
 
@@ -68,6 +73,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import itertools
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
@@ -146,9 +152,9 @@ class SimulationOptions:
     #: :class:`~repro.obs.TelemetryConfig` / mapping for tuned limits.
     telemetry: TelemetryConfig | None = None
     #: Network-on-chip timing model (see :mod:`repro.machine.noc`), or
-    #: None for the paper's free-communication substrate.  Rides the same
-    #: ``is not None`` hook seam as ``faults``/``telemetry``: off means
-    #: the hot path is observably identical to the seed loop.
+    #: None for the paper's free-communication substrate.  Set-up binds
+    #: it into the deliver closure, so off means the hot path is
+    #: observably identical to the seed loop.
     noc: NocModel | None = None
     #: Selects nothing: the quasi-static replay engine it used to turn on
     #: was removed, and every run is the event loop below.  Still
@@ -479,9 +485,10 @@ class _ProcState:
     """Mutable per-processor record resolved once before the event loop."""
 
     __slots__ = ("index", "free_at", "pending", "read_s", "run_s", "write_s",
-                 "firings", "kernels", "dead_at", "dead", "slow", "moved_to")
+                 "firings", "kernels", "dead_at", "dead", "slow")
 
-    def __init__(self, index: int) -> None:
+    def __init__(self, index: int, dead_at: float = math.inf,
+                 slow: float = 1.0) -> None:
         self.index = index
         self.free_at = 0.0
         self.pending: deque = deque()
@@ -490,12 +497,13 @@ class _ProcState:
         self.write_s = 0.0
         self.firings = 0
         self.kernels: set[str] = set()
-        # Fault-model state; inert (and never consulted) on the
-        # zero-fault path.
-        self.dead_at: float | None = None
+        # Fault-model state.  The defaults are neutral: a death time no
+        # run reaches, and a multiplier that leaves every duration's
+        # bytes unchanged (IEEE ``x * 1.0 == x``); only an active fault
+        # spec sets others.
+        self.dead_at = dead_at
         self.dead = False
-        self.slow = 1.0
-        self.moved_to: "_ProcState | None" = None
+        self.slow = slow
 
     def to_stats(self) -> ProcessorStats:
         return ProcessorStats(
@@ -509,7 +517,7 @@ class _KernelState:
     touching the runtime tables again."""
 
     __slots__ = ("rk", "name", "proc", "running", "out", "wake",
-                 "out_channels", "max_emissions", "is_output", "output_times",
+                 "bounded_out", "max_emissions", "is_output", "output_times",
                  "ready", "execute", "attempts", "fault_since")
 
     def __init__(self, rk: RuntimeKernel, proc: _ProcState | None) -> None:
@@ -525,9 +533,12 @@ class _KernelState:
         self.fault_since = 0.0
         #: port -> tuple of (channel, consumer state, overrun-checked?).
         self.out: dict[str, tuple] = {}
-        #: port -> producer state, for backpressure wake-ups (bounded runs).
+        #: port -> producer state, for backpressure wake-ups: one entry
+        #: per input channel that has a capacity.
         self.wake: dict[str, "_KernelState"] = {}
-        self.out_channels: tuple[Channel, ...] = ()
+        #: Output channels that have a capacity: a firing that could
+        #: overfill one stalls instead.
+        self.bounded_out: tuple[Channel, ...] = ()
         self.max_emissions = rk.kernel.max_emissions_per_firing
         self.is_output = isinstance(rk.kernel, ApplicationOutput)
         self.output_times: list[float] = []
@@ -556,67 +567,12 @@ class _Run:
 
     __slots__ = ("runtimes", "channels", "states", "proc_states", "sources",
                  "horizon", "events", "queued_polls", "next_seq", "violations",
-                 "budget_overruns", "trace", "injector", "fstats", "tele",
-                 "nstats", "deliver", "land", "on_dead")
+                 "budget_overruns", "trace", "fstats", "tele", "nstats",
+                 "deliver", "land", "wake", "on_dead", "fire", "resync")
 
     def __init__(self, **state) -> None:
         for name, value in state.items():
             setattr(self, name, value)
-
-
-def _resync_shed(
-    st: _KernelState,
-    fstats: FaultStats,
-    tele: TelemetryCollector | None = None,
-    time: float = 0.0,
-) -> bool:
-    """Frame-level resynchronization at a multi-input join (shed mode).
-
-    After data has been lost (a shed firing upstream, a dropped
-    transfer), a join can starve: one input presents its end-of-frame
-    token while a sibling still presents unmatched data that will never
-    get its partner.  Left alone the join deadlocks and the stream never
-    recovers.  The shedding policy instead drains the unmatched data up
-    to each input's own token — abandoning the rest of the degraded
-    frame — so the tokens align, the frame boundary forwards, and the
-    next frame starts clean.  Returns True when anything was dropped.
-
-    Only triggers on a genuine mismatch (token head on one input of a
-    multi-input method, data head on another), which on a fault-free run
-    is impossible: the unit-rate invariant keeps sibling inputs in
-    lock-step.
-    """
-    rk = st.rk
-    dropped = False
-    seen: list = []
-    for port in rk._ports:
-        method = rk._data_method.get(port)
-        if method is None or len(method.data_inputs) <= 1 or method in seen:
-            continue
-        seen.append(method)
-        chans = [rk.inputs.get(p) for p in method.data_inputs]
-        if any(ch is None for ch in chans):
-            continue
-        heads = [ch.items[0] if ch.items else None for ch in chans]
-        has_token = any(isinstance(h, ControlToken) for h in heads)
-        has_data = any(
-            h is not None and not isinstance(h, ControlToken) for h in heads
-        )
-        if not (has_token and has_data):
-            continue
-        for ch in chans:
-            items = ch.items
-            shed = 0
-            while items and not isinstance(items[0], ControlToken):
-                ch.seqs.popleft()
-                items.popleft()
-                shed += 1
-            if shed:
-                fstats.data_shed += shed
-                dropped = True
-                if tele is not None:
-                    tele.shed_channel(time, ch, shed)
-    return dropped
 
 
 def _stand_in_items(kernel: ApplicationInput, frames: int) -> Iterator[Item]:
@@ -695,6 +651,15 @@ class Simulator:
             if isinstance(runtimes[ch.src].kernel, ApplicationInput)
         }
         overrides = opts.channel_capacity_overrides or {}
+        # A key that names no channel is a typo, not a request to run
+        # unbounded.
+        unmatched = set(overrides).difference(
+            (ch.src, ch.src_port, ch.dst, ch.dst_port) for ch in channels)
+        if unmatched:
+            raise SimulationError(
+                "SimulationOptions.channel_capacity_overrides names no "
+                f"channel of {self.graph.name!r}: {sorted(unmatched)}"
+            )
         for ch in channels:
             key = (ch.src, ch.src_port, ch.dst, ch.dst_port)
             if key in overrides:
@@ -719,16 +684,15 @@ class Simulator:
             states[name] = _KernelState(rk, pstate)
         for name, rk in runtimes.items():
             st = states[name]
-            out: dict[str, tuple] = {}
-            flat: list[Channel] = []
-            for port, chans in rk.outputs.items():
-                out[port] = tuple(
-                    (ch, states[ch.dst], id(ch) in input_channels)
-                    for ch in chans
-                )
-                flat.extend(chans)
-            st.out = out
-            st.out_channels = tuple(flat)
+            st.out = {
+                port: tuple((ch, states[ch.dst], id(ch) in input_channels)
+                            for ch in chans)
+                for port, chans in rk.outputs.items()
+            }
+            st.bounded_out = tuple(
+                ch for chans in rk.outputs.values() for ch in chans
+                if ch.capacity is not None
+            )
             st.wake = {
                 port: states[ch.src]
                 for port, ch in rk.inputs.items()
@@ -753,7 +717,7 @@ class Simulator:
             dead_map = {f.processor: f.time_s for f in fault_spec.pe_failures}
             slow_map = dict(fault_spec.slow_pes)
             for proc, ps in proc_states.items():
-                ps.dead_at = dead_map.get(proc)
+                ps.dead_at = dead_map.get(proc, math.inf)
                 ps.slow = slow_map.get(proc, 1.0)
             spare_pool = [
                 p for p in getattr(self.mapping, "spares", ())
@@ -781,10 +745,10 @@ class Simulator:
                 runtimes[name].skip_bodies()
 
         violations: list[_Violation] = []
+        trace: list[TraceEvent] = []
 
-        # Telemetry rides the same seam as the fault injector: one
-        # precomputed local, `is not None` checks only — off means the
-        # hot path is the seed-conformant loop.
+        # Telemetry is one precomputed local: None when off, so the loop
+        # pays one test per observation point and nothing else.
         tele: TelemetryCollector | None = (
             TelemetryCollector(opts.telemetry)
             if opts.telemetry is not None else None
@@ -852,6 +816,17 @@ class Simulator:
             if queued_polls.get(dst) != time:
                 queued_polls[dst] = time
                 heappush(events, (time, _POLL, next_seq(), dst))
+
+        def wake(time: float, st: _KernelState, firing) -> None:
+            """Backpressure release: a firing that consumed from bounded
+            channels re-polls their producers, which may have stalled on
+            the space it just freed.  Called only when ``st.wake`` is
+            non-empty."""
+            for port in firing.consume_ports:
+                src = st.wake.get(port)
+                if src is not None and queued_polls.get(src) != time:
+                    queued_polls[src] = time
+                    heappush(events, (time, _POLL, next_seq(), src))
 
         # --- NoC timing model (inert and absent when opts.noc is None) ---
         # Inter-element data transfers are routed XY over the mesh with
@@ -992,9 +967,9 @@ class Simulator:
                 new_idx = spare_pool.pop(0)
                 new = proc_states.get(new_idx)
                 if new is None:
-                    new = proc_states[new_idx] = _ProcState(new_idx)
-                    new.dead_at = dead_map.get(new_idx)
-                    new.slow = slow_map.get(new_idx, 1.0)
+                    new = proc_states[new_idx] = _ProcState(
+                        new_idx, dead_map.get(new_idx, math.inf),
+                        slow_map.get(new_idx, 1.0))
                 ready_at = time + recovery.migration_cycles / clock
                 if new.free_at < ready_at:
                     new.free_at = ready_at
@@ -1016,12 +991,152 @@ class Simulator:
                     if queued_polls.get(kst) != ready_at:
                         queued_polls[kst] = ready_at
                         heappush(events, (ready_at, _POLL, next_seq(), kst))
-                ps.moved_to = new
             else:
                 # No spare (or no migration policy): the group stalls
                 # forever — a permanent, unrecovered service loss.
                 fstats.unrecovered += 1
-                ps.moved_to = None
+
+        # --- recovery, bound only under an active fault spec -------------
+        # The loop calls ``fire`` in place of ``st.execute`` and ``resync``
+        # when a kernel finds nothing ready; None means the perfect
+        # substrate, where neither can do anything.
+        trace_on = opts.trace
+        fire = resync = None
+        if fault_spec is not None:
+            def fire(time: float, st: _KernelState, ps: _ProcState,
+                     firing):
+                """Execute one on-chip firing under the fault spec.
+
+                Returns the firing's result, with its data shed or
+                zeroed when its last attempt faulted, or None when a
+                transient fault holds the element for a retry: it burns
+                the attempt's declared cycles detecting the fault, then
+                idles through the backoff, and a ``_FINISH`` that emits
+                nothing re-polls the kernel to attempt the same firing.
+                """
+                # The firing index counts *executed* firings, so a retried
+                # attempt consults the same schedule slot.
+                if not injector.firing_faulted(st.name, st.rk.firings):
+                    if st.attempts:
+                        fstats.recovered += 1
+                        fstats.recovery_latency_s += time - st.fault_since
+                        st.attempts = 0
+                    return st.execute(firing)
+                if st.attempts < recovery.max_retries:
+                    if st.attempts == 0:
+                        st.fault_since = time
+                    st.attempts += 1
+                    fstats.retries += 1
+                    method = firing.method
+                    declared = (method.cost.cycles if method is not None
+                                else FORWARD_CYCLES)
+                    label = method.name if method is not None else "<forward>"
+                    detect_s = declared / clock * ps.slow
+                    backoff_s = recovery.backoff_cycles * st.attempts / clock
+                    ps.run_s += detect_s
+                    ps.free_at = time + detect_s + backoff_s
+                    st.running = True
+                    if trace_on:
+                        trace.append(TraceEvent(
+                            start_s=time, processor=ps.index, kernel=st.name,
+                            method=f"fault:{label}", read_s=0.0,
+                            run_s=detect_s, write_s=0.0,
+                        ))
+                    if tele is not None:
+                        tele.fault_retry(time, ps.index, st.name, label,
+                                         detect_s, backoff_s)
+                    heappush(events,
+                             (ps.free_at, _FINISH, next_seq(), (st, ())))
+                    return None
+                # Retries exhausted: the firing still runs (its inputs
+                # must drain for the stream to advance) but its data is
+                # sacrificed.
+                fstats.unrecovered += 1
+                st.attempts = 0
+                result = st.execute(firing)
+                if recovery.shed:
+                    # Shed: drop the data, keep the control tokens so the
+                    # frame structure resynchronizes.
+                    kept = [(p, it) for p, it in result.emissions
+                            if isinstance(it, ControlToken)]
+                    shed = len(result.emissions) - len(kept)
+                    fstats.data_shed += shed
+                    result.emissions = kept
+                    if tele is not None:
+                        tele.fault_outcome(time, st.name, ps.index, "shed",
+                                           shed)
+                else:
+                    # No shedding: corrupted (zeroed) data flows on — the
+                    # silent-divergence baseline.
+                    fstats.corrupted += 1
+                    result.emissions = [
+                        (p, np.zeros_like(it)
+                         if isinstance(it, np.ndarray) else it)
+                        for p, it in result.emissions
+                    ]
+                    if tele is not None:
+                        tele.fault_outcome(time, st.name, ps.index,
+                                           "corrupt", 1)
+                return result
+
+        if fault_spec is not None and recovery.shed:
+            def resync(st: _KernelState, time: float) -> bool:
+                """Frame-level resynchronization at a multi-input join.
+
+                After data has been lost (a shed firing upstream, a
+                dropped transfer), a join can starve: one input presents
+                its end-of-frame token while a sibling still presents
+                unmatched data that will never get its partner.  Left
+                alone the join deadlocks and the stream never recovers.
+                The shedding policy instead drains the unmatched data up
+                to each input's own token — abandoning the rest of the
+                degraded frame — so the tokens align, the frame boundary
+                forwards, and the next frame starts clean.  Returns True
+                when anything was dropped.
+
+                Only triggers once data was lost, and only on a genuine
+                mismatch (token head on one input of a multi-input
+                method, data head on another): without loss the
+                unit-rate invariant keeps sibling inputs in lock-step.
+                """
+                if not (fstats.data_shed or fstats.transfers_dropped):
+                    return False
+                rk = st.rk
+                dropped = False
+                seen: list = []
+                for port in rk._ports:
+                    method = rk._data_method.get(port)
+                    if (method is None or len(method.data_inputs) <= 1
+                            or method in seen):
+                        continue
+                    seen.append(method)
+                    chans = [rk.inputs.get(p) for p in method.data_inputs]
+                    if any(ch is None for ch in chans):
+                        continue
+                    heads = [ch.items[0] if ch.items else None
+                             for ch in chans]
+                    has_token = any(isinstance(h, ControlToken)
+                                    for h in heads)
+                    has_data = any(
+                        h is not None and not isinstance(h, ControlToken)
+                        for h in heads
+                    )
+                    if not (has_token and has_data):
+                        continue
+                    for ch in chans:
+                        items = ch.items
+                        shed = 0
+                        while items and not isinstance(items[0],
+                                                       ControlToken):
+                            ch.seqs.popleft()
+                            items.popleft()
+                            shed += 1
+                        if shed:
+                            fstats.data_shed += shed
+                            dropped = True
+                            if tele is not None:
+                                tele.shed_channel(time, ch, shed)
+                return dropped
 
         # --- startup: init methods, then lazy source cursors -------------
         for name, rk in runtimes.items():
@@ -1059,10 +1174,11 @@ class Simulator:
             runtimes=runtimes, channels=channels, states=states,
             proc_states=proc_states, sources=sources, horizon=horizon,
             events=events, queued_polls=queued_polls, next_seq=next_seq,
-            violations=violations, budget_overruns=[], trace=[],
-            injector=injector, fstats=fstats, tele=tele,
+            violations=violations, budget_overruns=[], trace=trace,
+            fstats=fstats, tele=tele,
             nstats=nstats if noc is not None else None,
-            deliver=deliver, land=land, on_dead=on_dead,
+            deliver=deliver, land=land, wake=wake, on_dead=on_dead,
+            fire=fire, resync=resync,
         )
 
     def _result(self, run: _Run, makespan: float, processed: int,
@@ -1104,16 +1220,23 @@ class Simulator:
         )
 
     def _run_des(self) -> SimulationResult:
-        """The discrete-event loop proper (one heap pop per event)."""
+        """The discrete-event loop proper (one heap pop per event).
+
+        It holds no fault code and no run-level mode: :meth:`_setup`
+        bound the deliver variant, the fault closures (``fire``,
+        ``resync``, ``on_dead``) and each kernel's channel bounds, and
+        their fault-free values are neutral (docs/simulator.md "What
+        set-up binds").
+        """
         run = self._setup()
         opts = self.options
         events, queued_polls, next_seq = (
             run.events, run.queued_polls, run.next_seq)
-        deliver, land, on_dead = run.deliver, run.land, run.on_dead
+        deliver, land, wake = run.deliver, run.land, run.wake
+        on_dead, fire, resync = run.on_dead, run.fire, run.resync
         sources, trace, budget_overruns = (
             run.sources, run.trace, run.budget_overruns)
-        injector, fstats, tele = run.injector, run.fstats, run.tele
-        recovery = injector.spec.recovery if injector is not None else None
+        tele = run.tele
         trace_on = opts.trace
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -1123,10 +1246,6 @@ class Simulator:
         processed = 0
         peak_heap = 0
         max_events = opts.max_events
-        bounded = (
-            opts.channel_capacity is not None
-            or bool(opts.channel_capacity_overrides)
-        )
         clock = self.processor.clock_hz
         rcpe = self.processor.read_cycles_per_element
         wcpe = self.processor.write_cycles_per_element
@@ -1164,14 +1283,8 @@ class Simulator:
                         result = st_execute(firing)
                         if tele is not None:
                             tele.io_firing(time, st, firing, result)
-                        if bounded:
-                            for port in firing.consume_ports:
-                                src = st.wake.get(port)
-                                if src is not None and \
-                                        queued_polls.get(src) != time:
-                                    queued_polls[src] = time
-                                    heappush(events,
-                                             (time, _POLL, next_seq(), src))
+                        if st.wake:
+                            wake(time, st, firing)
                         if st.is_output and firing.kind == "method":
                             times_out = st.output_times
                             for _port in firing.consume_ports:
@@ -1179,8 +1292,7 @@ class Simulator:
                         for port, item in result.emissions:
                             deliver(time, st, port, item)
                 else:
-                    if (injector is not None and ps.dead_at is not None
-                            and time >= ps.dead_at):
+                    if time >= ps.dead_at:
                         # Dead element: migrate its kernels (or stall them
                         # forever); either way this poll is over.
                         on_dead(ps, time)
@@ -1192,19 +1304,15 @@ class Simulator:
                         continue
                     firing = st.ready()
                     if firing is None:
-                        if (injector is not None and recovery.shed
-                                and (fstats.data_shed
-                                     or fstats.transfers_dropped)
-                                and _resync_shed(st, fstats, tele, time)):
+                        if resync is not None and resync(st, time):
                             firing = st.ready()
                         if firing is None:
                             continue
-                    if bounded:
+                    if st.bounded_out:
                         me = st.max_emissions
                         blocked = False
-                        for ch in st.out_channels:
-                            cap = ch.capacity
-                            if cap is not None and len(ch.items) + me > cap:
+                        for ch in st.bounded_out:
+                            if len(ch.items) + me > ch.capacity:
                                 blocked = True
                                 break
                         if blocked:
@@ -1213,113 +1321,24 @@ class Simulator:
                             if tele is not None:
                                 tele.stall(time, st.name, ps.index)
                             continue
-                    if injector is not None:
-                        # The firing index counts *executed* firings, so a
-                        # retried attempt consults the same schedule slot.
-                        if injector.firing_faulted(st.name, st.rk.firings):
-                            if st.attempts < recovery.max_retries:
-                                # Retry with backoff: the element burns the
-                                # attempt's declared cycles detecting the
-                                # fault, then idles through the backoff.
-                                if st.attempts == 0:
-                                    st.fault_since = time
-                                st.attempts += 1
-                                fstats.retries += 1
-                                method = firing.method
-                                declared = (method.cost.cycles
-                                            if method is not None
-                                            else FORWARD_CYCLES)
-                                detect_s = declared / clock * ps.slow
-                                backoff_s = (recovery.backoff_cycles
-                                             * st.attempts / clock)
-                                ps.run_s += detect_s
-                                ps.free_at = time + detect_s + backoff_s
-                                st.running = True
-                                if trace_on or tele is not None:
-                                    label = (method.name
-                                             if method is not None
-                                             else "<forward>")
-                                    if trace_on:
-                                        trace.append(TraceEvent(
-                                            start_s=time, processor=ps.index,
-                                            kernel=st.name,
-                                            method=f"fault:{label}",
-                                            read_s=0.0, run_s=detect_s,
-                                            write_s=0.0,
-                                        ))
-                                    if tele is not None:
-                                        tele.fault_retry(
-                                            time, ps.index, st.name, label,
-                                            detect_s, backoff_s,
-                                        )
-                                heappush(events,
-                                         (ps.free_at, _FINISH, next_seq(),
-                                          (st, None)))
-                                continue
-                            # Retries exhausted: the firing still runs (its
-                            # inputs must drain for the stream to advance)
-                            # but its data is sacrificed below.
-                            faulted_final = True
-                            fstats.unrecovered += 1
-                            st.attempts = 0
-                        else:
-                            if st.attempts:
-                                fstats.recovered += 1
-                                fstats.recovery_latency_s += \
-                                    time - st.fault_since
-                                st.attempts = 0
-                            faulted_final = False
-                    result = st.execute(firing)
-                    if injector is not None and faulted_final:
-                        if recovery.shed:
-                            # Shed: drop the data, keep the control tokens
-                            # so the frame structure resynchronizes.
-                            kept = [
-                                (p, it) for p, it in result.emissions
-                                if isinstance(it, ControlToken)
-                            ]
-                            shed = len(result.emissions) - len(kept)
-                            fstats.data_shed += shed
-                            result.emissions = kept
-                            if tele is not None:
-                                tele.fault_outcome(
-                                    time, st.name, ps.index, "shed", shed
-                                )
-                        else:
-                            # No shedding: corrupted (zeroed) data flows
-                            # on — the silent-divergence baseline.
-                            fstats.corrupted += 1
-                            result.emissions = [
-                                (p, np.zeros_like(it)
-                                 if isinstance(it, np.ndarray) else it)
-                                for p, it in result.emissions
-                            ]
-                            if tele is not None:
-                                tele.fault_outcome(
-                                    time, st.name, ps.index, "corrupt", 1
-                                )
-                    if bounded:
-                        for port in firing.consume_ports:
-                            src = st.wake.get(port)
-                            if src is not None and \
-                                    queued_polls.get(src) != time:
-                                queued_polls[src] = time
-                                heappush(events,
-                                         (time, _POLL, next_seq(), src))
+                    if fire is None:
+                        result = st.execute(firing)
+                    else:
+                        result = fire(time, st, ps, firing)
+                        if result is None:
+                            continue  # a retry holds the element
+                    if st.wake:
+                        wake(time, st, firing)
                     if result.dynamic and result.cycles > result.declared_cycles:
                         budget_overruns.append(BudgetOverrun(
                             time=time, kernel=st.name, method=result.label,
                             declared_cycles=result.declared_cycles,
                             actual_cycles=result.cycles,
                         ))
-                    read_s = result.elements_read * rcpe / clock
-                    run_s = result.cycles / clock
-                    write_s = result.elements_written * wcpe / clock
-                    if injector is not None and ps.slow != 1.0:
-                        slow = ps.slow
-                        read_s *= slow
-                        run_s *= slow
-                        write_s *= slow
+                    slow = ps.slow
+                    read_s = result.elements_read * rcpe / clock * slow
+                    run_s = result.cycles / clock * slow
+                    write_s = result.elements_written * wcpe / clock * slow
                     duration = read_s + run_s + write_s
                     ps.read_s += read_s
                     ps.run_s += run_s
@@ -1338,18 +1357,17 @@ class Simulator:
                                     read_s, run_s, write_s)
                     heappush(events,
                              (time + duration, _FINISH, next_seq(),
-                              (st, result)))
+                              (st, result.emissions)))
 
             elif kind == _FINISH:
                 processed += 1
-                st, result = payload
+                st, emissions = payload
                 st.running = False
-                if result is not None:
-                    for port, item in result.emissions:
-                        deliver(time, st, port, item)
-                # A None result is a retry sentinel: the faulted attempt's
-                # detect+backoff window just ended, so the kernel re-polls
-                # (below) and attempts the same firing again.
+                # A retry's finish emits nothing: its detect+backoff
+                # window just ended, so the kernel re-polls (below) and
+                # attempts the same firing again.
+                for port, item in emissions:
+                    deliver(time, st, port, item)
                 ps = st.proc
                 if ps is not None:
                     pending = ps.pending

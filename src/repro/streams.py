@@ -10,7 +10,7 @@ through the application graph using each kernel's transfer function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
@@ -97,9 +97,6 @@ class StreamInfo:
     @property
     def elements_per_second(self) -> float:
         return self.elements_per_frame * self.rate_hz
-
-    def with_region(self, region: Region) -> "StreamInfo":
-        return replace(self, region=region)
 
     def token_rate(self, token_cls: type[ControlToken]) -> int:
         """Worst-case per-frame rate of ``token_cls`` on this stream."""

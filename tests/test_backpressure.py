@@ -1,7 +1,9 @@
 """Tests for bounded channels and backpressure in the timed simulator."""
 
 import numpy as np
+import pytest
 
+from repro.errors import SimulationError
 from repro.graph import ApplicationGraph, Kernel, MethodCost
 from repro.kernels import ApplicationOutput, IdentityKernel
 from repro.machine import ProcessorSpec
@@ -105,6 +107,21 @@ class TestBackpressure:
         }
         assert by_key[("fast", "out", "slow", "in")].capacity == 9
         assert by_key[("slow", "out", "Out", "in")].capacity == 4
+
+    def test_override_naming_no_channel_is_an_error(self):
+        # A typo in an override key must not silently run unbounded.
+        compiled = compile_application(chain_app(), BIG_PROC)
+        typo = ("fast", "out", "slwo", "in")
+        options = SimulationOptions(
+            frames=1,
+            channel_capacity_overrides={
+                ("fast", "out", "slow", "in"): 9, typo: 3,
+            },
+        )
+        with pytest.raises(SimulationError, match="names no channel") as err:
+            simulate(compiled, options)
+        assert repr(typo) in str(err.value)
+        assert "'slow'" not in str(err.value)
 
     def test_input_channels_never_bounded(self):
         app = chain_app()

@@ -54,5 +54,26 @@ def test_a_name_used_only_where_it_is_defined_is_dead(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_a_name_only_tests_use_is_test_only_surface(tmp_path, capsys):
+    (tmp_path / "src" / "pkg").mkdir(parents=True)
+    (tmp_path / "src" / "pkg" / "lib.py").write_text(
+        "def used():\n    pass\n\n\ndef probe():\n    pass\n\n\n"
+        "def rename_kernel():\n    pass\n", encoding="utf-8")
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_lib.py").write_text(
+        "from pkg.lib import probe, rename_kernel, used\n", encoding="utf-8")
+    (tmp_path / "examples").mkdir()
+    (tmp_path / "examples" / "demo.py").write_text(
+        "from pkg.lib import used\n", encoding="utf-8")
+
+    # `used` has a caller outside tests/; `rename_kernel` is on the keep
+    # list; `probe` is exercised by tests alone.  None of them is dead.
+    assert dead_surface.main([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert dead_surface.main([str(tmp_path), "--test-only"]) == 1
+    assert capsys.readouterr().out == (
+        f"{pathlib.Path('src/pkg/lib.py')}:5: probe\n")
+
+
 def test_the_repository_has_no_dead_surface():
     assert dead_surface.dead_surface(_ROOT) == []

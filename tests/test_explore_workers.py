@@ -317,6 +317,7 @@ class TestLaunchOrder:
         run_sweep(jobs, options=SweepOptions(
             workers=1, retries=1, backoff_s=0.4, backoff_max_s=1.0,
             tick_s=0.001), on_event=log)
-        assert [(e.label, e.attempt) for e in log.of_type(JobStarted)] == (
+        assert [(e.label, e.attempt) for e in log.events
+                if isinstance(e, JobStarted)] == (
             [(j.label, 1) for j in jobs]
             + [(jobs[i].label, 2) for i in retry_order])

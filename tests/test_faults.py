@@ -629,12 +629,6 @@ class TestFaultCLI:
 
 
 class TestFaultStats:
-    def test_activity_flag(self):
-        fs = FaultStats()
-        assert not fs.activity
-        fs.injected = 1
-        assert fs.activity
-
     def test_as_dict_keys_stable(self):
         assert set(FaultStats().as_dict()) == {
             "injected", "retries", "recovered", "unrecovered", "corrupted",

@@ -58,16 +58,12 @@ class TestOffset2D:
     def test_fractional_exact(self):
         o = Offset2D(0.5, 0.5)
         assert o.x == Fraction(1, 2)
-        assert not o.is_integral
 
     def test_add(self):
         assert Offset2D(1, 2) + Offset2D(0.5, 0.5) == Offset2D(1.5, 2.5)
 
     def test_str_matches_paper(self):
         assert str(Offset2D(2, 2)) == "[2.0,2.0]"
-
-    def test_integral(self):
-        assert Offset2D(2, 0).is_integral
 
 
 class TestIteration:

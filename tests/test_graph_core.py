@@ -69,12 +69,6 @@ class TestMethodSpec:
         with pytest.raises(ResourceError):
             MethodCost(cycles=-1)
 
-    def test_trigger_inputs(self):
-        m = MethodSpec(name="m", data_inputs=("a", "b"))
-        assert m.trigger_inputs == ("a", "b")
-        t = MethodSpec(name="t", token=TokenTrigger("a", EndOfFrame))
-        assert t.trigger_inputs == ("a",)
-
 
 class TestKernelConfiguration:
     def test_convolution_matches_figure6(self):

@@ -79,9 +79,9 @@ class TestCalibration:
     def test_default_calibration_runs(self):
         """profile_kernel without an explicit cycle unit self-calibrates."""
         from repro.kernels import IdentityKernel
-        from repro.profiling import _calibrate
+        from repro.profiling import calibrate
 
-        spc = _calibrate(iterations=20_000)
+        spc = calibrate(iterations=20_000)
         assert 0 < spc < 1e-3  # a host cycle-unit in a sane range
         k = IdentityKernel("i")
         from repro.profiling import profile_kernel

@@ -43,6 +43,7 @@ from repro.explore import (
     completed_records,
     run_job_isolated,
 )
+from repro.explore.store import read_jsonl
 from repro.serve import (
     LifecycleError,
     RunState,
@@ -411,7 +412,8 @@ class TestStorageAfterKill:
         restarted.register({"run": "r3", "state": "queued"})
         restarted.append_event("r1", {"seq": 1, "event": "JobStarted"})
         assert [e["run"] for e in restarted.registry()] == ["r1", "r3"]
-        assert [e["seq"] for e in restarted.read_events("r1")] == [0, 1]
+        assert [e["seq"] for e in read_jsonl(
+            restarted.event_log_path("r1"))] == [0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +499,9 @@ class TestSweepService:
                   if e["event"] == "RunStateChanged"]
         assert states == ["queued", "executing"]
         # Durable mirrors: the event log and registry agree.
-        persisted = service.storage.read_events(handle.plan.run_id)
-        assert persisted == handle.events
+        persisted = read_jsonl(
+            service.storage.event_log_path(handle.plan.run_id))
+        assert list(persisted) == handle.events
         (entry,) = [r for r in service.storage.registry()
                     if r["run"] == handle.plan.run_id]
         assert entry["status"] == "succeeded"

@@ -53,12 +53,6 @@ class TestStreamInfo:
     def test_default_share_is_one(self):
         assert stream().share == Fraction(1)
 
-    def test_with_region(self):
-        s = stream().with_region(Region(Size2D(4, 4), Inset(1, 1)))
-        assert s.extent == Size2D(4, 4)
-        assert s.inset == Inset(1, 1)
-        assert s.rate_hz == 100.0
-
 
 class TestProcessorSpec:
     def test_firing_time_components(self):
