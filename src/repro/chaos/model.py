@@ -25,11 +25,19 @@ Scope notes
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields, replace
-from typing import Any, Mapping
+from dataclasses import dataclass, replace
+from typing import Annotated, Any, Mapping
 
 from ..errors import ChaosSpecError
-from ..records import conform, dump, load, load_file, parse_json
+from ..records import (
+    NON_NEGATIVE,
+    PROBABILITY,
+    conform,
+    dump,
+    load,
+    load_file,
+    parse_json,
+)
 
 __all__ = [
     "WorkerChaos",
@@ -38,18 +46,6 @@ __all__ = [
     "ChaosSpec",
     "load_chaos_spec",
 ]
-
-
-def _check_probabilities(record: Any, where: str) -> None:
-    """Hold ``record`` to its declarations; every field whose name ends
-    in ``_probability`` must then lie in [0, 1]."""
-    conform(record, error=ChaosSpecError, where=where)
-    for spec in fields(record):
-        value = getattr(record, spec.name)
-        if spec.name.endswith("_probability") and not 0.0 <= value <= 1.0:
-            raise ChaosSpecError(
-                f"{where}.{spec.name} must be in [0, 1], got {value!r}"
-            )
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,23 +63,19 @@ class WorkerChaos:
     #: Probability an attempt dies mid-job (``os._exit``, i.e. SIGKILL
     #: semantics: the worker never answers and the attempt is charged a
     #: crash).
-    crash_probability: float = 0.0
+    crash_probability: Annotated[float, PROBABILITY] = 0.0
     #: Probability an attempt wedges: no progress, no heartbeat.  Only
     #: a deadline or the watchdog ends it.
-    hang_probability: float = 0.0
+    hang_probability: Annotated[float, PROBABILITY] = 0.0
     #: Probability an attempt is slowed by ``slow_s`` before running.
-    slow_probability: float = 0.0
+    slow_probability: Annotated[float, PROBABILITY] = 0.0
     #: Injected delay for a slow attempt, seconds.
-    slow_s: float = 0.0
+    slow_s: Annotated[float, NON_NEGATIVE] = 0.0
     #: Label substring restricting which jobs chaos may strike.
     match: str = ""
 
     def __post_init__(self) -> None:
-        _check_probabilities(self, "worker")
-        if self.slow_s < 0:
-            raise ChaosSpecError(
-                f"worker.slow_s must be non-negative, got {self.slow_s!r}"
-            )
+        conform(self, error=ChaosSpecError, where="worker")
 
     def active(self) -> bool:
         return (self.crash_probability > 0 or self.hang_probability > 0
@@ -101,15 +93,15 @@ class StorageChaos:
 
     #: Probability a cache entry is written as garbage bytes (disk
     #: corruption; the sha256 trailer is what detects it on read).
-    cache_corrupt_probability: float = 0.0
+    cache_corrupt_probability: Annotated[float, PROBABILITY] = 0.0
     #: Probability a cache entry is truncated mid-write (lost fsync).
-    cache_truncate_probability: float = 0.0
+    cache_truncate_probability: Annotated[float, PROBABILITY] = 0.0
     #: Probability a store append loses its tail (crash mid-append:
     #: a partial line with no trailing newline).
-    store_torn_write_probability: float = 0.0
+    store_torn_write_probability: Annotated[float, PROBABILITY] = 0.0
 
     def __post_init__(self) -> None:
-        _check_probabilities(self, "storage")
+        conform(self, error=ChaosSpecError, where="storage")
 
     def active(self) -> bool:
         return (self.cache_corrupt_probability > 0
@@ -129,12 +121,12 @@ class HttpChaos:
     """
 
     #: Probability a GET is answered with an abrupt connection reset.
-    reset_probability: float = 0.0
+    reset_probability: Annotated[float, PROBABILITY] = 0.0
     #: Probability an event stream is cut after any given envelope.
-    stream_break_probability: float = 0.0
+    stream_break_probability: Annotated[float, PROBABILITY] = 0.0
 
     def __post_init__(self) -> None:
-        _check_probabilities(self, "http")
+        conform(self, error=ChaosSpecError, where="http")
 
     def active(self) -> bool:
         return self.reset_probability > 0 or self.stream_break_probability > 0

@@ -37,6 +37,7 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ..explore.cache import ResultCache
+from ..explore.events import TERMINAL_JOB_EVENTS
 from ..explore.store import ResultStore
 from ..serve.client import ServiceClient
 from ..serve.http import run_service
@@ -208,13 +209,10 @@ class _LiveService:
 # Shared invariant checks
 
 
-_TERMINAL_JOB_EVENTS = ("JobCacheHit", "JobFinished", "JobFailed")
-
-
 def _terminals(envelopes: list[dict[str, Any]]) -> dict[str, list[dict]]:
     by_label: dict[str, list[dict]] = {}
     for env in envelopes:
-        if env.get("event") in _TERMINAL_JOB_EVENTS:
+        if env.get("event") in TERMINAL_JOB_EVENTS:
             by_label.setdefault(env.get("label", "?"), []).append(env)
     return by_label
 

@@ -41,6 +41,7 @@ from typing import Any, NamedTuple
 from .apps import BENCHMARK_PROCESSOR, benchmark, benchmark_suite
 from .graph.dot import to_dot
 from .errors import SimulationError
+from .explore.events import TERMINAL_JOB_EVENTS
 from .explore.executor import SweepOptions, measure
 from .machine import NocModel, ProcessorSpec
 from .records import defaults, load_file
@@ -433,9 +434,7 @@ def _serve_client(args: argparse.Namespace):
 
 #: Envelope types after which the watch progress line is re-printed
 #: (the job-terminal events plus the run's own terminal event).
-_PROGRESS_EVENTS = frozenset(
-    {"JobCacheHit", "JobFinished", "JobFailed", "RunFinished"}
-)
+_PROGRESS_EVENTS = frozenset({*TERMINAL_JOB_EVENTS, "RunFinished"})
 
 
 def _stream_run(client, run_id: str, as_json: bool,

@@ -34,12 +34,10 @@ import os
 from pathlib import Path
 from typing import Any
 
+from ..explore.events import TERMINAL_JOB_EVENTS
 from .snapshot import DashSnapshot
 
 __all__ = ["MetricsAggregator", "telemetry_drilldown"]
-
-#: Events that close a job (exactly one per job per run).
-_TERMINAL_JOB_EVENTS = ("JobCacheHit", "JobFinished", "JobFailed")
 
 
 def _fresh_run(run_id: str) -> dict[str, Any]:
@@ -163,6 +161,8 @@ class MetricsAggregator:
         entry["last_seq"] = seq
         name = envelope.get("event")
         label = envelope.get("label", "")
+        if name in TERMINAL_JOB_EVENTS:
+            entry["done"] += 1
         if name == "RunAccepted":
             entry["name"] = envelope.get("label", entry["name"])
             entry["total"] = int(envelope.get("total") or 0)
@@ -180,16 +180,13 @@ class MetricsAggregator:
             entry["jobs"][label] = "retrying"
         elif name == "JobCacheHit":
             entry["jobs"][label] = "cached"
-            entry["done"] += 1
             entry["succeeded"] += 1
             entry["cache_hits"] += 1
         elif name == "JobFinished":
             entry["jobs"][label] = "done"
-            entry["done"] += 1
             entry["succeeded"] += 1
         elif name == "JobFailed":
             kind = envelope.get("kind", "error")
-            entry["done"] += 1
             if kind == "cancelled":
                 entry["jobs"][label] = "cancelled"
                 entry["cancelled"] += 1

@@ -25,6 +25,7 @@ from typing import Callable, Mapping
 __all__ = [
     "EVENT_SCHEMA_VERSION",
     "EVENT_TYPES",
+    "TERMINAL_JOB_EVENTS",
     "SweepEvent",
     "SweepStarted",
     "JobScheduled",
@@ -44,6 +45,9 @@ EVENT_SCHEMA_VERSION = "1.0"
 #: by ``__init_subclass__`` so a new event type can never forget to
 #: register itself (the round-trip test iterates this mapping).
 EVENT_TYPES: dict[str, type["SweepEvent"]] = {}
+
+#: Names of the events that close a job, exactly one per job per sweep.
+TERMINAL_JOB_EVENTS = ("JobCacheHit", "JobFinished", "JobFailed")
 
 
 @dataclass(frozen=True, slots=True)

@@ -30,10 +30,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping
+from typing import Annotated, Any, Mapping
 
 from ..errors import FaultSpecError
-from ..records import conform, dump, load, load_file, parse_json
+from ..records import (
+    NON_NEGATIVE,
+    POSITIVE,
+    PROBABILITY,
+    conform,
+    dump,
+    load,
+    load_file,
+    parse_json,
+)
 
 __all__ = [
     "TransientFaults",
@@ -46,16 +55,6 @@ __all__ = [
 ]
 
 
-def _check_probability(name: str, value: float) -> None:
-    if not 0.0 <= value <= 1.0:
-        raise FaultSpecError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def _check_non_negative(name: str, value: float) -> None:
-    if value < 0:
-        raise FaultSpecError(f"{name} must be non-negative, got {value!r}")
-
-
 @dataclass(frozen=True, slots=True)
 class TransientFaults:
     """Transient (soft) firing faults on on-chip kernels.
@@ -66,40 +65,28 @@ class TransientFaults:
     """
 
     #: Per-firing-attempt fault probability.
-    probability: float = 0.0
+    probability: Annotated[float, PROBABILITY] = 0.0
     #: Restrict probabilistic faults to these kernels; empty = all.
     kernels: tuple[str, ...] = ()
     #: Deterministic injections at ``(kernel, firing_index)`` — the
     #: index counts that kernel's *successful* firings, so a retried
     #: attempt does not shift later schedule entries.  Repeating one
     #: entry faults that many consecutive attempts.
-    schedule: tuple[tuple[str, int], ...] = ()
+    schedule: tuple[tuple[str, Annotated[int, NON_NEGATIVE]], ...] = ()
 
     def __post_init__(self) -> None:
         conform(self, error=FaultSpecError, where="transient")
-        _check_probability("transient.probability", self.probability)
-        for entry in self.schedule:
-            if entry[1] < 0:
-                raise FaultSpecError(
-                    "transient.schedule entries must be "
-                    f"(kernel, firing_index >= 0), got {entry!r}"
-                )
 
 
 @dataclass(frozen=True, slots=True)
 class PEFailure:
     """Permanent death of one processing element at a simulated time."""
 
-    processor: int
-    time_s: float
+    processor: Annotated[int, NON_NEGATIVE]
+    time_s: Annotated[float, NON_NEGATIVE]
 
     def __post_init__(self) -> None:
         conform(self, error=FaultSpecError, where="pe_failures")
-        if self.processor < 0:
-            raise FaultSpecError(
-                f"pe_failures.processor must be >= 0, got {self.processor!r}"
-            )
-        _check_non_negative("pe_failures.time_s", self.time_s)
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,17 +99,14 @@ class ChannelFaults:
     :class:`~repro.sim.SimulationOptions`.
     """
 
-    drop_probability: float = 0.0
-    duplicate_probability: float = 0.0
+    drop_probability: Annotated[float, PROBABILITY] = 0.0
+    duplicate_probability: Annotated[float, PROBABILITY] = 0.0
     #: Restrict to these ``(src, src_port, dst, dst_port)`` channels;
     #: empty = every channel.
     edges: tuple[tuple[str, str, str, str], ...] = ()
 
     def __post_init__(self) -> None:
         conform(self, error=FaultSpecError, where="channel")
-        _check_probability("channel.drop_probability", self.drop_probability)
-        _check_probability("channel.duplicate_probability",
-                           self.duplicate_probability)
 
 
 @dataclass(frozen=True, slots=True)
@@ -146,20 +130,14 @@ class RecoveryPolicy:
     the silent-divergence baseline shedding exists to avoid.
     """
 
-    max_retries: int = 0
-    backoff_cycles: float = 0.0
+    max_retries: Annotated[int, NON_NEGATIVE] = 0
+    backoff_cycles: Annotated[float, NON_NEGATIVE] = 0.0
     migrate: bool = False
-    migration_cycles: float = 0.0
+    migration_cycles: Annotated[float, NON_NEGATIVE] = 0.0
     shed: bool = False
 
     def __post_init__(self) -> None:
         conform(self, error=FaultSpecError, where="recovery")
-        if self.max_retries < 0:
-            raise FaultSpecError(
-                f"recovery.max_retries must be >= 0, got {self.max_retries!r}"
-            )
-        _check_non_negative("recovery.backoff_cycles", self.backoff_cycles)
-        _check_non_negative("recovery.migration_cycles", self.migration_cycles)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,34 +150,21 @@ class FaultSpec:
     #: ``(processor, cycle_multiplier)`` pairs: the element still works
     #: but every firing takes ``multiplier`` times as long (aging,
     #: thermal throttling).  A multiplier of 1.0 is a no-op.
-    slow_pes: tuple[tuple[int, float], ...] = ()
+    slow_pes: tuple[tuple[Annotated[int, NON_NEGATIVE],
+                          Annotated[float, POSITIVE]], ...] = ()
     channel: ChannelFaults = field(default_factory=ChannelFaults)
     recovery: RecoveryPolicy = field(default_factory=RecoveryPolicy)
 
     def __post_init__(self) -> None:
         conform(self, error=FaultSpecError, where="")
-        seen: set[int] = set()
-        for proc, mult in self.slow_pes:
-            if proc < 0:
-                raise FaultSpecError(
-                    f"slow_pes processor must be >= 0, got {proc!r}"
-                )
-            if mult <= 0:
-                raise FaultSpecError(
-                    f"slow_pes multiplier must be positive, got {mult!r}"
-                )
-            if proc in seen:
-                raise FaultSpecError(
-                    f"slow_pes lists processor {proc} twice"
-                )
-            seen.add(proc)
-        dead: set[int] = set()
-        for failure in self.pe_failures:
-            if failure.processor in dead:
-                raise FaultSpecError(
-                    f"pe_failures lists processor {failure.processor} twice"
-                )
-            dead.add(failure.processor)
+        for name, procs in (
+            ("slow_pes", [proc for proc, _ in self.slow_pes]),
+            ("pe_failures", [f.processor for f in self.pe_failures]),
+        ):
+            for i, proc in enumerate(procs):
+                if proc in procs[:i]:
+                    raise FaultSpecError(
+                        f"{name} lists processor {proc} twice")
 
     def active(self) -> bool:
         """Whether this spec can inject anything at all.

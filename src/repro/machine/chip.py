@@ -10,9 +10,10 @@ interaction; the paper implemented annealing but did not integrate it).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Annotated, Iterator
 
 from ..errors import PlacementError
+from ..records import POSITIVE, conform
 from .processor import DEFAULT_PROCESSOR, ProcessorSpec
 
 __all__ = ["ManyCoreChip", "Tile"]
@@ -34,13 +35,12 @@ class Tile:
 class ManyCoreChip:
     """``cols x rows`` identical processing elements on a 2-D mesh."""
 
-    cols: int = 8
-    rows: int = 8
+    cols: Annotated[int, POSITIVE] = 8
+    rows: Annotated[int, POSITIVE] = 8
     processor: ProcessorSpec = DEFAULT_PROCESSOR
 
     def __post_init__(self) -> None:
-        if self.cols <= 0 or self.rows <= 0:
-            raise PlacementError("chip dimensions must be positive")
+        conform(self, error=PlacementError, where="ManyCoreChip")
 
     @property
     def tile_count(self) -> int:

@@ -20,9 +20,10 @@ placement — are what the benchmarks reproduce.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Annotated
 
 from ..errors import ResourceError
+from ..records import NON_NEGATIVE, conform
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..analysis.dataflow import DataflowResult
@@ -38,15 +39,13 @@ __all__ = ["EnergySpec", "EnergyReport", "estimate_energy"]
 class EnergySpec:
     """Energy coefficients for one processing element and its network."""
 
-    pj_per_cycle: float = 2.0
-    pj_per_element_access: float = 1.0
-    pj_per_element_hop: float = 0.5
-    leakage_mw_per_processor: float = 0.25
+    pj_per_cycle: Annotated[float, NON_NEGATIVE] = 2.0
+    pj_per_element_access: Annotated[float, NON_NEGATIVE] = 1.0
+    pj_per_element_hop: Annotated[float, NON_NEGATIVE] = 0.5
+    leakage_mw_per_processor: Annotated[float, NON_NEGATIVE] = 0.25
 
     def __post_init__(self) -> None:
-        if min(self.pj_per_cycle, self.pj_per_element_access,
-               self.pj_per_element_hop, self.leakage_mw_per_processor) < 0:
-            raise ResourceError("energy coefficients must be non-negative")
+        conform(self, error=ResourceError, where="EnergySpec")
 
 
 @dataclass(frozen=True, slots=True)

@@ -10,8 +10,10 @@ in Figure 13.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Annotated
 
 from ..errors import ResourceError
+from ..records import NON_NEGATIVE, POSITIVE, conform
 
 __all__ = ["ProcessorSpec", "DEFAULT_PROCESSOR"]
 
@@ -33,18 +35,13 @@ class ProcessorSpec:
         simulator charges these per element actually moved.
     """
 
-    clock_hz: float = 200e6
-    memory_words: int = 2048
-    read_cycles_per_element: float = 1.0
-    write_cycles_per_element: float = 1.0
+    clock_hz: Annotated[float, POSITIVE] = 200e6
+    memory_words: Annotated[int, POSITIVE] = 2048
+    read_cycles_per_element: Annotated[float, NON_NEGATIVE] = 1.0
+    write_cycles_per_element: Annotated[float, NON_NEGATIVE] = 1.0
 
     def __post_init__(self) -> None:
-        if self.clock_hz <= 0:
-            raise ResourceError("processor clock must be positive")
-        if self.memory_words <= 0:
-            raise ResourceError("processor memory must be positive")
-        if self.read_cycles_per_element < 0 or self.write_cycles_per_element < 0:
-            raise ResourceError("access costs must be non-negative")
+        conform(self, error=ResourceError, where="ProcessorSpec")
 
     def seconds_for(self, cycles: float) -> float:
         return cycles / self.clock_hz

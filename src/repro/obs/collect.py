@@ -26,10 +26,10 @@ from __future__ import annotations
 import sys
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, ClassVar, Iterable, Iterator
+from typing import Annotated, Any, ClassVar, Iterable, Iterator
 
 from ..errors import SimulationError
-from ..records import conform, load
+from ..records import POSITIVE, conform, load
 from .metrics import DEFAULT_RESERVOIR, MetricsRegistry
 from .spans import (
     FiringSpan,
@@ -51,22 +51,12 @@ class TelemetryConfig:
 
     #: Hard cap on retained spans (None = unbounded).  Metrics always
     #: cover the full run; spans past the cap are counted as dropped.
-    max_spans: int | None = None
+    max_spans: Annotated[int, POSITIVE] | None = None
     #: Histogram reservoir size (see :mod:`repro.obs.metrics`).
-    reservoir_size: int = DEFAULT_RESERVOIR
+    reservoir_size: Annotated[int, POSITIVE] = DEFAULT_RESERVOIR
 
     def __post_init__(self) -> None:
         conform(self, error=SimulationError, where="TelemetryConfig")
-        if self.max_spans is not None and self.max_spans <= 0:
-            raise SimulationError(
-                "TelemetryConfig.max_spans must be positive or None, "
-                f"got {self.max_spans!r}"
-            )
-        if self.reservoir_size <= 0:
-            raise SimulationError(
-                "TelemetryConfig.reservoir_size must be positive, "
-                f"got {self.reservoir_size!r}"
-            )
 
     @classmethod
     def coerce(cls, value: Any) -> "TelemetryConfig | None":

@@ -26,14 +26,19 @@ string is neither a number nor a list, ``2.7`` is not an integer and
 ``NaN``/``Infinity`` are not numbers.  Otherwise they coerce exactly as
 ``int()``/``float()``/``tuple()`` would — ``8`` loads as ``8.0`` into a
 ``float`` field, ``2.0`` as ``2`` into an ``int`` field, a list as a
-tuple — so a valid input keeps its canonical JSON.  Range rules (a
-probability lies in [0, 1]) are semantics and stay in ``__post_init__``.
+tuple — so a valid input keeps its canonical JSON.
+
+A single-field bound is declared with the type it bounds —
+``Annotated[float, PROBABILITY]`` — and checked after it, on every path
+that checks the type: ``transient.probability must be in [0, 1], got
+2.0``.  Only rules that relate fields (a processor listed twice) stay in
+``__post_init__``.
 
 Understood annotations: ``int``, ``float``, ``bool``, ``str``, ``Any``,
 ``Literal[...]``, ``X | None``, ``tuple[X, ...]``, ``tuple[X, Y]``,
-``Mapping[K, V]`` and dataclasses.  Anything else is a ``TypeError``
-the first time the class is checked, never a field that silently goes
-unchecked.
+``Mapping[K, V]``, ``Annotated[X, domain]`` and dataclasses.  Anything
+else is a ``TypeError`` the first time the class is checked, never a
+field that silently goes unchecked.
 """
 
 from __future__ import annotations
@@ -45,14 +50,27 @@ import sys
 import types
 import typing
 from collections.abc import Mapping
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 __all__ = ["checker", "load", "dump", "conform", "defaults", "parse_json",
-           "load_file"]
+           "load_file", "Domain", "NON_NEGATIVE", "POSITIVE", "PROBABILITY"]
 
 #: ``check(value, path, error)``: the conforming value, or ``error``
 #: raised with ``path`` in its message.
 Check = Callable[[Any, str, type], Any]
+
+
+class Domain(NamedTuple):
+    """The values a field may hold beyond its type: ``holds(value)`` on
+    the already-typed value, and the ``phrase`` a refusal quotes."""
+
+    phrase: str
+    holds: Callable[[Any], bool]
+
+
+NON_NEGATIVE = Domain("non-negative", lambda v: v >= 0)
+POSITIVE = Domain("positive", lambda v: v > 0)
+PROBABILITY = Domain("in [0, 1]", lambda v: 0 <= v <= 1)
 
 
 def _scalar(expects: str, accepts: Callable[[Any], bool],
@@ -90,6 +108,8 @@ def checker(annotation: Any) -> Check:
     if dataclasses.is_dataclass(annotation):
         return _record(annotation)
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is typing.Annotated:
+        return _bounded(checker(args[0]), args[1])
     if origin is typing.Literal:
         kinds = {type(a) for a in args}  # True is not the literal 1
         return _scalar(f"one of {list(args)}",
@@ -104,6 +124,16 @@ def checker(annotation: Any) -> Check:
     if origin is Mapping:
         return _mapping(*map(checker, args))
     raise TypeError(f"no record check for annotation {annotation!r}")
+
+
+def _bounded(inner: Check, domain: Domain) -> Check:
+    def check(value: Any, path: str, error: type) -> Any:
+        value = inner(value, path, error)
+        if not domain.holds(value):
+            raise error(f"{path} must be {domain.phrase}, got {value!r}")
+        return value
+
+    return check
 
 
 def _sequence(fixed: bool, items: list[Check]) -> Check:
@@ -133,7 +163,7 @@ def _mapping(key: Check, item: Check) -> Check:
 @functools.cache
 def _plan(cls: type) -> dict[str, tuple[Check, bool]]:
     """``name → (check, required)`` per field, read off ``cls`` once."""
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     return {
         f.name: (checker(hints[f.name]),
                  f.default is f.default_factory is dataclasses.MISSING)

@@ -76,7 +76,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Annotated, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -88,7 +88,7 @@ from ..obs.collect import Telemetry, TelemetryCollector, TelemetryConfig
 from ..kernels.sources import ApplicationInput, ApplicationOutput, ConstantSource
 from ..machine.noc import NocModel, NocStats, link_name, route_path
 from ..machine.processor import ProcessorSpec
-from ..records import conform
+from ..records import NON_NEGATIVE, POSITIVE, conform
 from ..tokens import ControlToken, EndOfFrame, EndOfLine
 from ..transform.compile import CompiledApp
 from ..transform.multiplex import Mapping as KernelMapping
@@ -119,32 +119,35 @@ class SimulationOptions:
     """Simulation knobs."""
 
     #: Input frames to inject.
-    frames: int = 4
+    frames: Annotated[int, NON_NEGATIVE] = 4
     #: Capacity (items) of channels fed directly by an application input;
     #: exceeding it means the unstallable input overran its consumer.
-    input_channel_capacity: int = 64
+    input_channel_capacity: Annotated[int, POSITIVE] = 64
     #: Capacity of every other channel, or None for unbounded (the
     #: default, matching the paper's throughput-only model).  Setting a
     #: small value models the implicit single-iteration port buffers and
     #: makes producers stall when consumers lag — the Figure 9(b) effect.
-    channel_capacity: int | None = None
+    channel_capacity: Annotated[int, POSITIVE] | None = None
     #: Per-channel capacity overrides keyed ``(src, src_port, dst,
     #: dst_port)``; takes precedence over ``channel_capacity``.  A buffer
     #: kernel's storage effectively extends its output channel, so the
     #: Figure 9(c) experiment gives buffer-fed channels their declared
     #: storage as capacity.
-    channel_capacity_overrides: Mapping[tuple[str, str, str, str], int] | None = None
+    channel_capacity_overrides: Mapping[
+        tuple[str, str, str, str], Annotated[int, POSITIVE]] | None = None
     #: Record a TraceEvent per firing (see repro.sim.trace).
     trace: bool = False
     #: Tolerance on the steady-state frame interval for the verdict.
-    throughput_tolerance: float = 0.05
+    throughput_tolerance: Annotated[float, NON_NEGATIVE] = 0.05
     #: Safety valve on total events.
-    max_events: int = 20_000_000
+    max_events: Annotated[int, POSITIVE] = 20_000_000
     #: Fault scenario to inject (see :mod:`repro.faults`), or None for the
-    #: perfect substrate.  A plain dict is accepted and validated through
-    #: :meth:`repro.faults.FaultSpec.from_dict`.  A spec that cannot
-    #: inject anything (`spec.active()` false) leaves the simulator on its
-    #: zero-fault path, observably identical to passing None.
+    #: perfect substrate.  A plain dict is accepted and loaded against the
+    #: :class:`~repro.faults.FaultSpec` declarations, bounds included, so
+    #: a refusal is a SimulationError naming ``SimulationOptions.faults.…``.
+    #: A spec that cannot inject anything (`spec.active()` false) leaves
+    #: the simulator on its zero-fault path, observably identical to
+    #: passing None.
     faults: FaultSpec | None = None
     #: Telemetry collection (see :mod:`repro.obs`): None/False for off
     #: (the default — the hot path carries a single precomputed None
@@ -169,8 +172,8 @@ class SimulationOptions:
     def __post_init__(self) -> None:
         # Validate up front: a bad knob should name itself here, not
         # surface as a baffling stall or index error deep in the event
-        # loop thousands of events later.  Types first (a faults mapping
-        # loads as a FaultSpec on the way), then ranges.
+        # loop thousands of events later.  The declarations hold types
+        # and bounds (a faults mapping loads as a FaultSpec on the way).
         if self.noc is not None and not isinstance(self.noc, NocModel):
             # Built by build_noc_model from a compiled app, never loaded.
             raise SimulationError(
@@ -181,37 +184,6 @@ class SimulationOptions:
             self, "telemetry", TelemetryConfig.coerce(self.telemetry)
         )
         conform(self, error=SimulationError, where="SimulationOptions")
-        if self.frames < 0:
-            raise SimulationError(
-                "SimulationOptions.frames must be non-negative, "
-                f"got {self.frames!r}"
-            )
-        if self.input_channel_capacity <= 0:
-            raise SimulationError(
-                "SimulationOptions.input_channel_capacity must be "
-                f"positive, got {self.input_channel_capacity!r}"
-            )
-        if self.channel_capacity is not None and self.channel_capacity <= 0:
-            raise SimulationError(
-                "SimulationOptions.channel_capacity must be positive or "
-                f"None, got {self.channel_capacity!r}"
-            )
-        for key, cap in (self.channel_capacity_overrides or {}).items():
-            if cap <= 0:
-                raise SimulationError(
-                    f"SimulationOptions.channel_capacity_overrides[{key!r}] "
-                    f"must be positive, got {cap!r}"
-                )
-        if self.throughput_tolerance < 0:
-            raise SimulationError(
-                "SimulationOptions.throughput_tolerance must be "
-                f"non-negative, got {self.throughput_tolerance!r}"
-            )
-        if self.max_events <= 0:
-            raise SimulationError(
-                "SimulationOptions.max_events must be positive, "
-                f"got {self.max_events!r}"
-            )
 
 
 @dataclass(slots=True)

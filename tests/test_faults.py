@@ -88,7 +88,9 @@ class TestFaultSpecValidation:
             FaultSpec.from_dict({"slow_pes": [[0, 2.0], [0, 3.0]]})
 
     def test_nonpositive_slow_multiplier_rejected(self):
-        with pytest.raises(FaultSpecError, match="multiplier"):
+        with pytest.raises(FaultSpecError,
+                           match=r"slow_pes\[0\]\[1\] must be positive, "
+                                 r"got 0\.0"):
             FaultSpec.from_dict({"slow_pes": [[0, 0.0]]})
 
     def test_round_trip(self):

@@ -17,6 +17,9 @@ format.  This module pins what that buys, surface by surface:
   fingerprints equal literals captured from the hand-written loaders
   (``tests/regen_records_compat.py``);
 * a value is checked once per spec, not once per expanded point;
+* every declared bound (``Annotated[X, domain]``) takes its boundary
+  values and refuses their neighbours, constructed and loaded, in the
+  words of a type refusal;
 * the field tables in the docs are the declarations, rendered.
 """
 
@@ -26,13 +29,15 @@ import dataclasses
 import http.client
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
 import typing
+from collections import abc
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Literal, Mapping
+from typing import Annotated, Any, Literal, Mapping
 from urllib.parse import urlsplit
 
 import pytest
@@ -70,7 +75,8 @@ from repro.explore.spec import (
     SweepSpec,
 )
 from repro.faults import FaultSpec, PEFailure
-from repro.machine import NocModel
+from repro.machine import ManyCoreChip, NocModel
+from repro.machine.energy import EnergySpec
 from repro.obs import TelemetryConfig
 from repro.serve import ServeError, ServiceClient, SweepPlan
 from repro.sim import SimulationOptions
@@ -437,8 +443,12 @@ class TestDefectTableInPython:
         assert isinstance(options.frames, int)
         assert options.faults.transient.probability == 0.5
         assert options.telemetry == TelemetryConfig()
-        with pytest.raises(FaultSpecError, match="transient.probability"):
+        # A nested bound is refused like a nested type: in the words and
+        # the class of the record being constructed.
+        with pytest.raises(SimulationError) as caught:
             SimulationOptions(faults={"transient": {"probability": 5}})
+        assert str(caught.value) == ("SimulationOptions.faults.transient."
+                                     "probability must be in [0, 1], got 5.0")
 
     @pytest.mark.parametrize("data,fragment", [
         ([1], "job must be a JSON object"),
@@ -918,6 +928,171 @@ class TestCheckedOncePerSpec:
 
 
 # ---------------------------------------------------------------------------
+# Bounds are declarations
+
+
+#: Every record whose fields declare bounds, with the way it is loaded;
+#: the records nested in them are reached by the walk below.
+BOUNDED = {
+    SimulationOptions: lambda data: SimulationOptions(**data),
+    TelemetryConfig: TelemetryConfig.coerce,
+    FaultSpec: FaultSpec.from_dict,
+    ChaosSpec: ChaosSpec.from_dict,
+    ManyCoreChip: lambda data: ManyCoreChip(**data),
+    EnergySpec: lambda data: EnergySpec(**data),
+}
+#: Built by ``build_noc_model``, never loaded: its bounds stay
+#: hand-written, and its hints do not resolve at run time.
+NOT_LOADED = {NocModel}
+
+
+def unwrap(annotation):
+    """``X`` for ``X | None``, else ``annotation``."""
+    args = typing.get_args(annotation)
+    if type(None) not in args:
+        return annotation
+    (inner,) = (a for a in args if a is not type(None))
+    return inner
+
+
+def step(annotation, key):
+    """The annotation of item ``key`` (a field name, a tuple index or a
+    mapping key) of a value declared ``annotation``."""
+    annotation = unwrap(annotation)
+    if dataclasses.is_dataclass(annotation):
+        return typing.get_type_hints(annotation, include_extras=True)[key]
+    args = typing.get_args(annotation)
+    if typing.get_origin(annotation) is tuple:
+        return args[0] if args[-1] is Ellipsis else args[key]
+    return args[1]
+
+
+def edges(base, domain):
+    """(the boundary values ``domain`` takes, the neighbours it refuses)."""
+    below = -1 if base is int else math.nextafter(0.0, -1.0)
+    if domain is records.NON_NEGATIVE:
+        return [0], [below]
+    if domain is records.POSITIVE:
+        return [1 if base is int else math.nextafter(0.0, 1.0)], [0]
+    if domain is records.PROBABILITY:
+        return [0, 1], [below, 2 if base is int else math.nextafter(1.0, 2.0)]
+    raise AssertionError(f"no boundary values for {domain!r}")
+
+
+def places(annotation, path=()):
+    """``(path, base type, domain)`` of every bound declared under
+    ``annotation``: record fields, tuple items and mapping values."""
+    annotation = unwrap(annotation)
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is Annotated:
+        yield path, *args
+        return
+    if dataclasses.is_dataclass(annotation) and annotation not in NOT_LOADED:
+        keys = [f.name for f in dataclasses.fields(annotation)]
+    elif origin is tuple:
+        keys = [0] if args[-1] is Ellipsis else range(len(args))
+    elif origin is abc.Mapping:
+        keys = [build(args[0])]
+    else:
+        return
+    for key in keys:
+        yield from places(step(annotation, key), path + (key,))
+
+
+def build(annotation, path=None, value=None):
+    """The smallest data ``annotation`` accepts; with ``value`` at
+    ``path`` when a path is given."""
+    if path == ():
+        return value
+    if path is None and unwrap(annotation) is not annotation:
+        return None
+    annotation = unwrap(annotation)
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is Annotated:
+        return edges(*args)[0][0]
+    if dataclasses.is_dataclass(annotation):
+        data = {f.name: build(step(annotation, f.name))
+                for f in dataclasses.fields(annotation)
+                if f.default is f.default_factory is dataclasses.MISSING}
+    elif origin is tuple:
+        data = [] if args[-1] is Ellipsis else [build(a) for a in args]
+    elif origin is abc.Mapping:
+        data = {}
+    else:
+        return {int: 0, float: 0.0, str: "k", bool: False}[annotation]
+    if path:
+        item = build(step(annotation, path[0]), path[1:], value)
+        if isinstance(data, list):
+            data[path[0]:path[0] + 1] = [item]
+        else:
+            data[path[0]] = item
+    return tuple(data) if isinstance(data, list) else data
+
+
+def innermost(cls, path):
+    """The last record ``path`` crosses, and the rest of the path."""
+    record, start, annotation = cls, 0, cls
+    for i, key in enumerate(path):
+        annotation = unwrap(step(annotation, key))
+        if dataclasses.is_dataclass(annotation):
+            record, start = annotation, i + 1
+    return record, path[start:]
+
+
+def path_text(path) -> str:
+    return "".join(f"[{key}]" if isinstance(key, int) else f".{key}"
+                   for key in path).lstrip(".")
+
+
+PLACES = [(cls, path, base, domain) for cls in BOUNDED
+          for path, base, domain in places(cls)]
+
+
+def refusal(make, data) -> BlockParallelError:
+    with pytest.raises(BlockParallelError) as caught:
+        make(data)
+    return caught.value
+
+
+class TestDeclaredBounds:
+    def test_the_walk_reaches_items_values_and_nested_records(self):
+        found = {(cls.__name__, path_text(path)) for cls, path, *_ in PLACES}
+        assert {
+            ("SimulationOptions",
+             "channel_capacity_overrides.('k', 'k', 'k', 'k')"),
+            ("SimulationOptions", "telemetry.max_spans"),
+            ("FaultSpec", "transient.schedule[0][1]"),
+            ("FaultSpec", "slow_pes[0][1]"),
+            ("FaultSpec", "pe_failures[0].time_s"),
+            ("ChaosSpec", "worker.slow_s"),
+            ("ManyCoreChip", "processor.clock_hz"),
+        } <= found
+
+    @pytest.mark.parametrize(
+        "cls,path,base,domain", PLACES,
+        ids=[f"{cls.__name__}.{path_text(path)}" for cls, path, *_ in PLACES])
+    def test_a_bound_takes_its_edges_and_refuses_their_neighbours(
+            self, cls, path, base, domain):
+        record, relative = innermost(cls, path)
+        # Constructed directly, and loaded from the outermost record.
+        ways = [(lambda data: record(**data),
+                 lambda value: build(record, relative, value)),
+                (BOUNDED[cls], lambda value: build(cls, path, value))]
+        inside, outside = edges(base, domain)
+        for make, data in ways:
+            typed = refusal(make, data("x"))
+            where = str(typed).split(" must be ")[0]
+            assert where.endswith(path_text(relative)), typed
+            for value in inside:
+                make(data(value))
+            for value in outside:
+                bounded = refusal(make, data(value))
+                assert type(bounded) is type(typed)
+                assert str(bounded) == (
+                    f"{where} must be {domain.phrase}, got {base(value)!r}")
+
+
+# ---------------------------------------------------------------------------
 # The docs tables are the declarations
 
 
@@ -928,6 +1103,10 @@ def type_text(annotation) -> str:
     if annotation in plain:
         return plain[annotation]
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if origin is Annotated:
+        base, phrase = type_text(args[0]), args[1].phrase
+        return (f"{base} {phrase}" if phrase.startswith("in ")
+                else f"{phrase} {base}")
     if origin is Literal:
         return "one of " + ", ".join(f"`{json.dumps(a)}`" for a in args)
     if origin is tuple and args[-1] is Ellipsis:
@@ -943,7 +1122,7 @@ def type_text(annotation) -> str:
 def field_rows(cls, prefix="") -> list[str]:
     """``| field | type | default |`` rows, nested records flattened."""
     rows = []
-    hints = typing.get_type_hints(cls)
+    hints = typing.get_type_hints(cls, include_extras=True)
     for f in dataclasses.fields(cls):
         annotation, path = hints[f.name], prefix + f.name
         args = typing.get_args(annotation)
