@@ -180,6 +180,35 @@ class TestSweepSpec:
                                                "got 0"):
             spec.jobs()
 
+    @pytest.mark.parametrize("axis,value,message", [
+        ("clock_mhz", 0, "clock_mhz must be positive, got 0.0"),
+        ("memory_words", -5, "memory_words must be positive, got -5"),
+        ("read_cycles_per_element", -1,
+         "read_cycles_per_element must be non-negative, got -1.0"),
+        ("write_cycles_per_element", -0.5,
+         "write_cycles_per_element must be non-negative, got -0.5"),
+    ])
+    def test_processor_axis_outside_its_bound_rejected_at_expansion(
+            self, axis, value, message):
+        """An axis is held to the bound its field declares, so the spec
+        is refused once instead of expanding into jobs that each fail."""
+        for spec in ({"app": "2", "axes": {axis: [value]}},
+                     {"app": "2", "fixed": {axis: value}}):
+            with pytest.raises(ExploreError, match=f"^{message}$"):
+                SweepSpec.from_dict(spec).jobs()
+
+    def test_bounded_processor_axes_keep_the_value_as_written(self):
+        jobs = SweepSpec.from_dict({
+            "app": "2", "axes": {"clock_mhz": [20, 20.5]},
+            "fixed": {"memory_words": 512, "read_cycles_per_element": 0},
+        }).jobs()
+        assert [dict(job.processor) for job in jobs] == [
+            {"clock_mhz": 20, "memory_words": 512,
+             "read_cycles_per_element": 0},
+            {"clock_mhz": 20.5, "memory_words": 512,
+             "read_cycles_per_element": 0},
+        ]
+
     def test_job_frames_below_one_rejected(self):
         wire = SweepSpec.from_dict({"app": "2"}).jobs()[0].to_dict()
         assert Job.from_dict(wire).frames == 3
@@ -455,6 +484,15 @@ class TestCliExplore:
         path.write_text("garbage{", encoding="utf-8")
         assert main(["explore", str(path)]) == 2
         assert "not JSON" in capsys.readouterr().err
+
+    def test_spec_outside_a_declared_bound(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"app": "2",
+                                    "axes": {"memory_words": [512, 0]}}),
+                        encoding="utf-8")
+        assert main(["explore", str(path)]) == 2
+        assert "error: memory_words must be positive, got 0" in \
+            capsys.readouterr().err
 
     def test_malformed_spec(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -846,6 +846,11 @@ class TestHttpEndToEnd:
         with pytest.raises(ServeError,
                            match="^'frames' must be at least 1, got 0$"):
             client.submit({**SPEC, "frames": 0})
+        # So is an axis outside the bound its field declares.
+        with pytest.raises(ServeError,
+                           match="^clock_mhz must be positive, got 0.0$"):
+            client.submit({**SPEC, "axes": {**SPEC["axes"],
+                                            "clock_mhz": [20, 0]}})
         assert client.runs() == []
         with pytest.raises(ServeError, match="not allowed"):
             client._request("PUT", "/v1/runs")
