@@ -128,6 +128,12 @@ class Firing:
     method: MethodSpec | None
     consume_ports: tuple[str, ...]
     token: ControlToken | None = None
+    #: What a firing of a cached plan entry costs, by the number of data
+    #: chunks it wrote: ``{writes: (elements_read, elements_written,
+    #: seconds)}``, filled by :meth:`RuntimeKernel.execute`.  None for
+    #: the per-call token and forward firings, whose cost is summed
+    #: each time.
+    cost: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(slots=True)
@@ -145,6 +151,9 @@ class FiringResult:
     declared_cycles: float = 0.0
     #: True when the body charged a data-dependent cost.
     dynamic: bool = False
+    #: ``(read_s, run_s, write_s, total_s)`` on an element at unit
+    #: slowdown, when the kernel is priced (:meth:`RuntimeKernel.price`).
+    seconds: tuple[float, float, float, float] | None = None
 
 
 #: Cycles charged for auto-forwarding one token (pure plumbing).
@@ -177,6 +186,22 @@ class RuntimeKernel:
         # plans with pre-built Firing instances, and bound method objects.
         self._wired: tuple | None = None
         self._bound: dict[str, object] = {}
+        #: ``(read_cycles_per_element, write_cycles_per_element,
+        #: clock_hz)`` once priced, and what a token forward costs.
+        self._prices: tuple[float, float, float] | None = None
+        self._forward_seconds: tuple | None = None
+
+    def price(self, read_cpe: float, write_cpe: float, clock: float) -> None:
+        """Have :meth:`execute` convert each firing's element counts and
+        cycles to seconds on an element with these rates
+        (:attr:`FiringResult.seconds`), so a timed loop divides by the
+        clock once per distinct firing cost, not once per firing."""
+        self._prices = (read_cpe, write_cpe, clock)
+        read_s = 0 * read_cpe / clock
+        run_s = FORWARD_CYCLES / clock
+        write_s = 0 * write_cpe / clock
+        self._forward_seconds = (read_s, run_s, write_s,
+                                 read_s + run_s + write_s)
 
     def skip_bodies(self) -> None:
         """Bind the bodies of a kernel nobody reads to stand-in emitters.
@@ -230,7 +255,23 @@ class RuntimeKernel:
         method (check the peer channels' heads), or a selector join (ask
         the FSM).  Ports whose data triggers nothing keep ``None`` so the
         seed's :class:`FiringError` still fires on arrival.
+
+        Each cached firing carries a cost table (:attr:`Firing.cost`):
+        it always consumes the same channels' chunks, whose shapes their
+        producers' ports fix, so what it reads is static, and what it
+        writes is fixed by how many chunks it wrote — when the method's
+        outputs share one chunk size (or the kernel counts chunks, not
+        elements).  Other methods' firings sum what they wrote each time.
         """
+        kernel = self.kernel
+
+        def cost(method: MethodSpec) -> dict | None:
+            sizes = {kernel.output_spec(port).window.w
+                     * kernel.output_spec(port).window.h
+                     for port in method.outputs}
+            return ({} if len(sizes) <= 1 or not kernel.charges_element_io
+                    else None)
+
         plan = []
         for port in self._ports:
             channel = self.inputs.get(port)
@@ -243,12 +284,13 @@ class RuntimeKernel:
                 entry = (
                     "sel",
                     Firing(kind="method", method=method,
-                           consume_ports=(port,)),
+                           consume_ports=(port,), cost=cost(method)),
                     getattr(self.kernel, method.selector),
                 )
             else:
                 firing = Firing(kind="method", method=method,
-                                consume_ports=method.data_inputs)
+                                consume_ports=method.data_inputs,
+                                cost=cost(method))
                 if len(method.data_inputs) == 1:
                     entry = ("single", firing, None)
                 else:
@@ -463,6 +505,22 @@ class RuntimeKernel:
                 emissions = list(emissions)
             for out in method.outputs:
                 emissions.append((out, token))
+        declared = method.cost.cycles
+        writes = len(ctx.writes)
+        cost = firing.cost
+        if ctx.dynamic_cycles is None:
+            if cost is not None:
+                known = cost.get(writes)
+                if known is not None:
+                    return FiringResult(
+                        self.name, method.name, declared, known[0],
+                        known[1], emissions, declared, False, known[2],
+                    )
+            cycles = declared
+            dynamic = False
+        else:
+            cycles = ctx.dynamic_cycles
+            dynamic = True
         if kernel.charges_element_io:
             elements_read = 0
             for arr in consumed.values():
@@ -484,17 +542,19 @@ class RuntimeKernel:
         else:
             # Routers move chunk descriptors: one access per chunk.
             elements_read = len(consumed)
-            elements_written = len(ctx.writes)
-        declared = method.cost.cycles
-        if ctx.dynamic_cycles is not None:
-            cycles = ctx.dynamic_cycles
-            dynamic = True
-        else:
-            cycles = declared
-            dynamic = False
+            elements_written = writes
+        seconds = None
+        if self._prices is not None:
+            read_cpe, write_cpe, clock = self._prices
+            read_s = elements_read * read_cpe / clock
+            run_s = cycles / clock
+            write_s = elements_written * write_cpe / clock
+            seconds = (read_s, run_s, write_s, read_s + run_s + write_s)
+        if cost is not None and not dynamic:
+            cost[writes] = (elements_read, elements_written, seconds)
         return FiringResult(
             self.name, method.name, cycles, elements_read,
-            elements_written, emissions, declared, dynamic,
+            elements_written, emissions, declared, dynamic, seconds,
         )
 
     def _execute_forward(self, firing: Firing) -> FiringResult:
@@ -516,6 +576,7 @@ class RuntimeKernel:
             elements_read=0,
             elements_written=0,
             emissions=emissions,
+            seconds=self._forward_seconds,
         )
 
 

@@ -490,7 +490,7 @@ class _KernelState:
 
     __slots__ = ("rk", "name", "proc", "running", "out", "wake",
                  "bounded_out", "max_emissions", "is_output", "output_times",
-                 "ready", "execute", "attempts", "fault_since")
+                 "ready", "execute", "attempts", "fault_since", "polled")
 
     def __init__(self, rk: RuntimeKernel, proc: _ProcState | None) -> None:
         self.rk = rk
@@ -514,6 +514,9 @@ class _KernelState:
         self.max_emissions = rk.kernel.max_emissions_per_firing
         self.is_output = isinstance(rk.kernel, ApplicationOutput)
         self.output_times: list[float] = []
+        #: Time of this kernel's queued poll, None when it has none: one
+        #: poll per kernel per timestamp observes everything.
+        self.polled: float | None = None
 
 
 class _Source:
@@ -538,7 +541,7 @@ class _Run:
     and advanced by the event loop and its deliver closures."""
 
     __slots__ = ("runtimes", "channels", "states", "proc_states", "sources",
-                 "horizon", "events", "queued_polls", "next_seq", "violations",
+                 "horizon", "events", "polls", "next_seq", "violations",
                  "budget_overruns", "trace", "fstats", "tele", "nstats",
                  "deliver", "land", "wake", "on_dead", "fire", "resync")
 
@@ -615,6 +618,10 @@ class Simulator:
         emissions and one cursor per source."""
         runtimes, channels = build_runtime(self.graph)
         opts = self.options
+        processor = self.processor
+        for rk in runtimes.values():
+            rk.price(processor.read_cycles_per_element,
+                     processor.write_cycles_per_element, processor.clock_hz)
 
         # --- channel capacities (overrides beat the blanket setting) ----
         input_channels = {
@@ -730,10 +737,15 @@ class Simulator:
         next_seq = itertools.count().__next__
         heappush = heapq.heappush
 
-        # Deliveries at a timestamp always process before polls at that
-        # timestamp (event-kind ordering), so one queued poll per kernel
-        # per timestamp observes everything — duplicates are pure waste.
-        queued_polls: dict[_KernelState, float] = {}
+        # Polls are pushed at the current timestamp (on_dead's migration
+        # poll aside), so they wait in one FIFO instead of the heap: the
+        # loop drains it once no heap event is left at that timestamp,
+        # which is the order (time, _POLL, seq) gave them.  A kernel's
+        # ``polled`` deduplicates: deliveries at a timestamp all process
+        # before its polls, so one queued poll per kernel per timestamp
+        # observes everything.
+        polls: deque = deque()
+        queue = polls.append
 
         input_cap = opts.input_channel_capacity
 
@@ -770,9 +782,9 @@ class Simulator:
             is_token = isinstance(item, ControlToken)
             for ch, dst, checked in st_src.out.get(port, ()):
                 push(time, ch, item, is_token, checked)
-                if queued_polls.get(dst) != time:
-                    queued_polls[dst] = time
-                    heappush(events, (time, _POLL, next_seq(), dst))
+                if dst.polled != time:
+                    dst.polled = time
+                    queue(dst)
 
         def land(time: float, ch: Channel, dst: _KernelState, checked: bool,
                  item, is_token: bool, meta=None) -> None:
@@ -785,9 +797,9 @@ class Simulator:
                     tele.transfer(time, ch, item, is_token)
                 else:
                     tele.transfer(time, ch, item, is_token, *meta)
-            if queued_polls.get(dst) != time:
-                queued_polls[dst] = time
-                heappush(events, (time, _POLL, next_seq(), dst))
+            if dst.polled != time:
+                dst.polled = time
+                queue(dst)
 
         def wake(time: float, st: _KernelState, firing) -> None:
             """Backpressure release: a firing that consumed from bounded
@@ -796,9 +808,9 @@ class Simulator:
             non-empty."""
             for port in firing.consume_ports:
                 src = st.wake.get(port)
-                if src is not None and queued_polls.get(src) != time:
-                    queued_polls[src] = time
-                    heappush(events, (time, _POLL, next_seq(), src))
+                if src is not None and src.polled != time:
+                    src.polled = time
+                    queue(src)
 
         # --- NoC timing model (inert and absent when opts.noc is None) ---
         # Inter-element data transfers are routed XY over the mesh with
@@ -960,9 +972,13 @@ class Simulator:
                 for name in sorted(ps.kernels):
                     kst = states[name]
                     kst.proc = new
-                    if queued_polls.get(kst) != ready_at:
-                        queued_polls[kst] = ready_at
-                        heappush(events, (ready_at, _POLL, next_seq(), kst))
+                    if kst.polled != ready_at:
+                        kst.polled = ready_at
+                        if ready_at == time:  # zero migration cycles
+                            queue(kst)
+                        else:
+                            heappush(events,
+                                     (ready_at, _POLL, next_seq(), kst))
             else:
                 # No spare (or no migration policy): the group stalls
                 # forever — a permanent, unrecovered service loss.
@@ -1145,7 +1161,7 @@ class Simulator:
         return _Run(
             runtimes=runtimes, channels=channels, states=states,
             proc_states=proc_states, sources=sources, horizon=horizon,
-            events=events, queued_polls=queued_polls, next_seq=next_seq,
+            events=events, polls=polls, next_seq=next_seq,
             violations=violations, budget_overruns=[], trace=trace,
             fstats=fstats, tele=tele,
             nstats=nstats if noc is not None else None,
@@ -1192,18 +1208,20 @@ class Simulator:
         )
 
     def _run_des(self) -> SimulationResult:
-        """The discrete-event loop proper (one heap pop per event).
+        """The discrete-event loop proper.
 
-        It holds no fault code and no run-level mode: :meth:`_setup`
-        bound the deliver variant, the fault closures (``fire``,
-        ``resync``, ``on_dead``) and each kernel's channel bounds, and
-        their fault-free values are neutral (docs/simulator.md "What
-        set-up binds").
+        Heap events (deliveries, finishes, NoC arrivals, migration polls)
+        pop one at a time; the polls queued at the current timestamp
+        drain in one inner loop once the heap holds nothing more at that
+        timestamp.  It holds no fault code and no run-level mode:
+        :meth:`_setup` bound the deliver variant, the fault closures
+        (``fire``, ``resync``, ``on_dead``) and each kernel's channel
+        bounds, and their fault-free values are neutral
+        (docs/simulator.md "What set-up binds").
         """
         run = self._setup()
         opts = self.options
-        events, queued_polls, next_seq = (
-            run.events, run.queued_polls, run.next_seq)
+        events, polls, next_seq = run.events, run.polls, run.next_seq
         deliver, land, wake = run.deliver, run.land, run.wake
         on_dead, fire, resync = run.on_dead, run.fire, run.resync
         sources, trace, budget_overruns = (
@@ -1212,62 +1230,71 @@ class Simulator:
         trace_on = opts.trace
         heappush = heapq.heappush
         heappop = heapq.heappop
+        popleft = polls.popleft
 
         # --- main loop ---------------------------------------------------
-        makespan = 0.0
+        time = 0.0
         processed = 0
+        # High-water mark of heap + poll queue: what one heap holding
+        # the polls too would have reached.
         peak_heap = 0
         max_events = opts.max_events
-        clock = self.processor.clock_hz
-        rcpe = self.processor.read_cycles_per_element
-        wcpe = self.processor.write_cycles_per_element
 
-        while events:
-            # Handlers only push, so the heap peaks right before a pop.
-            if len(events) > peak_heap:
-                peak_heap = len(events)
-            if processed >= max_events:
-                raise SimulationError(
-                    f"simulation exceeded {max_events} events; "
-                    "the application is likely livelocked"
-                )
-            time, kind, _, payload = heappop(events)
-            makespan = time  # heap pops are time-ordered: last pop wins
+        def livelock() -> SimulationError:
+            return SimulationError(
+                f"simulation exceeded {max_events} events; "
+                "the application is likely livelocked"
+            )
 
-            if kind == _POLL:
-                processed += 1
-                st = payload
-                # The entry (when present) always equals this poll's time:
-                # polls are deduped per timestamp and future deliveries
-                # cannot precede this pop in heap order.
-                queued_polls.pop(st, None)
-                if st.running:
-                    continue
-                ps = st.proc
-                if ps is None:
-                    # Off-chip boundary kernel: executes instantly.
-                    st_ready = st.ready
-                    st_execute = st.execute
-                    while True:
-                        firing = st_ready()
-                        if firing is None:
-                            break
-                        result = st_execute(firing)
-                        if tele is not None:
-                            tele.io_firing(time, st, firing, result)
-                        if st.wake:
-                            wake(time, st, firing)
-                        if st.is_output and firing.kind == "method":
-                            times_out = st.output_times
-                            for _port in firing.consume_ports:
-                                times_out.append(time)
-                        for port, item in result.emissions:
-                            deliver(time, st, port, item)
-                else:
+        while events or polls:
+            # Handlers only push, so the queue peaks right before a pop;
+            # the drain below re-checks after the handlers that push.
+            size = len(events) + len(polls)
+            if size > peak_heap:
+                peak_heap = size
+            if polls and (not events or events[0][0] > time):
+                # --- the polls of this timestamp, in push order ----------
+                while polls:
+                    if processed >= max_events:
+                        raise livelock()
+                    st = popleft()
+                    processed += 1
+                    st.polled = None
+                    if st.running:
+                        continue
+                    ps = st.proc
+                    if ps is None:
+                        # Off-chip boundary kernel: executes instantly.
+                        st_ready = st.ready
+                        st_execute = st.execute
+                        while True:
+                            firing = st_ready()
+                            if firing is None:
+                                break
+                            result = st_execute(firing)
+                            if tele is not None:
+                                tele.io_firing(time, st, firing, result)
+                            if st.wake:
+                                wake(time, st, firing)
+                            if st.is_output and firing.kind == "method":
+                                times_out = st.output_times
+                                for _port in firing.consume_ports:
+                                    times_out.append(time)
+                            for port, item in result.emissions:
+                                deliver(time, st, port, item)
+                        size = len(events) + len(polls)
+                        if size > peak_heap:
+                            peak_heap = size
+                        if events and events[0][0] == time:
+                            break  # a NoC arrival lands at once
+                        continue
                     if time >= ps.dead_at:
                         # Dead element: migrate its kernels (or stall them
                         # forever); either way this poll is over.
                         on_dead(ps, time)
+                        size = len(events) + len(polls)
+                        if size > peak_heap:
+                            peak_heap = size
                         continue
                     if ps.free_at > time:
                         pending = ps.pending
@@ -1298,25 +1325,34 @@ class Simulator:
                     else:
                         result = fire(time, st, ps, firing)
                         if result is None:
-                            continue  # a retry holds the element
+                            # A retry holds the element; its finish may
+                            # land at this very timestamp.
+                            if events[0][0] == time:
+                                break
+                            continue
                     if st.wake:
                         wake(time, st, firing)
+                        size = len(events) + len(polls) + 1
+                        if size > peak_heap:
+                            peak_heap = size
                     if result.dynamic and result.cycles > result.declared_cycles:
                         budget_overruns.append(BudgetOverrun(
                             time=time, kernel=st.name, method=result.label,
                             declared_cycles=result.declared_cycles,
                             actual_cycles=result.cycles,
                         ))
+                    read_s, run_s, write_s, duration = result.seconds
                     slow = ps.slow
-                    read_s = result.elements_read * rcpe / clock * slow
-                    run_s = result.cycles / clock * slow
-                    write_s = result.elements_written * wcpe / clock * slow
-                    duration = read_s + run_s + write_s
+                    if slow != 1.0:
+                        read_s *= slow
+                        run_s *= slow
+                        write_s *= slow
+                        duration = read_s + run_s + write_s
                     ps.read_s += read_s
                     ps.run_s += run_s
                     ps.write_s += write_s
                     ps.firings += 1
-                    ps.free_at = time + duration
+                    ps.free_at = done = time + duration
                     st.running = True
                     if trace_on:
                         trace.append(TraceEvent(
@@ -1328,10 +1364,17 @@ class Simulator:
                         tele.firing(time, ps.index, st, firing, result,
                                     read_s, run_s, write_s)
                     heappush(events,
-                             (time + duration, _FINISH, next_seq(),
+                             (done, _FINISH, next_seq(),
                               (st, result.emissions)))
+                    if done == time:
+                        break  # a zero-time firing finishes first
+                continue
 
-            elif kind == _FINISH:
+            if processed >= max_events:
+                raise livelock()
+            time, kind, _, payload = heappop(events)
+
+            if kind == _FINISH:
                 processed += 1
                 st, emissions = payload
                 st.running = False
@@ -1347,19 +1390,12 @@ class Simulator:
                     # Poll everything sharing the (now free) element, in
                     # arrival order; only one will win the processor.
                     for other in pending:
-                        if queued_polls.get(other) != time:
-                            queued_polls[other] = time
-                            heappush(events, (time, _POLL, next_seq(), other))
+                        if other.polled != time:
+                            other.polled = time
+                            polls.append(other)
                     pending.clear()
 
-            elif kind == _ARRIVE:
-                # NoC arrival: a routed transfer reaches its consumer.
-                # Exists only when a NoC model is active, so the three
-                # seed event kinds above dispatch exactly as before.
-                processed += 1
-                land(time, *payload)
-
-            else:  # _DELIVER: one source cursor; drain its timestamp batch
+            elif kind == _DELIVER:  # one source cursor: drain its timestamp
                 source = sources[payload]
                 st = source.st
                 it = source.it
@@ -1372,7 +1408,23 @@ class Simulator:
                 if head is not None:
                     heappush(events, (head[0], _DELIVER, payload, payload))
 
-        return self._result(run, makespan, processed, peak_heap)
+            elif kind == _ARRIVE:
+                # NoC arrival: a routed transfer reaches its consumer.
+                # Exists only when a NoC model is active.
+                processed += 1
+                land(time, *payload)
+
+            else:
+                # A migration poll (on_dead) come due: it and any other
+                # due with it were pushed before this timestamp's queued
+                # polls, so they run first, in push order.
+                due = [payload]
+                while events and events[0][0] == time \
+                        and events[0][1] == _POLL:
+                    due.append(heappop(events)[3])
+                polls.extendleft(reversed(due))
+
+        return self._result(run, time, processed, peak_heap)
 
 
 def simulate(
