@@ -252,9 +252,21 @@ class SimulationResult:
     #: the conformance suite asserts; the benchmark suite divides it by
     #: wall time for the events/sec trajectory.
     events_processed: int = 0
-    #: High-water mark of the event heap (perf counter, not an observable
-    #: of the simulated schedule; excluded from :meth:`as_dict`).
+    #: High-water mark of the pending events — the heap plus the queued
+    #: polls (perf counter, not an observable of the simulated schedule;
+    #: excluded from :meth:`as_dict`).
     peak_heap: int = 0
+    #: ``events_processed`` by what each event was (perf counter, excluded
+    #: from :meth:`as_dict` like ``peak_heap``): ``deliver`` (source
+    #: items), ``finish``, ``arrive`` (NoC), and one key per poll outcome
+    #: — ``fire`` (an on-chip firing or retry started), ``busy`` (the
+    #: element was busy, so the kernel joined its pending list),
+    #: ``running`` (the kernel's own firing was in flight), ``empty``
+    #: (nothing ready), ``stall`` (backpressure), ``dead`` (a dead
+    #: element) and ``io`` (an off-chip boundary kernel's poll).  The
+    #: values sum to ``events_processed``; ``source_pops``, the source
+    #: cursor dispatches that delivered those items, is not an event.
+    event_counts: dict[str, int] = field(default_factory=dict)
     #: Degradation accounting (all zeros unless a fault spec was active).
     fault_stats: FaultStats = field(default_factory=FaultStats)
     #: Full-fidelity telemetry (None unless options.telemetry enabled).
@@ -1170,7 +1182,8 @@ class Simulator:
         )
 
     def _result(self, run: _Run, makespan: float, processed: int,
-                peak_heap: int) -> SimulationResult:
+                peak_heap: int, event_counts: dict[str, int]
+                ) -> SimulationResult:
         """Turn a finished run into the observable result."""
         outputs = {
             name: rk for name, rk in run.runtimes.items()
@@ -1201,6 +1214,7 @@ class Simulator:
             budget_overruns=run.budget_overruns,
             events_processed=processed,
             peak_heap=peak_heap,
+            event_counts=event_counts,
             fault_stats=run.fstats,
             telemetry=(run.tele.finalize(makespan)
                        if run.tele is not None else None),
@@ -1213,11 +1227,12 @@ class Simulator:
         Heap events (deliveries, finishes, NoC arrivals, migration polls)
         pop one at a time; the polls queued at the current timestamp
         drain in one inner loop once the heap holds nothing more at that
-        timestamp.  It holds no fault code and no run-level mode:
-        :meth:`_setup` bound the deliver variant, the fault closures
-        (``fire``, ``resync``, ``on_dead``) and each kernel's channel
-        bounds, and their fault-free values are neutral
-        (docs/simulator.md "What set-up binds").
+        timestamp, which is where ``(time, _POLL, seq)`` ordered them.
+        It holds no fault code and no run-level mode: :meth:`_setup`
+        bound the deliver variant, the fault closures (``fire``,
+        ``resync``, ``on_dead``) and each kernel's channel bounds, and
+        their fault-free values are neutral (docs/simulator.md "What
+        set-up binds").
         """
         run = self._setup()
         opts = self.options
@@ -1235,10 +1250,15 @@ class Simulator:
         # --- main loop ---------------------------------------------------
         time = 0.0
         processed = 0
-        # High-water mark of heap + poll queue: what one heap holding
-        # the polls too would have reached.
+        # Pending events peak right before a pop, and only a handler that
+        # pushes more than the one event it popped can raise the count:
+        # the drain checks after those, the heap side before each pop.
         peak_heap = 0
         max_events = opts.max_events
+        # What the events were (SimulationResult.event_counts); firings,
+        # finishes and empty polls are derived after the loop.
+        n_busy = n_running = n_stall = n_dead = n_io = 0
+        n_deliver = n_arrive = n_pops = 0
 
         def livelock() -> SimulationError:
             return SimulationError(
@@ -1247,13 +1267,11 @@ class Simulator:
             )
 
         while events or polls:
-            # Handlers only push, so the queue peaks right before a pop;
-            # the drain below re-checks after the handlers that push.
             size = len(events) + len(polls)
             if size > peak_heap:
                 peak_heap = size
             if polls and (not events or events[0][0] > time):
-                # --- the polls of this timestamp, in push order ----------
+                # --- this timestamp's polls, in push order ---------------
                 while polls:
                     if processed >= max_events:
                         raise livelock()
@@ -1261,10 +1279,12 @@ class Simulator:
                     processed += 1
                     st.polled = None
                     if st.running:
+                        n_running += 1
                         continue
                     ps = st.proc
                     if ps is None:
                         # Off-chip boundary kernel: executes instantly.
+                        n_io += 1
                         st_ready = st.ready
                         st_execute = st.execute
                         while True:
@@ -1291,12 +1311,14 @@ class Simulator:
                     if time >= ps.dead_at:
                         # Dead element: migrate its kernels (or stall them
                         # forever); either way this poll is over.
+                        n_dead += 1
                         on_dead(ps, time)
                         size = len(events) + len(polls)
                         if size > peak_heap:
                             peak_heap = size
                         continue
                     if ps.free_at > time:
+                        n_busy += 1
                         pending = ps.pending
                         if st not in pending:
                             pending.append(st)
@@ -1317,6 +1339,7 @@ class Simulator:
                         if blocked:
                             # Backpressure stall: re-polled when a
                             # consumer frees space.
+                            n_stall += 1
                             if tele is not None:
                                 tele.stall(time, st.name, ps.index)
                             continue
@@ -1325,22 +1348,21 @@ class Simulator:
                     else:
                         result = fire(time, st, ps, firing)
                         if result is None:
-                            # A retry holds the element; its finish may
-                            # land at this very timestamp.
+                            # A retry holds the element; its empty finish
+                            # may land at this very timestamp.
                             if events[0][0] == time:
                                 break
                             continue
                     if st.wake:
                         wake(time, st, firing)
-                        size = len(events) + len(polls) + 1
-                        if size > peak_heap:
-                            peak_heap = size
                     if result.dynamic and result.cycles > result.declared_cycles:
                         budget_overruns.append(BudgetOverrun(
                             time=time, kernel=st.name, method=result.label,
                             declared_cycles=result.declared_cycles,
                             actual_cycles=result.cycles,
                         ))
+                    # Priced once per distinct firing cost; a slowed
+                    # element scales each part, then sums, as before.
                     read_s, run_s, write_s, duration = result.seconds
                     slow = ps.slow
                     if slow != 1.0:
@@ -1366,6 +1388,10 @@ class Simulator:
                     heappush(events,
                              (done, _FINISH, next_seq(),
                               (st, result.emissions)))
+                    if st.wake:
+                        size = len(events) + len(polls)
+                        if size > peak_heap:
+                            peak_heap = size
                     if done == time:
                         break  # a zero-time firing finishes first
                 continue
@@ -1385,10 +1411,13 @@ class Simulator:
                     deliver(time, st, port, item)
                 ps = st.proc
                 if ps is not None:
+                    # The element's arbitration: it is offered to every
+                    # kernel waiting on it, in the order they found it
+                    # busy, the finisher last; the first with a ready
+                    # firing when its poll drains wins, and the rest
+                    # find it busy and wait again.
                     pending = ps.pending
                     pending.append(st)
-                    # Poll everything sharing the (now free) element, in
-                    # arrival order; only one will win the processor.
                     for other in pending:
                         if other.polled != time:
                             other.polled = time
@@ -1396,12 +1425,14 @@ class Simulator:
                     pending.clear()
 
             elif kind == _DELIVER:  # one source cursor: drain its timestamp
+                n_pops += 1
                 source = sources[payload]
                 st = source.st
                 it = source.it
                 head = source.head
                 while head is not None and head[0] == time:
                     processed += 1
+                    n_deliver += 1
                     deliver(time, st, "out", head[1])
                     head = next(it, None)
                 source.head = head
@@ -1412,19 +1443,30 @@ class Simulator:
                 # NoC arrival: a routed transfer reaches its consumer.
                 # Exists only when a NoC model is active.
                 processed += 1
+                n_arrive += 1
                 land(time, *payload)
 
             else:
-                # A migration poll (on_dead) come due: it and any other
-                # due with it were pushed before this timestamp's queued
-                # polls, so they run first, in push order.
+                # A migration poll (on_dead) come due.  It and any other
+                # due at this timestamp were pushed before the polls
+                # queued now, so they drain first, in push order.
                 due = [payload]
                 while events and events[0][0] == time \
                         and events[0][1] == _POLL:
                     due.append(heappop(events)[3])
                 polls.extendleft(reversed(due))
 
-        return self._result(run, time, processed, peak_heap)
+        # Every on-chip firing (a retry included) pushed one finish.
+        fired = run.fstats.retries + sum(
+            ps.firings for ps in run.proc_states.values())
+        counts = {
+            "deliver": n_deliver, "finish": fired, "arrive": n_arrive,
+            "fire": fired, "busy": n_busy, "running": n_running,
+            "stall": n_stall, "dead": n_dead, "io": n_io,
+        }
+        counts["empty"] = processed - sum(counts.values())
+        counts["source_pops"] = n_pops
+        return self._result(run, time, processed, peak_heap, counts)
 
 
 def simulate(
