@@ -3,9 +3,9 @@
 Usage (from the repository root)::
 
     PYTHONPATH=src python scripts/body_profile.py APP [--frames N] \
-        [--mapping greedy|1:1] [--content all|none] [--top K]
+        [--mapping greedy|1:1] [--content all|none] [--top K] [--events]
     PYTHONPATH=src python scripts/body_profile.py --sweep [--seed N] \
-        [--content all|none] [--top K]
+        [--content all|none] [--top K] [--events]
 
 ``APP`` is a suite key (``repro list``); ``--sweep`` is the 24-job
 ``image_pipeline`` grid of the ``sweep_cold`` bench workload (widths 16
@@ -22,6 +22,12 @@ body alone; an already-skipped body reads the cost of ``execute``
 itself.  Token forwards are the ``<forward>`` rows.  The instrumented
 wall is printed with the table: the timer costs about a microsecond a
 firing, so it is not the wall of an uninstrumented run.
+
+``--events`` prints what the event loop spent its events on instead,
+uninstrumented: :attr:`~repro.sim.SimulationResult.event_counts` summed
+over the runs — source deliveries, firing finishes and NoC arrivals by
+kind, and polls by outcome (``fire``, ``busy``, ``running``, ``empty``,
+``stall``, ``dead``, ``io``).
 """
 
 from __future__ import annotations
@@ -105,6 +111,36 @@ def profile(runs, content) -> tuple[list[tuple], int, float]:
     return rows, firings, wall
 
 
+def event_counts(runs, content) -> collections.Counter:
+    """``SimulationResult.event_counts`` summed over the runs."""
+    counts: collections.Counter = collections.Counter()
+    for compiled, frames in runs:
+        counts.update(simulate(compiled, SimulationOptions(frames=frames),
+                               content=content).event_counts)
+    return counts
+
+
+#: Row order of the event table: event kinds, then poll outcomes.
+EVENT_ROWS = ("deliver", "finish", "arrive", "fire", "busy", "running",
+              "empty", "stall", "dead", "io")
+
+
+def render_events(counts) -> str:
+    total = sum(counts[key] for key in EVENT_ROWS)
+    lines = [
+        f"{total} events, {counts['source_pops']} source pops",
+        "",
+        "| event | count | share |",
+        "| --- | ---: | ---: |",
+    ]
+    for key in EVENT_ROWS:
+        label = key if key in ("deliver", "finish", "arrive") \
+            else f"poll: {key}"
+        lines.append(f"| {label} | {counts[key]} "
+                     f"| {counts[key] / total:.1%} |")
+    return "\n".join(lines)
+
+
 def render(rows, wall: float, top: int | None = None) -> str:
     body = sum(row[3] for row in rows)
     lines = [
@@ -136,10 +172,16 @@ def main(argv: list[str] | None = None) -> int:
                         choices=("all", "none"))
     parser.add_argument("--top", type=int, default=None,
                         help="print only the K slowest rows")
+    parser.add_argument("--events", action="store_true",
+                        help="count events by kind and polls by outcome")
     args = parser.parse_args(argv)
     runs = (sweep_runs(args.seed) if args.sweep
             else suite_runs(args.app, args.frames, args.mapping))
-    rows, _, wall = profile(runs, None if args.content == "all" else ())
+    content = None if args.content == "all" else ()
+    if args.events:
+        print(render_events(event_counts(runs, content)))
+        return 0
+    rows, _, wall = profile(runs, content)
     print(render(rows, wall, args.top))
     return 0
 

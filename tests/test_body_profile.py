@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import pathlib
 
+from repro.sim import SimulationOptions, simulate
 from repro.sim.runtime import RuntimeKernel
 
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -42,3 +43,19 @@ def test_main_prints_the_table(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("execute() ") and lines[2].startswith("| kernel")
     assert len(lines) == 4 + 3
+
+
+def test_event_counts_cover_every_event(capsys):
+    runs = body_profile.suite_runs("5", 1, "greedy")
+    counts = body_profile.event_counts(runs, ())
+    compiled, frames = runs[0]
+    events = simulate(compiled, SimulationOptions(frames=frames),
+                      content=()).events_processed
+    assert sum(counts[key] for key in body_profile.EVENT_ROWS) == events
+    assert counts["finish"] == counts["fire"] > 0
+    assert counts["busy"] > 0 and counts["empty"] > 0
+    assert 0 < counts["source_pops"] <= counts["deliver"]
+    assert body_profile.main(["5", "--frames", "1", "--events"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"{events} events, {counts['source_pops']} source pops"
+    assert len(lines) == 4 + len(body_profile.EVENT_ROWS)
