@@ -117,7 +117,11 @@ class RunHandle:
         self.events: list[dict[str, Any]] = []
         self._subscribers: list[asyncio.Queue] = []
         #: Terminal record per job index — the one-terminal-per-job map.
+        #: Released once the run is terminal: every record is in the
+        #: store by then, and a long-lived service must not keep them.
         self.records: dict[int, dict[str, Any]] = {}
+        #: Jobs with a terminal record.
+        self.done = 0
         #: Job indexes a worker has picked up (superset of in-flight).
         self.claimed: set[int] = set()
         #: Cooperative cancel flags of in-flight jobs, by index.
@@ -167,12 +171,13 @@ class RunHandle:
     # -- accounting ----------------------------------------------------
 
     def finish_job(self, index: int, record: dict[str, Any]) -> None:
-        if index in self.records:
+        if self.machine.terminal or index in self.records:
             raise ServeError(
                 f"job {index} of run {self.plan.run_id} produced a "
                 "second terminal record"
             )
         self.records[index] = record
+        self.done += 1
         if record.get("cache_hit"):
             self.cache_hits += 1
         if record.get("kind") == "result":
@@ -189,10 +194,6 @@ class RunHandle:
             # once, in the same synchronous block as its store append,
             # so the live fold order equals the ``results.jsonl`` order.
             self._observer.record(record)
-
-    @property
-    def done(self) -> int:
-        return len(self.records)
 
     @property
     def elapsed_s(self) -> float:
@@ -387,7 +388,8 @@ class SweepService:
             while self._heap:
                 _, _, run_id, index = heapq.heappop(self._heap)
                 handle = self._runs[run_id]
-                if index in handle.records or index in handle.claimed:
+                if (handle.machine.terminal or index in handle.records
+                        or index in handle.claimed):
                     continue  # settled by cancel, or a requeued duplicate
                 handle.claimed.add(index)
                 return handle, index
@@ -409,7 +411,8 @@ class SweepService:
             except Exception as exc:  # noqa: BLE001 - keep the loop alive
                 # A scheduler bug must not wedge the service: charge the
                 # job a terminal failure and keep serving.
-                if index not in handle.records:
+                if not handle.machine.terminal \
+                        and index not in handle.records:
                     self._fail_job(
                         handle, index, "error",
                         f"scheduler error: {type(exc).__name__}: {exc}",
@@ -604,6 +607,11 @@ class SweepService:
             cache_hits=handle.cache_hits,
             elapsed_s=handle.elapsed_s,
         ))
+        # Every record is in the store now; the handle keeps its plan,
+        # counters and envelopes (``info()``, ``watch()``) and nothing
+        # per job.
+        handle.records = {}
+        handle.claimed = set()
         self.storage.register({
             "run": handle.plan.run_id,
             "status": status,

@@ -54,3 +54,21 @@ def run_compiled(
 
 def frame_of(result, name: str, frame: int, width: int, height: int) -> np.ndarray:
     return result.output_frame(name, frame, width, height)
+
+
+def stored_records(storage, handle) -> dict[int, dict]:
+    """A served run's terminal records by job index, read back from the
+    service's ``results.jsonl`` — a terminal run's handle keeps none.
+
+    Each record comes back as the scheduler built it (the store's
+    ``schema`` key dropped); records are matched to jobs by label and
+    fingerprint.
+    """
+    mine = {(r["label"], r["fingerprint"]): r for r in storage.store
+            if r.get("run") == handle.plan.run_id}
+    return {
+        index: {k: v for k, v in mine[job.label, job.fingerprint].items()
+                if k != "schema"}
+        for index, job in enumerate(handle.plan.jobs)
+        if (job.label, job.fingerprint) in mine
+    }

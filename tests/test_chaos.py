@@ -58,6 +58,7 @@ from repro.explore import (
     run_sweep,
 )
 from repro.explore.cache import QUARANTINE_DIR
+from helpers import stored_records
 from repro.serve import (
     RunStateChanged,
     ServeError,
@@ -614,16 +615,17 @@ class TestSchedulerCancelRaces:
             service.cancel(handle.plan.run_id)
             events = [e async for e in service.watch(handle.plan.run_id)]
             await service.stop()
-            return handle, events
+            return service, handle, events
 
         started = time.monotonic()
-        handle, events = run(scenario())
+        service, handle, events = run(scenario())
         assert time.monotonic() - started < 20.0  # no 30s backoff wait
         assert handle.machine.status == "cancelled"
         assert [e["event"] for e in events].count("RunFinished") == 1
         assert len(calls) == 1  # the cancelled job was never retried
-        assert len(handle.records) == 1
-        record = next(iter(handle.records.values()))
+        records = stored_records(service.storage, handle)
+        assert len(records) == 1
+        record = next(iter(records.values()))
         assert record["failure"]["kind"] == "cancelled"
         assert "backoff" in record["failure"]["message"]
         assert record["attempts"] == 1  # backing off after attempt 1
@@ -661,14 +663,15 @@ class TestSchedulerCancelRaces:
             service.cancel(handle.plan.run_id)
             events = [e async for e in service.watch(handle.plan.run_id)]
             await service.stop()
-            return handle, events
+            return service, handle, events
 
-        handle, events = run(scenario())
+        service, handle, events = run(scenario())
         assert handle.machine.status == "cancelled"
         assert [e["event"] for e in events].count("RunFinished") == 1
         assert len(calls) == 1  # crash payload did not trigger a retry
-        assert len(handle.records) == 1
-        record = next(iter(handle.records.values()))
+        records = stored_records(service.storage, handle)
+        assert len(records) == 1
+        record = next(iter(records.values()))
         assert record["failure"]["kind"] == "cancelled"
         assert "crash" in record["failure"]["message"]
         assert record["attempts"] == 1
@@ -706,15 +709,16 @@ class TestSchedulerCancelRaces:
             service.cancel(handle.plan.run_id)
             events = [e async for e in service.watch(handle.plan.run_id)]
             await service.stop()
-            return handle, events
+            return service, handle, events
 
-        handle, events = run(scenario())
+        service, handle, events = run(scenario())
+        records = stored_records(service.storage, handle)
         assert handle.machine.status == "cancelled"
         assert calls == [jobs[0].fingerprint] * 3
         assert [(r["failure"]["kind"], r["attempts"])
-                for r in (handle.records[0], handle.records[1])] == [
+                for r in (records[0], records[1])] == [
             ("cancelled", 3), ("cancelled", 0)]
-        assert "queued" in handle.records[1]["failure"]["message"]
+        assert "queued" in records[1]["failure"]["message"]
         for job in jobs:
             mine = [e for e in events if e.get("label") == job.label]
             started = [e for e in mine if e["event"] == "JobStarted"]

@@ -28,6 +28,8 @@ from repro.explore import (
 from repro.explore.executor import Retry, settle
 from repro.serve import ServiceConfig, ServiceStorage, SweepService
 
+from helpers import stored_records
+
 GOOD = {"width": 16, "height": 12, "rate_hz": 50.0}
 
 
@@ -334,13 +336,14 @@ class TestFrontEndParity:
             handle = await service.submit(PARITY_SPEC, tenant="t")
             events = [e async for e in service.watch(handle.plan.run_id)]
             await service.stop()
-            return handle, events
+            return service, handle, events
 
-        handle, envelopes = asyncio.run(scenario())
+        service, handle, envelopes = asyncio.run(scenario())
         assert not any(scripts.values())
 
+        records = stored_records(service.storage, handle)
         served = [
-            {k: v for k, v in handle.records[i].items()
+            {k: v for k, v in records[i].items()
              if k not in ("run", "tenant")}
             for i in range(len(jobs))
         ]

@@ -44,6 +44,7 @@ from repro.explore import (
     run_job_isolated,
 )
 from repro.explore.store import read_jsonl
+from helpers import stored_records
 from repro.serve import (
     LifecycleError,
     RunState,
@@ -572,16 +573,17 @@ class TestSweepService:
             service.cancel(handle.plan.run_id)
             events = [e async for e in service.watch(handle.plan.run_id)]
             await service.stop()
-            return handle, events
+            return service, handle, events
 
         started = time.monotonic()
-        handle, events = run(scenario())
+        service, handle, events = run(scenario())
         assert time.monotonic() - started < 30.0  # no 60s waits
         assert handle.machine.status == "cancelled"
         assert [e["event"] for e in events].count("RunFinished") == 1
         assert events[-1]["status"] == "cancelled"
         assert handle.cancelled == 2 and handle.done == 2
-        kinds = [r["failure"]["kind"] for r in handle.records.values()]
+        records = stored_records(service.storage, handle)
+        kinds = [r["failure"]["kind"] for r in records.values()]
         assert kinds == ["cancelled"] * 2
         # Cancelling a terminal run is a no-op, not an error.
         assert len(events_of(handle, "RunFinished")) == 1
@@ -592,13 +594,13 @@ class TestSweepService:
             # No start(): nothing will ever claim the queued jobs.
             handle = await service.submit(SPEC)
             service.cancel(handle.plan.run_id)
-            return handle
+            return service, handle
 
-        handle = run(scenario())
+        service, handle = run(scenario())
         assert handle.machine.terminal
         assert handle.machine.status == "cancelled"
         messages = [r["failure"]["message"]
-                    for r in handle.records.values()]
+                    for r in stored_records(service.storage, handle).values()]
         assert messages == ["cancelled while queued"] * 2
 
     def test_restart_completes_only_the_uncached_remainder(self, tmp_path):
@@ -815,6 +817,34 @@ class TestHttpEndToEnd:
         assert {r["run"] for r in runs} == {info["run"], again["run"]}
         final = client.run(info["run"])
         assert final["status"] == "succeeded" and final["done"] == 2
+
+    def test_a_terminal_run_keeps_no_job_records(self, tmp_path,
+                                                 monkeypatch):
+        services = []
+
+        class Kept(SweepService):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                services.append(self)
+
+        monkeypatch.setattr("repro.serve.http.SweepService", Kept)
+        with _LiveService(tmp_path / "data") as live:
+            client = ServiceClient(live.url)
+            info = client.submit(SPEC, tenant="alice")
+            events = list(client.events(info["run"]))
+            assert events[-1]["event"] == "RunFinished"
+            (service,) = services
+            handle = service.run(info["run"])
+            # The store holds every record; the handle holds none.
+            assert handle.machine.terminal
+            assert handle.records == {} and handle.claimed == set()
+            assert len(stored_records(service.storage, handle)) == 2
+            # What a client asks of a finished run still answers.
+            final = client.run(info["run"])
+            assert final["status"] == "succeeded" and final["done"] == 2
+            assert final["succeeded"] == 2
+            tail = list(client.events(info["run"], since=events[1]["seq"]))
+            assert tail == events[2:]
 
     def test_sse_stream_when_asked_for(self, live):
         client = ServiceClient(live.url)
