@@ -197,11 +197,16 @@ class RuntimeKernel:
         (:attr:`FiringResult.seconds`), so a timed loop divides by the
         clock once per distinct firing cost, not once per firing."""
         self._prices = (read_cpe, write_cpe, clock)
-        read_s = 0 * read_cpe / clock
-        run_s = FORWARD_CYCLES / clock
-        write_s = 0 * write_cpe / clock
-        self._forward_seconds = (read_s, run_s, write_s,
-                                 read_s + run_s + write_s)
+        self._forward_seconds = self._seconds(0, FORWARD_CYCLES, 0)
+
+    def _seconds(self, elements_read: int, cycles: float,
+                 elements_written: int) -> tuple[float, float, float, float]:
+        """``(read_s, run_s, write_s, total_s)`` at the priced rates."""
+        read_cpe, write_cpe, clock = self._prices
+        read_s = elements_read * read_cpe / clock
+        run_s = cycles / clock
+        write_s = elements_written * write_cpe / clock
+        return read_s, run_s, write_s, read_s + run_s + write_s
 
     def skip_bodies(self) -> None:
         """Bind the bodies of a kernel nobody reads to stand-in emitters.
@@ -543,13 +548,8 @@ class RuntimeKernel:
             # Routers move chunk descriptors: one access per chunk.
             elements_read = len(consumed)
             elements_written = writes
-        seconds = None
-        if self._prices is not None:
-            read_cpe, write_cpe, clock = self._prices
-            read_s = elements_read * read_cpe / clock
-            run_s = cycles / clock
-            write_s = elements_written * write_cpe / clock
-            seconds = (read_s, run_s, write_s, read_s + run_s + write_s)
+        seconds = (None if self._prices is None
+                   else self._seconds(elements_read, cycles, elements_written))
         if cost is not None and not dynamic:
             cost[writes] = (elements_read, elements_written, seconds)
         return FiringResult(

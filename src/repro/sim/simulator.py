@@ -32,6 +32,13 @@ less interpreter work per event:
   tuples, and all of a source's same-timestamp items drain in one
   dispatch (they are contiguous in the seed's ordering, so batching
   cannot reorder anything);
+* polls, which are requested at the current timestamp, wait in one FIFO
+  queue that drains once the heap holds nothing more at that timestamp
+  — the order the seed's heap gave them — instead of costing a heap
+  push and pop each;
+* a firing's read, run and write seconds come priced from
+  :meth:`~.runtime.RuntimeKernel.execute`, computed once per distinct
+  firing cost;
 * per-kernel state (processor, output channel fan-out, overrun checks,
   backpressure wake lists) is resolved **once** into slotted records
   before the loop, eliminating the per-event dict lookups;
@@ -1361,8 +1368,9 @@ class Simulator:
                             declared_cycles=result.declared_cycles,
                             actual_cycles=result.cycles,
                         ))
-                    # Priced once per distinct firing cost; a slowed
-                    # element scales each part, then sums, as before.
+                    # Seconds at unit slowdown, priced once per distinct
+                    # firing cost; a slowed element scales each part and
+                    # sums the scaled parts.
                     read_s, run_s, write_s, duration = result.seconds
                     slow = ps.slow
                     if slow != 1.0:
